@@ -48,14 +48,14 @@ from .estimators import (
     value_reweighted,
 )
 from .gradients import (
-    GradientReport,
+    ObjectivePass,
     fd_check,
     grad_doubly_controlled,
     grad_ips_dpm,
     grad_reweighted,
     gradient,
-    gradient_report,
     run_grad_check,
+    value_and_grad,
 )
 from .reward import (
     ControlScalar,

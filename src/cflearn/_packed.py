@@ -1,20 +1,24 @@
 """Vectorized, whole-log views used by the estimator and gradient code.
 
 Tuples are stacked into dense arrays, grouped by candidate-set size so logs
-with mixed k still vectorize.  Per-tuple results are always scattered back
-into log order before any reduction, which keeps reductions in a fixed
-order and results reproducible.
+with mixed k still vectorize.  Per-tuple results are scattered back into
+log order, and per-group sums are added in group order, so every reduction
+runs in a fixed order and results are reproducible.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .domain import Log, Mode, PolicyParams
 from .errors import ConfigurationError
+
+if TYPE_CHECKING:
+    from .reward import RewardModel
 
 
 @dataclass
@@ -35,15 +39,19 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
 class PackedLog:
     """Dense array view over a :class:`Log`."""
 
-    __slots__ = ("n", "dim", "mode", "rewards", "propensities", "groups", "__weakref__")
+    __slots__ = (
+        "n", "dim", "mode", "rewards", "propensities", "groups", "_model", "_preds", "__weakref__"
+    )
 
-    def __init__(self, n, dim, mode, rewards, propensities, groups):
+    def __init__(self, n, dim, mode, rewards, propensities, groups, model=None, preds=None):
         self.n = n
         self.dim = dim
         self.mode = mode
         self.rewards = rewards
         self.propensities = propensities
         self.groups = groups
+        self._model = model  # the reward model whose predictions ``_preds`` holds
+        self._preds = preds
 
     @classmethod
     def from_log(cls, log: Log) -> "PackedLog":
@@ -70,21 +78,28 @@ class PackedLog:
         return cls(n, dim, log.mode, rewards, propensities, groups)
 
     def subset(self, order: np.ndarray) -> "PackedLog":
-        """A packed view restricted to the given positions, in the given order."""
+        """A packed view restricted to the given positions, in the given order.
+
+        Cached reward-model predictions carry over to the subset.
+        """
         order = np.asarray(order, dtype=np.intp)
         inverse = np.full(self.n, -1, dtype=np.intp)
         inverse[order] = np.arange(order.size)
         groups = []
-        for g in self.groups:
+        preds = [] if self._model is not None else None
+        for pos, g in enumerate(self.groups):
             new_idx = inverse[g.idx]
             rows = np.nonzero(new_idx >= 0)[0]
             if rows.size:
                 groups.append(
                     Group(idx=new_idx[rows], feats=g.feats[rows], chosen=g.chosen[rows])
                 )
+                if preds is not None:
+                    preds.append(self._preds[pos][rows])
         propensities = None if self.propensities is None else self.propensities[order]
         return PackedLog(
-            order.size, self.dim, self.mode, self.rewards[order], propensities, groups
+            order.size, self.dim, self.mode, self.rewards[order], propensities, groups,
+            self._model, preds,
         )
 
     def _check_params(self, params: PolicyParams) -> None:
@@ -94,17 +109,21 @@ class PackedLog:
                 f"dimension {self.dim}"
             )
 
-    def iter_group_probs(self, params: PolicyParams):
-        """Yield (group, probs) with probs of shape (m, k)."""
+    def probs(self, params: PolicyParams) -> list[np.ndarray]:
+        """Softmax probabilities of shape (m, k) for every group, in group order."""
         self._check_params(params)
+        out = []
         for g in self.groups:
-            yield g, _softmax(params.alpha * (g.feats @ params.weights))
+            m, k, d = g.feats.shape
+            scores = (g.feats.reshape(m * k, d) @ params.weights).reshape(m, k)
+            out.append(_softmax(params.alpha * scores))
+        return out
 
-    def chosen_probs(self, params: PolicyParams) -> np.ndarray:
-        """pi_w(y_t | x_t) for every tuple, in log order."""
+    def at_chosen(self, per_group: list[np.ndarray]) -> np.ndarray:
+        """Per-group (m, k) values taken at each tuple's chosen candidate, in log order."""
         out = np.empty(self.n)
-        for g, probs in self.iter_group_probs(params):
-            out[g.idx] = probs[np.arange(g.chosen.size), g.chosen]
+        for g, values in zip(self.groups, per_group):
+            out[g.idx] = values[np.arange(g.chosen.size), g.chosen]
         return out
 
     def chosen_features(self) -> np.ndarray:
@@ -114,21 +133,26 @@ class PackedLog:
             out[g.idx] = g.feats[np.arange(g.chosen.size), g.chosen]
         return out
 
-    def chosen_grads(self, params: PolicyParams) -> np.ndarray:
-        """grad log pi_w(y_t | x_t) for every tuple, in log order."""
-        out = np.empty((self.n, self.dim))
-        for g, probs in self.iter_group_probs(params):
-            expected = np.einsum("mk,mkd->md", probs, g.feats)
-            picked = g.feats[np.arange(g.chosen.size), g.chosen]
-            out[g.idx] = params.alpha * (picked - expected)
-        return out
+    def rho_from(self, chosen_probs: np.ndarray) -> np.ndarray:
+        """Per-tuple importance weight: pi/mu on stochastic logs, pi otherwise."""
+        if self.mode is Mode.STOCHASTIC:
+            return chosen_probs / self.propensities
+        return chosen_probs
 
     def rho(self, params: PolicyParams) -> np.ndarray:
-        """Per-tuple importance weight: pi/mu on stochastic logs, pi otherwise."""
-        probs = self.chosen_probs(params)
-        if self.mode is Mode.STOCHASTIC:
-            return probs / self.propensities
-        return probs
+        """Per-tuple importance weights of the policy, in log order."""
+        return self.rho_from(self.at_chosen(self.probs(params)))
+
+    def predictions(self, model: "RewardModel") -> list[np.ndarray]:
+        """dhat(x, y) of shape (m, k) for every group, predicted once per model.
+
+        The predictions do not depend on the policy weights, so a training
+        run predicts each log once.  One model is cached at a time.
+        """
+        if self._model is not model:
+            self._preds = [model.predict_features(g.feats) for g in self.groups]
+            self._model = model
+        return self._preds
 
 
 _CACHE: "weakref.WeakKeyDictionary[Log, PackedLog]" = weakref.WeakKeyDictionary()

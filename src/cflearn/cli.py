@@ -21,7 +21,7 @@ from .domain import Log, Mode, PolicyParams
 from .errors import CflearnError
 from .estimators import EstimatorKind, evaluate_policy
 from .gradients import FD_TOLERANCE, run_grad_check
-from .reward import RewardModel, fit_reward_model
+from .reward import RewardModel
 from .simulator import TaskSpec, generate_task, roll_log, split
 from .training import TrainConfig, evaluate_truth, train
 
@@ -124,9 +124,8 @@ def cmd_train(args) -> int:
     }
     serialize.write_params(out / "params.json", params, extra)
     serialize.write_trace(out / "trace.csv", trace)
-    if train_cfg.kind.uses_reward_model:
-        model = fit_reward_model(train_log, train_cfg.ridge_lambda)
-        serialize.write_reward_model(out / "reward_model.json", model)
+    if trace.reward_model is not None:
+        serialize.write_reward_model(out / "reward_model.json", trace.reward_model)
     print(f"trained {train_cfg.kind.value} for {len(trace.records)} epochs; wrote {out}")
     return 0
 

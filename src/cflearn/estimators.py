@@ -22,6 +22,9 @@ with a direct reward model over the full candidate set:
 
 The inner sum always weights by ``pi_w``: propensities are only logged
 for the chosen output, so ``pi/mu`` is undefined off the logged choice.
+With c = 0 it is the self-normalized objective, so the eight kinds are two
+formulas; every value and diagnostic here comes from the one fused pass of
+:func:`cflearn.gradients.value_and_grad`, except :func:`value_reweighted`.
 """
 
 from __future__ import annotations
@@ -70,6 +73,26 @@ class EstimatorKind(Enum):
         """Whether the control scalar is estimated from data rather than fixed at 1."""
         return self in (EstimatorKind.CDR, EstimatorKind.CDC)
 
+    @property
+    def family(self) -> str:
+        """The objective family: "plain", "reweighted" (controlled at c = 0) or "controlled"."""
+        if self.uses_reward_model:
+            return "controlled"
+        return "reweighted" if self.reweighted else "plain"
+
+
+_FAMILY_KINDS = {
+    (kind.family, kind.required_mode): kind for kind in EstimatorKind if not kind.estimates_control
+}
+
+
+def family_kind(family: str, mode: Mode) -> EstimatorKind:
+    """The fixed-control kind of an objective family on a log of ``mode``."""
+    try:
+        return _FAMILY_KINDS[family, mode]
+    except KeyError:
+        raise ValueError(f"unknown objective family {family!r}") from None
+
 
 @dataclass(frozen=True, eq=False)
 class EstimatorReport:
@@ -95,9 +118,11 @@ def check_mode(kind: EstimatorKind, log: Log) -> None:
     )
 
 
-def _require_tuples(log: Log) -> None:
-    if len(log.tuples) == 0:
-        raise ValueError("log is empty")
+def _pass(kind: EstimatorKind, params: PolicyParams, log: Log, model: "RewardModel | None" = None):
+    """One value-only objective pass; see :func:`cflearn.gradients.value_and_grad`."""
+    from .gradients import value_and_grad  # import here: gradients builds on this module
+
+    return value_and_grad(kind, params, _packed.get(log), model, grad=False)
 
 
 def rho(params: PolicyParams, tup: LoggedTuple, mode: Mode) -> float:
@@ -114,7 +139,7 @@ def rho(params: PolicyParams, tup: LoggedTuple, mode: Mode) -> float:
 
 def rho_weights(params: PolicyParams, log: Log) -> np.ndarray:
     """Per-tuple importance weights for the whole log, in log order."""
-    return _packed.get(log).rho(params)
+    return _pass(family_kind("plain", log.mode), params, log).rho
 
 
 def _normalize(rho_values: np.ndarray) -> np.ndarray:
@@ -132,8 +157,8 @@ def normalized_weights(params: PolicyParams, log: Log) -> tuple[np.ndarray, np.n
     ``rho_bar_t = n * rho_t / sum(rho)`` so that the plain mean of
     ``delta * rho_bar`` reproduces the ratio form of the reweighted value.
     """
-    rho_values = rho_weights(params, log)
-    return rho_values, _normalize(rho_values)
+    result = _pass(family_kind("reweighted", log.mode), params, log)
+    return result.rho, result.rho_bar
 
 
 def value_ips_dpm(params: PolicyParams, log: Log) -> float:
@@ -142,9 +167,7 @@ def value_ips_dpm(params: PolicyParams, log: Log) -> float:
     On a stochastic log this is inverse propensity scoring; on a
     deterministic log no sampling-bias correction is applied.
     """
-    _require_tuples(log)
-    packed = _packed.get(log)
-    return float((packed.rewards * packed.rho(params)).mean())
+    return _pass(family_kind("plain", log.mode), params, log).value()
 
 
 def value_reweighted(params: PolicyParams, log: Log) -> float:
@@ -152,21 +175,14 @@ def value_reweighted(params: PolicyParams, log: Log) -> float:
 
     Equals sum(delta * rho) / sum(rho), computed as the mean of
     ``delta * rho_bar``.  Raises :class:`DegenerateSupportError` when every
-    weight is zero, where the ratio is undefined.
+    weight is zero, where the ratio is undefined.  Computed directly, not by
+    the fused pass, so that it checks the pass's c = 0 reduction.
     """
-    _require_tuples(log)
+    if len(log.tuples) == 0:
+        raise ValueError("log is empty")
     packed = _packed.get(log)
     rho_bar = _normalize(packed.rho(params))
     return float((packed.rewards * rho_bar).mean())
-
-
-def _direct_values(params: PolicyParams, packed: _packed.PackedLog, model: "RewardModel") -> np.ndarray:
-    """sum_y dhat(x_t, y) pi_w(y | x_t) for every tuple, in log order."""
-    out = np.empty(packed.n)
-    for g, probs in packed.iter_group_probs(params):
-        preds = model.predict_features(g.feats)
-        out[g.idx] = (preds * probs).sum(axis=1)
-    return out
 
 
 def value_doubly_controlled(
@@ -177,18 +193,7 @@ def value_doubly_controlled(
     ``c_hat = 1`` gives the DC (deterministic) / DR (stochastic) objective;
     ``c_hat = 0`` reduces exactly to the reweighted value.
     """
-    _require_tuples(log)
-    packed = _packed.get(log)
-    rho_bar = _normalize(packed.rho(params))
-    delta_hat = model_values_at_chosen(reward_model, packed)
-    direct = _direct_values(params, packed, reward_model)
-    terms = (packed.rewards - c_hat * delta_hat) * rho_bar + c_hat * direct
-    return float(terms.mean())
-
-
-def model_values_at_chosen(model: "RewardModel", packed: _packed.PackedLog) -> np.ndarray:
-    """dhat(x_t, y_t) for every tuple, in log order."""
-    return model.predict_features(packed.chosen_features())
+    return _pass(family_kind("controlled", log.mode), params, log, reward_model).value(c_hat)
 
 
 def dmax_mask(rewards: np.ndarray) -> np.ndarray:
@@ -202,18 +207,12 @@ class WeightDiagnostics:
 
     weights: np.ndarray          # rho_bar, in log order
     mass_on_dmax: float          # share of normalized weight on max-reward tuples
-    effective_sample_size: float  # (sum rho)^2 / sum rho^2, in (0, n]
+    effective_sample_size: float  # n^2 / sum rho_bar^2 = (sum rho)^2 / sum rho^2, in (0, n]
 
 
 def diagnostics(params: PolicyParams, log: Log) -> WeightDiagnostics:
     """Weight-concentration diagnostics of the policy on this log."""
-    _require_tuples(log)
-    packed = _packed.get(log)
-    rho_values = packed.rho(params)
-    rho_bar = _normalize(rho_values)
-    mass = float(rho_bar[dmax_mask(packed.rewards)].sum() / packed.n)
-    ess = float(rho_values.sum() ** 2 / (rho_values**2).sum())
-    return WeightDiagnostics(weights=rho_bar, mass_on_dmax=mass, effective_sample_size=ess)
+    return _pass(family_kind("reweighted", log.mode), params, log).diagnostics()
 
 
 def objective_value(
@@ -225,31 +224,8 @@ def objective_value(
 ) -> float:
     """Value of any estimator kind, with mode compatibility enforced."""
     check_mode(kind, log)
-    if not kind.uses_reward_model:
-        if kind.reweighted:
-            return value_reweighted(params, log)
-        return value_ips_dpm(params, log)
-    if reward_model is None:
-        raise ValueError(f"estimator {kind.value} needs a reward model")
-    c = resolve_control(kind, params, log, reward_model, c_hat)
-    return value_doubly_controlled(params, log, reward_model, c)
-
-
-def resolve_control(
-    kind: EstimatorKind,
-    params: PolicyParams,
-    log: Log,
-    reward_model: "RewardModel",
-    c_hat: float | None,
-) -> float:
-    """Control scalar for a doubly-controlled kind: fixed 1, given, or estimated."""
-    if c_hat is not None:
-        return float(c_hat)
-    if not kind.estimates_control:
-        return 1.0
-    from .reward import estimate_c_hat  # import here: reward builds on this module
-
-    return estimate_c_hat(params, log, reward_model).c_hat
+    result = _pass(kind, params, log, reward_model)
+    return result.value(result.resolve_control(c_hat))
 
 
 def evaluate_policy(
@@ -259,14 +235,15 @@ def evaluate_policy(
     reward_model: "RewardModel | None" = None,
     c_hat: float | None = None,
 ) -> EstimatorReport:
-    """Full report: estimator value plus weight diagnostics."""
-    value = objective_value(kind, params, log, reward_model, c_hat)
-    diag = diagnostics(params, log)
-    weights = diag.weights if kind.reweighted else rho_weights(params, log)
+    """Full report: estimator value plus weight diagnostics, from one pass."""
+    check_mode(kind, log)
+    result = _pass(kind, params, log, reward_model)
+    value = result.value(result.resolve_control(c_hat))
+    diag = result.diagnostics()
     return EstimatorReport(
         kind=kind,
         value=value,
-        weights_used=weights,
+        weights_used=diag.weights if kind.reweighted else result.rho,
         mass_on_dmax=diag.mass_on_dmax,
         effective_sample_size=diag.effective_sample_size,
     )

@@ -1,19 +1,32 @@
-"""Analytic gradients of the counterfactual objectives, with a
-finite-difference verification harness.
+"""Value and gradient of every counterfactual objective from one pass over a log.
 
-All three families reduce to per-tuple contribution matrices that are
-averaged in log order:
+The eight estimator kinds are two formulas over the importance weight
+``rho_t`` and its self-normalized form ``rho_bar_t = n rho_t / sum(rho)``:
 
-    plain:       delta_t rho_t g_t
-    reweighted:  delta_t rho_bar_t (g_t - gbar)
-    controlled:  (delta_t - c dhat_t) rho_bar_t (g_t - gbar)
-                 + c sum_y dhat(x_t, y) pi_w(y|x_t) g_{t,y}
+    plain:       V = (1/n) sum_t delta_t rho_t
+    controlled:  V = (1/n) sum_t [ (delta_t - c dhat_t) rho_bar_t
+                                   + c sum_y dhat(x_t, y) pi_w(y | x_t) ]
 
-where ``g_t = grad log pi_w(y_t | x_t)`` and ``gbar`` is the
-rho_bar-weighted mean gradient ``(1/n) sum_u rho_bar_u g_u``.  Since
-``(1/n) sum rho_bar = 1``, the centering makes the reweighted gradient the
-exact derivative of the self-normalized value, which the finite-difference
-harness confirms.
+``c = 0`` gives the self-normalized (reweighted) objective, ``c = 1`` DC/DR
+and an estimated ``c`` cDC/cDR.  The controlled value and gradient are
+affine in c, ``V = a + c b`` and ``grad = A + c B``, so one softmax pass
+returns ``(a, b, A, B)`` and serves any c.
+
+Every gradient is a weighted sum of candidate features,
+``alpha sum_{t,y} W_{t,y} phi(x_t, y)``, because
+``grad log pi_w(y_t | x_t) = alpha sum_y (e_{y_t} - pi_t)_y phi(x_t, y)``:
+
+    plain:  W = delta_t rho_t (e_{y_t} - pi_t) / n
+    A:      W = (X_t - a rho_bar_t) (e_{y_t} - pi_t) / n
+    B:      W = -(Y_t - ybar rho_bar_t) (e_{y_t} - pi_t) / n
+                + pi_t (dhat_t - D_t) / n
+
+with ``X_t = delta_t rho_bar_t``, ``Y_t = dhat(x_t, y_t) rho_bar_t``, ``ybar``
+the mean of Y and ``D_t = sum_y dhat(x_t, y) pi_w(y | x_t)``.  Subtracting
+``a rho_bar_t`` centres the scores at their rho_bar-weighted mean, which
+makes A the exact derivative of the self-normalized value; the
+finite-difference harness confirms every family.  Both rows of W are
+contracted against the (n k, d) feature matrix in one matrix product.
 """
 
 from __future__ import annotations
@@ -28,89 +41,171 @@ from .domain import Instance, Log, LoggedTuple, Mode, PolicyParams
 from .errors import DegenerateSupportError
 from .estimators import (
     EstimatorKind,
+    WeightDiagnostics,
     _normalize,
     check_mode,
-    model_values_at_chosen,
-    resolve_control,
+    dmax_mask,
+    family_kind,
     value_doubly_controlled,
     value_ips_dpm,
     value_reweighted,
 )
-from .reward import RewardModel
+from .reward import ControlScalar, RewardModel, control_scalar
 
 FD_STEP = 1e-5
 FD_TOLERANCE = 1e-5
 
 
 @dataclass(frozen=True, eq=False)
-class GradientReport:
+class ObjectivePass:
+    """What one softmax pass over a log yields at fixed policy weights.
+
+    ``b`` and the second gradient row are zero for kinds without a reward
+    model, so ``value(c)`` and ``grad(c)`` serve every kind.  ``rho_bar`` and
+    the diagnostics are None when every weight is zero, which only plain
+    kinds tolerate.
+    """
+
     kind: EstimatorKind
-    gradient: np.ndarray
-    fd_max_rel_error: float | None = None
+    rho: np.ndarray               # raw importance weights, in log order
+    rho_bar: np.ndarray | None    # self-normalized weights
+    x: np.ndarray | None          # X = delta * rho_bar (self-normalized kinds)
+    y: np.ndarray | None          # Y = dhat * rho_bar (controlled kinds)
+    a: float
+    b: float
+    grads: np.ndarray | None      # rows A and B, shape (2, d); None without grad
+    mass_on_dmax: float | None
+    effective_sample_size: float | None
+
+    def value(self, c: float = 0.0) -> float:
+        return self.a + c * self.b
+
+    def grad(self, c: float = 0.0) -> np.ndarray:
+        return self.grads[0] + c * self.grads[1]
+
+    def estimate_c_hat(self) -> ControlScalar:
+        """Variance-optimal c from this pass's X and Y."""
+        if self.rho.size < 2:
+            raise ValueError("control scalar estimation needs at least 2 tuples")
+        return control_scalar(self.x, self.y)
+
+    def resolve_control(self, c_hat: float | None = None) -> float:
+        """The control scalar this kind uses: ``c_hat`` when given, otherwise
+        the estimate for cDC/cDR and 1 for every other kind."""
+        if c_hat is not None:
+            return float(c_hat)
+        if self.kind.estimates_control:
+            return self.estimate_c_hat().c_hat
+        return 1.0
+
+    def diagnostics(self) -> WeightDiagnostics:
+        """Weight diagnostics; raises DegenerateSupportError when every weight is zero."""
+        return WeightDiagnostics(
+            weights=self.rho_bar if self.rho_bar is not None else _normalize(self.rho),
+            mass_on_dmax=self.mass_on_dmax,
+            effective_sample_size=self.effective_sample_size,
+        )
 
 
-def _require_tuples(packed: _packed.PackedLog) -> None:
-    if packed.n == 0:
+def value_and_grad(
+    kind: EstimatorKind,
+    params: PolicyParams,
+    packed: _packed.PackedLog,
+    model: RewardModel | None = None,
+    *,
+    rows: np.ndarray | None = None,
+    grad: bool = True,
+) -> ObjectivePass:
+    """One softmax pass over ``packed``: value pieces, gradient rows, c_hat
+    inputs and weight diagnostics of ``kind`` at ``params``.
+
+    ``rows`` averages the gradient over those log positions only, while the
+    weights stay normalized over the whole log.  ``grad=False`` skips the
+    gradient.  Only the kind's family matters here; the log's mode decides
+    whether propensities divide the weights.
+    """
+    n = packed.n
+    if n == 0:
         raise ValueError("log is empty")
+    controlled = kind.uses_reward_model
+    if controlled and model is None:
+        raise ValueError(f"estimator {kind.value} needs a reward model")
+
+    probs = packed.probs(params)
+    rho = packed.rho_from(packed.at_chosen(probs))
+    rewards = packed.rewards
+    rho_bar = mass = ess = x = y = None
+    if kind.reweighted or rho.sum() > 0.0:
+        rho_bar = _normalize(rho)
+        mass = float(rho_bar[dmax_mask(rewards)].sum() / n)
+        ess = float(n * n / (rho_bar @ rho_bar))
+    b = 0.0
+    if kind.reweighted:
+        x = rewards * rho_bar
+        a = float(x.mean())
+    else:
+        a = float((rewards * rho).mean())
+    if controlled:
+        preds = packed.predictions(model)
+        y = packed.at_chosen(preds) * rho_bar
+        direct = np.empty(n)  # D_t
+        for g, pg, dg in zip(packed.groups, probs, preds):
+            direct[g.idx] = (pg * dg).sum(axis=1)
+        b = float((direct - y).mean())
+
+    grads = None
+    if grad:
+        u = np.full(n, 1.0 / n)
+        if rows is not None:
+            u = np.zeros(n)
+            u[rows] = 1.0 / len(rows)
+        if kind.reweighted:
+            coeff_a = u * x - (u @ x / n) * rho_bar
+        else:
+            coeff_a = u * rewards * rho
+        if controlled:
+            coeff_b = (u @ y / n) * rho_bar - u * y
+        grads = np.zeros((2, packed.dim))
+        for pos, (g, pg) in enumerate(zip(packed.groups, probs)):
+            m, k, d = g.feats.shape
+            score = -pg  # e_{y_t} - pi_t
+            score[np.arange(m), g.chosen] += 1.0
+            # row B stays zero without a model: every reweighted kind runs the
+            # same (2, m k) product, so the c = 0 reduction is bit-exact
+            w = np.zeros((2, m, k))
+            np.multiply(coeff_a[g.idx, None], score, out=w[0])
+            if controlled:
+                dg = preds[pos]
+                w[1] = coeff_b[g.idx, None] * score + (u[g.idx, None] * pg) * (
+                    dg - direct[g.idx, None]
+                )
+            grads += w.reshape(2, m * k) @ g.feats.reshape(m * k, d)
+        grads *= params.alpha
+    return ObjectivePass(
+        kind=kind, rho=rho, rho_bar=rho_bar, x=x, y=y, a=a, b=b, grads=grads,
+        mass_on_dmax=mass, effective_sample_size=ess,
+    )
 
 
-def ips_dpm_terms(params: PolicyParams, packed: _packed.PackedLog) -> np.ndarray:
-    _require_tuples(packed)
-    rho = packed.rho(params)
-    grads = packed.chosen_grads(params)
-    return (packed.rewards * rho)[:, None] * grads
-
-
-def reweighted_terms(params: PolicyParams, packed: _packed.PackedLog) -> np.ndarray:
-    _require_tuples(packed)
-    rho_bar = _normalize(packed.rho(params))
-    grads = packed.chosen_grads(params)
-    mean_grad = (rho_bar[:, None] * grads).mean(axis=0)
-    return (packed.rewards * rho_bar)[:, None] * (grads - mean_grad)
-
-
-def _direct_grads(
-    params: PolicyParams, packed: _packed.PackedLog, model: RewardModel
-) -> np.ndarray:
-    """grad of sum_y dhat(x_t, y) pi_w(y | x_t) for every tuple, in log order."""
-    out = np.empty((packed.n, packed.dim))
-    for g, probs in packed.iter_group_probs(params):
-        preds = model.predict_features(g.feats)
-        weighted = preds * probs
-        totals = weighted.sum(axis=1)
-        expected = np.einsum("mk,mkd->md", probs, g.feats)
-        raw = np.einsum("mk,mkd->md", weighted, g.feats) - totals[:, None] * expected
-        out[g.idx] = params.alpha * raw
-    return out
-
-
-def doubly_controlled_terms(
-    params: PolicyParams, packed: _packed.PackedLog, model: RewardModel, c_hat: float
-) -> np.ndarray:
-    _require_tuples(packed)
-    rho_bar = _normalize(packed.rho(params))
-    grads = packed.chosen_grads(params)
-    mean_grad = (rho_bar[:, None] * grads).mean(axis=0)
-    delta_hat = model_values_at_chosen(model, packed)
-    coeff = (packed.rewards - c_hat * delta_hat) * rho_bar
-    return coeff[:, None] * (grads - mean_grad) + c_hat * _direct_grads(params, packed, model)
+def _family_pass(family: str, params: PolicyParams, log: Log, model: RewardModel | None = None):
+    return value_and_grad(family_kind(family, log.mode), params, _packed.get(log), model)
 
 
 def grad_ips_dpm(params: PolicyParams, log: Log) -> np.ndarray:
     """(1/n) sum_t delta_t rho_t grad log pi_w(y_t | x_t)."""
-    return ips_dpm_terms(params, _packed.get(log)).mean(axis=0)
+    return _family_pass("plain", params, log).grad()
 
 
 def grad_reweighted(params: PolicyParams, log: Log) -> np.ndarray:
     """Exact gradient of the self-normalized value."""
-    return reweighted_terms(params, _packed.get(log)).mean(axis=0)
+    return _family_pass("reweighted", params, log).grad()
 
 
 def grad_doubly_controlled(
     params: PolicyParams, log: Log, reward_model: RewardModel, c_hat: float
 ) -> np.ndarray:
     """Exact gradient of the doubly controlled value at fixed c_hat."""
-    return doubly_controlled_terms(params, _packed.get(log), reward_model, c_hat).mean(axis=0)
+    return _family_pass("controlled", params, log, reward_model).grad(c_hat)
 
 
 def gradient(
@@ -122,44 +217,8 @@ def gradient(
 ) -> np.ndarray:
     """Gradient of any estimator kind, with mode compatibility enforced."""
     check_mode(kind, log)
-    if not kind.uses_reward_model:
-        if kind.reweighted:
-            return grad_reweighted(params, log)
-        return grad_ips_dpm(params, log)
-    if reward_model is None:
-        raise ValueError(f"estimator {kind.value} needs a reward model")
-    c = resolve_control(kind, params, log, reward_model, c_hat)
-    return grad_doubly_controlled(params, log, reward_model, c)
-
-
-def gradient_report(
-    kind: EstimatorKind,
-    params: PolicyParams,
-    log: Log,
-    reward_model: RewardModel | None = None,
-    c_hat: float | None = None,
-    verify: bool = False,
-) -> GradientReport:
-    """Gradient of one estimator, optionally verified against finite differences."""
-    grad = gradient(kind, params, log, reward_model, c_hat)
-    fd_error = None
-    if verify:
-        if kind.uses_reward_model:
-            c = resolve_control(kind, params, log, reward_model, c_hat)
-            fd_error = fd_check(
-                lambda p: value_doubly_controlled(p, log, reward_model, c),
-                lambda p: grad_doubly_controlled(p, log, reward_model, c),
-                params,
-            )
-        elif kind.reweighted:
-            fd_error = fd_check(
-                lambda p: value_reweighted(p, log), lambda p: grad_reweighted(p, log), params
-            )
-        else:
-            fd_error = fd_check(
-                lambda p: value_ips_dpm(p, log), lambda p: grad_ips_dpm(p, log), params
-            )
-    return GradientReport(kind=kind, gradient=grad, fd_max_rel_error=fd_error)
+    result = value_and_grad(kind, params, _packed.get(log), reward_model)
+    return result.grad(result.resolve_control(c_hat))
 
 
 def fd_check(

@@ -17,6 +17,7 @@ import numpy as np
 from . import _packed
 from .domain import Instance, Log, PolicyParams
 from .errors import ConfigurationError, FittingError
+from .estimators import family_kind
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,11 +120,7 @@ def estimate_c_hat(params: PolicyParams, log: Log, model: RewardModel) -> Contro
     Uses X_t = delta_t rho_bar_t and Y_t = dhat_t rho_bar_t under the
     current policy weights.
     """
-    from .estimators import model_values_at_chosen, normalized_weights
+    from .gradients import value_and_grad  # import here: gradients builds on this module
 
-    if len(log.tuples) < 2:
-        raise ValueError("control scalar estimation needs at least 2 tuples")
-    _, rho_bar = normalized_weights(params, log)
-    packed = _packed.get(log)
-    delta_hat = model_values_at_chosen(model, packed)
-    return control_scalar(packed.rewards * rho_bar, delta_hat * rho_bar)
+    kind = family_kind("controlled", log.mode)
+    return value_and_grad(kind, params, _packed.get(log), model, grad=False).estimate_c_hat()

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .domain import Instance, Log, LoggedTuple, Mode, PolicyParams
+from .errors import CflearnError, LogConsistencyError
 from .reward import RewardModel
 from .simulator import GroundTruth, LoggingPolicy
 from .training import EpochRecord, TrainTrace
@@ -25,44 +26,68 @@ def _floats(values) -> list[float]:
     return [float(v) for v in np.asarray(values, dtype=float).ravel()]
 
 
-def _matrix(values) -> list[list[float]]:
-    arr = np.asarray(values, dtype=float)
-    return [[float(v) for v in row] for row in arr]
-
-
 def write_log(path: str | Path, log: Log) -> None:
-    lines = [json.dumps({"mode": log.mode.value})]
-    for t in log.tuples:
-        record = {
-            "id": t.instance.id,
-            "features": _matrix(t.instance.candidates),
-            "chosen": int(t.chosen),
-            "reward": float(t.reward),
-        }
-        if t.propensity is not None:
-            record["propensity"] = float(t.propensity)
-        lines.append(json.dumps(record))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write the header and then one record per tuple, line by line."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(json.dumps({"mode": log.mode.value}) + "\n")
+        for t in log.tuples:
+            record = {
+                "id": t.instance.id,
+                "features": t.instance.candidates.tolist(),
+                "chosen": int(t.chosen),
+                "reward": float(t.reward),
+            }
+            if t.propensity is not None:
+                record["propensity"] = float(t.propensity)
+            handle.write(json.dumps(record) + "\n")
+
+
+def _log_record(record, mode: Mode) -> LoggedTuple:
+    """One validated tuple; raises TypeError, ValueError or a CflearnError."""
+    if not isinstance(record, dict):
+        raise TypeError(f"expected a JSON object, got {type(record).__name__}")
+    missing = [key for key in ("id", "features", "chosen", "reward") if key not in record]
+    if missing:
+        raise ValueError(f"missing field(s) {', '.join(missing)}")
+    propensity = record.get("propensity")
+    if (propensity is None) == (mode is Mode.STOCHASTIC):
+        need = "needs" if mode is Mode.STOCHASTIC else "must not have"
+        raise ValueError(f"a {mode.value} log record {need} a propensity")
+    chosen = record["chosen"]
+    if isinstance(chosen, bool) or not isinstance(chosen, int):
+        raise TypeError(f"chosen must be an integer, got {chosen!r}")
+    instance = Instance(id=record["id"], candidates=np.array(record["features"], dtype=float))
+    return LoggedTuple(
+        instance=instance,
+        chosen=chosen,
+        reward=float(record["reward"]),
+        propensity=None if propensity is None else float(propensity),
+    )
 
 
 def read_log(path: str | Path) -> Log:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty log file")
-    header = json.loads(lines[0])
-    mode = Mode(header["mode"])
-    tuples = []
-    for line in lines[1:]:
-        record = json.loads(line)
-        instance = Instance(id=record["id"], candidates=np.array(record["features"], dtype=float))
-        tuples.append(
-            LoggedTuple(
-                instance=instance,
-                chosen=int(record["chosen"]),
-                reward=float(record["reward"]),
-                propensity=record.get("propensity"),
-            )
-        )
+    """Read a log written by :func:`write_log`.
+
+    Malformed input raises :class:`LogConsistencyError` naming the file and
+    the line.
+    """
+    with open(path, encoding="utf-8") as handle:
+        header_line = handle.readline()
+        if not header_line:
+            raise LogConsistencyError(f"{path}: empty log file")
+        try:
+            header = json.loads(header_line)
+            if not isinstance(header, dict) or "mode" not in header:
+                raise ValueError("the header needs a mode field")
+            mode = Mode(header["mode"])
+        except ValueError as err:
+            raise LogConsistencyError(f"{path}:1: bad log header: {err}") from err
+        tuples = []
+        for lineno, line in enumerate(handle, start=2):
+            try:
+                tuples.append(_log_record(json.loads(line), mode))
+            except (TypeError, ValueError, CflearnError) as err:
+                raise LogConsistencyError(f"{path}:{lineno}: bad log record: {err}") from err
     return Log(tuple(tuples), mode)
 
 

@@ -17,18 +17,9 @@ import numpy as np
 from . import _packed
 from .domain import Instance, Log, PolicyParams, policy_probs
 from .errors import ConfigurationError, DegenerateSupportError
-from .estimators import (
-    EstimatorKind,
-    check_mode,
-    diagnostics,
-    objective_value,
-)
-from .gradients import (
-    doubly_controlled_terms,
-    ips_dpm_terms,
-    reweighted_terms,
-)
-from .reward import RewardModel, estimate_c_hat, fit_reward_model
+from .estimators import EstimatorKind, check_mode
+from .gradients import ObjectivePass, value_and_grad
+from .reward import RewardModel, fit_reward_model
 
 
 @dataclass
@@ -60,12 +51,16 @@ class TrainConfig:
             self.kind = EstimatorKind(self.kind)
         if self.learning_rate < 0:
             raise ValueError(f"learning_rate must be non-negative, got {self.learning_rate}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be non-negative, got {self.epochs}")
+        if isinstance(self.epochs, bool) or not isinstance(self.epochs, int) or self.epochs < 0:
+            raise ValueError(f"epochs must be a non-negative integer, got {self.epochs!r}")
         if self.early_stop_patience < 0:
             raise ValueError(f"early_stop_patience must be non-negative, got {self.early_stop_patience}")
-        if self.batch_size != "full" and (not isinstance(self.batch_size, int) or self.batch_size < 1):
-            raise ValueError(f'batch_size must be a positive integer or "full", got {self.batch_size}')
+        if self.batch_size != "full" and (
+            isinstance(self.batch_size, bool)
+            or not isinstance(self.batch_size, int)
+            or self.batch_size < 1
+        ):
+            raise ValueError(f'batch_size must be a positive integer or "full", got {self.batch_size!r}')
         if self.c_refresh not in ("epoch", "once"):
             raise ValueError(f'c_refresh must be "epoch" or "once", got {self.c_refresh}')
         if self.normalize not in ("batch", "full"):
@@ -94,6 +89,7 @@ class TrainTrace:
     best_epoch: int | None = None
     stopped_early: bool = False
     halted: str | None = None  # set when a degenerate-support error aborted training
+    reward_model: RewardModel | None = None  # the model fitted for DC/DR/cDC/cDR kinds
 
 
 def initial_params(config: TrainConfig, dim: int) -> PolicyParams:
@@ -112,35 +108,21 @@ def _batches(rng: np.random.Generator, n: int, batch_size: int) -> list[np.ndarr
     return [perm[i : i + batch_size] for i in range(0, n, batch_size)]
 
 
-def _gradient_terms(
-    kind: EstimatorKind,
-    params: PolicyParams,
-    packed: _packed.PackedLog,
-    model: RewardModel | None,
-    c_hat: float,
-) -> np.ndarray:
-    if kind.uses_reward_model:
-        return doubly_controlled_terms(params, packed, model, c_hat)
-    if kind.reweighted:
-        return reweighted_terms(params, packed)
-    return ips_dpm_terms(params, packed)
-
-
-def _batch_gradient(
+def _minibatch_pass(
     config: TrainConfig,
     params: PolicyParams,
     packed: _packed.PackedLog,
     idx: np.ndarray,
     model: RewardModel | None,
-    c_hat: float,
-) -> np.ndarray:
-    if idx.size == packed.n:
-        return _gradient_terms(config.kind, params, packed, model, c_hat).mean(axis=0)
+) -> ObjectivePass:
+    """Pass for one minibatch, normalized within the batch or over the full log."""
     if config.normalize == "batch":
-        sub = packed.subset(idx)
-        return _gradient_terms(config.kind, params, sub, model, c_hat).mean(axis=0)
-    terms = _gradient_terms(config.kind, params, packed, model, c_hat)
-    return terms[idx].mean(axis=0)
+        return value_and_grad(config.kind, params, packed.subset(idx), model)
+    return value_and_grad(config.kind, params, packed, model, rows=idx)
+
+
+def _step(params: PolicyParams, learning_rate: float, grad: np.ndarray) -> PolicyParams:
+    return PolicyParams(params.weights + learning_rate * grad, params.alpha)
 
 
 def train(
@@ -173,36 +155,46 @@ def train(
             f"initial weight dimension {params.dim} does not match features ({packed.dim})"
         )
 
+    kind = config.kind
     model = None
-    if config.kind.uses_reward_model:
+    if kind.uses_reward_model:
         model = fit_reward_model(train_log, config.ridge_lambda)
+    validation_packed = _packed.get(validation_log)
 
     rng = np.random.default_rng(config.seed)
-    trace = TrainTrace()
+    trace = TrainTrace(reward_model=model)
     truth_instances = [t.instance for t in train_log.tuples] if truth is not None else None
 
     best_value = -np.inf
     best_params = params
     stale = 0
     c_hat = 1.0
+    current = None  # the train-log pass at the current params
 
     for epoch in range(1, config.epochs + 1):
         try:
-            if config.kind.estimates_control and (epoch == 1 or config.c_refresh == "epoch"):
-                c_hat = estimate_c_hat(params, train_log, model).c_hat
-            for idx in _batches(rng, n, batch_size):
-                step = _batch_gradient(config, params, packed, idx, model, c_hat)
-                params = PolicyParams(params.weights + config.learning_rate * step, params.alpha)
+            if current is None:
+                current = value_and_grad(kind, params, packed, model)
+            if kind.estimates_control and (epoch == 1 or config.c_refresh == "epoch"):
+                c_hat = current.estimate_c_hat().c_hat
+            batches = _batches(rng, n, batch_size)
+            if len(batches) == 1:  # full batch: the step comes from the current pass
+                params = _step(params, config.learning_rate, current.grad(c_hat))
+            else:
+                for idx in batches:
+                    step = _minibatch_pass(config, params, packed, idx, model).grad(c_hat)
+                    params = _step(params, config.learning_rate, step)
 
-            train_value = objective_value(config.kind, params, train_log, model, c_hat)
-            validation_value = objective_value(config.kind, params, validation_log, model, c_hat)
-            diag = diagnostics(params, train_log)
-            grad_norm = float(
-                np.linalg.norm(_gradient_terms(config.kind, params, packed, model, c_hat).mean(axis=0))
-            )
+            # this pass also supplies the next epoch's c_hat and full-batch step
+            current = value_and_grad(kind, params, packed, model)
+            validation = value_and_grad(kind, params, validation_packed, model, grad=False)
+            mass_on_dmax = current.diagnostics().mass_on_dmax
         except DegenerateSupportError as err:
             trace.halted = str(err)
             break
+        train_value = current.value(c_hat)
+        validation_value = validation.value(c_hat)
+        grad_norm = float(np.linalg.norm(current.grad(c_hat)))
 
         true_reward = (
             evaluate_truth(params, truth_instances, truth) if truth is not None else None
@@ -213,7 +205,7 @@ def train(
                 train_value=train_value,
                 validation_value=validation_value,
                 true_reward=true_reward,
-                mass_on_dmax=diag.mass_on_dmax,
+                mass_on_dmax=mass_on_dmax,
                 grad_norm=grad_norm,
             )
         )

@@ -8,7 +8,7 @@ import pytest
 import yaml
 
 from cflearn.cli import main
-from cflearn.serialize import read_log, read_params
+from cflearn.serialize import read_log, read_params, write_reward_model
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -154,6 +154,29 @@ class TestTrain:
         assert code == 0
         assert (run / "reward_model.json").exists()
 
+    def test_reward_model_fitted_once(self, workspace, tmp_path, monkeypatch):
+        from cflearn import training
+        from cflearn.reward import fit_reward_model
+
+        config, out = workspace
+        fits = []
+
+        def counted(*args, **kwargs):
+            fits.append(args)
+            return fit_reward_model(*args, **kwargs)
+
+        monkeypatch.setattr(training, "fit_reward_model", counted)
+        run = tmp_path / "run-cdc"
+        code = main(
+            ["train", "--config", str(config), "--log", str(out / "train.jsonl"),
+             "--estimator", "cdc", "--out", str(run)]
+        )
+        assert code == 0
+        assert len(fits) == 1
+        expected = tmp_path / "expected.json"
+        write_reward_model(expected, fit_reward_model(read_log(out / "train.jsonl"), 1e-3))
+        assert (run / "reward_model.json").read_bytes() == expected.read_bytes()
+
     def test_rerun_byte_identical(self, workspace, tmp_path):
         config, out = workspace
         runs = []
@@ -204,6 +227,22 @@ class TestEvaluate:
 
     def test_missing_files_fail(self, tmp_path):
         assert main(["evaluate", "--params", str(tmp_path / "missing.json")]) == 1
+
+    def test_malformed_log_exits_one_naming_the_file(self, workspace, tmp_path, capsys):
+        config, out = workspace
+        run = tmp_path / "run"
+        main(["train", "--config", str(config), "--log", str(out / "train.jsonl"), "--out", str(run)])
+        lines = (out / "test.jsonl").read_text().splitlines()
+        record = json.loads(lines[1])
+        del record["features"]
+        lines[1] = json.dumps(record)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(["evaluate", "--params", str(run / "params.json"), "--log", str(bad),
+                     "--out", str(tmp_path / "report")])
+        assert code == 1
+        assert f"{bad}:2:" in capsys.readouterr().err
 
 
 class TestChecks:

@@ -1,0 +1,174 @@
+"""The fused objective pass against per-instance oracles, and its cost per epoch."""
+
+import numpy as np
+import pytest
+
+from cflearn import (
+    EstimatorKind,
+    Instance,
+    Log,
+    LoggedTuple,
+    Mode,
+    PolicyParams,
+    RewardModel,
+    TrainConfig,
+    diagnostics,
+    estimate_c_hat,
+    evaluate_policy,
+    gradient,
+    objective_value,
+    train,
+    value_and_grad,
+)
+from cflearn._packed import get
+
+import oracles
+from conftest import random_log
+
+KINDS = list(EstimatorKind)
+TOL = dict(rtol=1e-10, atol=1e-12)
+
+
+def ragged_log(rng: np.random.Generator, n: int, d: int, mode: Mode) -> Log:
+    """A log whose instances have 2, 3 or 5 candidates, interleaved."""
+    tuples = []
+    for t in range(n):
+        k = (2, 3, 5)[t % 3]
+        inst = Instance(f"m{t}", rng.standard_normal((k, d)))
+        propensity = float(rng.uniform(0.05, 1.0)) if mode is Mode.STOCHASTIC else None
+        tuples.append(LoggedTuple(inst, int(rng.integers(k)), float(rng.uniform(0, 1)), propensity))
+    return Log(tuple(tuples), mode)
+
+
+def kind_log(rng, kind: EstimatorKind, n: int = 10, k: int = 3, d: int = 4) -> Log:
+    return random_log(rng, n, k, d, kind.required_mode)
+
+
+class TestRaggedOracle:
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+    def test_value_gradient_and_control(self, rng, kind):
+        log = ragged_log(rng, 11, 4, kind.required_mode)
+        params = PolicyParams(rng.standard_normal(4), alpha=1.3)
+        model = RewardModel(rng.standard_normal(4) / 2, intercept=0.4, ridge_lambda=0.0)
+        c = oracles.c_hat(params, log, model) if kind.estimates_control else 1.0
+
+        result = value_and_grad(kind, params, get(log), model)
+        np.testing.assert_allclose(result.resolve_control(), c, **TOL)
+        np.testing.assert_allclose(result.value(c), oracles.value(kind, params, log, model, c), **TOL)
+        np.testing.assert_allclose(result.grad(c), oracles.gradient(kind, params, log, model, c), **TOL)
+        np.testing.assert_allclose(
+            objective_value(kind, params, log, model), oracles.value(kind, params, log, model, c), **TOL
+        )
+        np.testing.assert_allclose(
+            gradient(kind, params, log, model), oracles.gradient(kind, params, log, model, c), **TOL
+        )
+
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    def test_diagnostics_and_c_hat(self, rng, mode):
+        log = ragged_log(rng, 12, 3, mode)
+        params = PolicyParams(rng.standard_normal(3))
+        model = RewardModel(rng.standard_normal(3) / 2, intercept=0.3, ridge_lambda=0.0)
+        mass, ess = oracles.diagnostics(params, log)
+        diag = diagnostics(params, log)
+        np.testing.assert_allclose(diag.mass_on_dmax, mass, **TOL)
+        np.testing.assert_allclose(diag.effective_sample_size, ess, **TOL)
+        np.testing.assert_allclose(
+            estimate_c_hat(params, log, model).c_hat, oracles.c_hat(params, log, model), **TOL
+        )
+
+    def test_rows_average_over_the_given_positions(self, rng):
+        log = ragged_log(rng, 9, 3, Mode.DETERMINISTIC)
+        params = PolicyParams(rng.standard_normal(3))
+        model = RewardModel(rng.standard_normal(3) / 2, intercept=0.3, ridge_lambda=0.0)
+        rows = np.array([7, 1, 4, 2])
+        for kind in (EstimatorKind.DPM, EstimatorKind.DPM_R, EstimatorKind.DC):
+            got = value_and_grad(kind, params, get(log), model, rows=rows).grad(0.6)
+            want = oracles.terms(kind, params, log, model, 0.6)[1][rows].mean(axis=0)
+            np.testing.assert_allclose(got, want, **TOL)
+
+    def test_subset_keeps_cached_predictions(self, rng):
+        log = ragged_log(rng, 9, 3, Mode.STOCHASTIC)
+        params = PolicyParams(rng.standard_normal(3))
+        model = RewardModel(rng.standard_normal(3) / 2, intercept=0.3, ridge_lambda=0.0)
+        packed = get(log)
+        value_and_grad(EstimatorKind.DR, params, packed, model)  # fills the cache
+        idx = np.array([8, 0, 3, 5])
+        got = value_and_grad(EstimatorKind.DR, params, packed.subset(idx), model).grad(1.0)
+        sub = Log(tuple(log.tuples[i] for i in idx), log.mode)
+        np.testing.assert_allclose(got, oracles.gradient(EstimatorKind.DR, params, sub, model), **TOL)
+
+
+class TestTrainerOracle:
+    @pytest.mark.parametrize("batch_size, normalize", [(5, "batch"), (5, "full"), ("full", "batch")])
+    @pytest.mark.parametrize(
+        "kind",
+        [EstimatorKind.IPS, EstimatorKind.DPM_R, EstimatorKind.DC, EstimatorKind.CDR, EstimatorKind.CDC],
+        ids=lambda k: k.value,
+    )
+    def test_matches_pre_fusion_trainer(self, rng, kind, batch_size, normalize):
+        train_log = kind_log(rng, kind, n=13)
+        val_log = kind_log(rng, kind, n=6)
+        config = TrainConfig(
+            kind=kind, learning_rate=0.3, epochs=4, batch_size=batch_size, normalize=normalize,
+            seed=3, init="gaussian", init_sigma=0.5,
+        )
+        params, trace = train(config, train_log, val_log)
+        want_params, want_records = oracles.train(config, train_log, val_log)
+        np.testing.assert_allclose(params.weights, want_params.weights, rtol=1e-9, atol=1e-12)
+        got = [(r.train_value, r.validation_value, r.mass_on_dmax, r.grad_norm) for r in trace.records]
+        np.testing.assert_allclose(got, want_records, rtol=1e-9, atol=1e-12)
+
+
+class TestPassCount:
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+    def test_two_softmax_passes_per_full_batch_epoch(self, rng, kind, monkeypatch):
+        from cflearn import _packed
+
+        calls = []
+        softmax = _packed._softmax
+
+        def counted(scores):
+            calls.append(scores.shape)
+            return softmax(scores)
+
+        monkeypatch.setattr(_packed, "_softmax", counted)
+        train_log = kind_log(rng, kind, n=8)
+        val_log = kind_log(rng, kind, n=4)
+        for epochs in (1, 5):
+            calls.clear()
+            config = TrainConfig(kind=kind, learning_rate=0.2, epochs=epochs)
+            _, trace = train(config, train_log, val_log)
+            assert len(trace.records) == epochs
+            # one pass at the start, then one train and one validation pass per epoch
+            assert len(calls) == 1 + 2 * epochs
+
+    def test_reward_model_predicted_once_per_log(self, rng, monkeypatch):
+        predicted = []
+        original = RewardModel.predict_features
+
+        def counted(self, features):
+            predicted.append(np.shape(features))
+            return original(self, features)
+
+        monkeypatch.setattr(RewardModel, "predict_features", counted)
+        config = TrainConfig(kind=EstimatorKind.CDC, learning_rate=0.2, epochs=6)
+        train(config, kind_log(rng, EstimatorKind.CDC, n=8), kind_log(rng, EstimatorKind.CDC, n=4))
+        assert len(predicted) == 2  # the train log and the validation log
+
+
+class TestEffectiveSampleSize:
+    def test_finite_when_every_weight_is_tiny(self):
+        # a score gap of 700 puts rho near 1e-304 on every tuple: the squares
+        # underflow, but the self-normalized weights are all exactly 1
+        feats = np.array([[0.0], [700.0]])
+        log = Log(
+            tuple(LoggedTuple(Instance(f"t{i}", feats), 0, 0.1 * i) for i in range(6)),
+            Mode.DETERMINISTIC,
+        )
+        params = PolicyParams(np.array([1.0]))
+        with np.errstate(all="raise"):
+            diag = diagnostics(params, log)
+            report = evaluate_policy(EstimatorKind.DPM_R, params, log)
+        assert np.isfinite(diag.effective_sample_size)
+        assert diag.effective_sample_size == pytest.approx(6.0, rel=1e-12)
+        assert report.effective_sample_size == diag.effective_sample_size

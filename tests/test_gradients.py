@@ -13,6 +13,7 @@ from cflearn import (
     grad_doubly_controlled,
     grad_ips_dpm,
     grad_reweighted,
+    log_prob_gradient,
     run_grad_check,
     value_doubly_controlled,
     value_ips_dpm,
@@ -73,14 +74,11 @@ class TestReweightedGradient:
 
     def test_centering_identity(self, rng):
         # the rho_bar-weighted mean of the centered log-gradients vanishes
-        from cflearn._packed import get
-
         for _ in range(20):
             log = random_log(rng, int(rng.integers(2, 8)), 3, 3, Mode.STOCHASTIC)
             params = PolicyParams(rng.standard_normal(3))
-            packed = get(log)
             _, rho_bar = normalized_weights(params, log)
-            grads = packed.chosen_grads(params)
+            grads = np.array([log_prob_gradient(params, t.instance, t.chosen) for t in log.tuples])
             mean_grad = (rho_bar[:, None] * grads).mean(axis=0)
             centered = (rho_bar[:, None] * (grads - mean_grad)).mean(axis=0)
             np.testing.assert_allclose(centered, 0.0, atol=1e-9)
@@ -160,25 +158,3 @@ class TestRandomSweep:
         for res in run_grad_check(seed=11, count=40):
             assert res.failures == 0, f"{res.family}: {res.max_rel_error}"
             assert res.max_rel_error < FD_TOLERANCE
-
-
-class TestGradientReport:
-    def test_verified_report_for_each_kind(self, rng):
-        from cflearn import EstimatorKind, gradient_report
-
-        log = random_log(rng, 5, 3, 3, Mode.STOCHASTIC)
-        params = PolicyParams(rng.standard_normal(3))
-        model = RewardModel(rng.standard_normal(3) / 2, intercept=0.3, ridge_lambda=0.0)
-        for kind in (EstimatorKind.IPS, EstimatorKind.IPS_R, EstimatorKind.CDR):
-            report = gradient_report(kind, params, log, model, c_hat=0.8, verify=True)
-            assert report.kind is kind
-            assert report.gradient.shape == (3,)
-            assert report.fd_max_rel_error is not None
-            assert report.fd_max_rel_error < FD_TOLERANCE
-
-    def test_unverified_report_skips_fd(self, rng):
-        from cflearn import EstimatorKind, gradient_report
-
-        log = random_log(rng, 4, 3, 2, Mode.DETERMINISTIC)
-        report = gradient_report(EstimatorKind.DPM, PolicyParams(rng.standard_normal(2)), log)
-        assert report.fd_max_rel_error is None

@@ -1,9 +1,20 @@
 """Round-trip identity and write determinism of all file formats."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
-from cflearn import Mode, PolicyParams, RewardModel, TaskSpec, TrainTrace, generate_task
+from cflearn import (
+    LogConsistencyError,
+    Mode,
+    PolicyParams,
+    RewardModel,
+    TaskSpec,
+    TrainTrace,
+    generate_task,
+)
 from cflearn.serialize import (
     read_log,
     read_params,
@@ -52,6 +63,62 @@ class TestLogRoundTrip:
         write_log(path, log)
         body = path.read_text().splitlines()[1:]
         assert all("propensity" not in line for line in body)
+
+
+class TestMalformedLog:
+    def written(self, tmp_path, rng, mode=Mode.STOCHASTIC):
+        path = tmp_path / "log.jsonl"
+        write_log(path, random_log(rng, 3, 3, 2, mode))
+        return path, path.read_text().splitlines()
+
+    def rewrite(self, path, lines, number, line):
+        lines[number - 1] = line
+        path.write_text("\n".join(lines) + "\n")
+
+    def test_record_without_features_names_file_and_line(self, tmp_path, rng):
+        path, lines = self.written(tmp_path, rng)
+        record = json.loads(lines[2])
+        del record["features"]
+        self.rewrite(path, lines, 3, json.dumps(record))
+        with pytest.raises(LogConsistencyError, match=rf"{re.escape(str(path))}:3: .*features"):
+            read_log(path)
+
+    def test_header_without_mode(self, tmp_path, rng):
+        path, lines = self.written(tmp_path, rng)
+        self.rewrite(path, lines, 1, json.dumps({"kind": "stochastic"}))
+        with pytest.raises(LogConsistencyError, match=rf"{re.escape(str(path))}:1: .*mode"):
+            read_log(path)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "{not json",
+            "[1, 2]",
+            '{"id": "x", "features": [[1.0], [2.0, 3.0]], "chosen": 0, "reward": 0.5, "propensity": 0.5}',
+            '{"id": "x", "features": [[1.0], [2.0]], "chosen": 1.5, "reward": 0.5, "propensity": 0.5}',
+            '{"id": "x", "features": [[1.0], [2.0]], "chosen": 0, "reward": 0.5}',
+            '{"id": "x", "features": [[1.0], [2.0]], "chosen": 0, "reward": 2.0, "propensity": 0.5}',
+        ],
+    )
+    def test_bad_record_names_its_line(self, tmp_path, rng, line):
+        path, lines = self.written(tmp_path, rng)
+        self.rewrite(path, lines, 2, line)
+        with pytest.raises(LogConsistencyError, match=rf"{re.escape(str(path))}:2: "):
+            read_log(path)
+
+    def test_propensity_in_deterministic_log(self, tmp_path, rng):
+        path, lines = self.written(tmp_path, rng, Mode.DETERMINISTIC)
+        record = json.loads(lines[3])
+        record["propensity"] = 0.5
+        self.rewrite(path, lines, 4, json.dumps(record))
+        with pytest.raises(LogConsistencyError, match=":4: .*propensity"):
+            read_log(path)
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "empty.jsonl"
+        path.write_text("")
+        with pytest.raises(LogConsistencyError, match="empty log file"):
+            read_log(path)
 
 
 class TestParamsAndModel:

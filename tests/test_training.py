@@ -153,6 +153,22 @@ class TestGuards:
         with pytest.raises(ValueError):
             TrainConfig(kind=EstimatorKind.DPM, normalize="sometimes")
 
+    def test_bool_sizes_rejected(self):
+        # bool is an int subclass: True must not pass as batch size or epoch count 1
+        with pytest.raises(ValueError, match="batch_size"):
+            TrainConfig(kind=EstimatorKind.DPM, batch_size=True)
+        with pytest.raises(ValueError, match="epochs"):
+            TrainConfig(kind=EstimatorKind.DPM, epochs=True)
+        with pytest.raises(ValueError, match="epochs"):
+            TrainConfig(kind=EstimatorKind.DPM, epochs=2.5)
+
+    def test_trace_carries_the_fitted_reward_model(self, rng):
+        log = random_log(rng, 6, 3, 2, Mode.DETERMINISTIC)
+        _, trace = train(TrainConfig(kind=EstimatorKind.DC, epochs=2), log, log)
+        assert trace.reward_model is not None
+        _, plain = train(TrainConfig(kind=EstimatorKind.DPM_R, epochs=2), log, log)
+        assert plain.reward_model is None
+
 
 class TestMinibatch:
     def test_batch_and_full_normalization_both_learn(self, rng):
