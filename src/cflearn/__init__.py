@@ -41,7 +41,6 @@ from .estimators import (
     evaluate_policy,
     normalized_weights,
     objective_value,
-    rho,
     rho_weights,
     value_doubly_controlled,
     value_ips_dpm,
@@ -63,8 +62,6 @@ from .reward import (
     control_scalar,
     estimate_c_hat,
     fit_reward_model,
-    predict,
-    predict_all,
 )
 from .simulator import (
     GroundTruth,

@@ -17,7 +17,7 @@ import yaml
 
 from . import serialize
 from .degeneracy import ProbeResult, probe_theorem1, probe_theorem2
-from .domain import Log, Mode, PolicyParams
+from .domain import Log, Mode, PolicyParams, _integer, _real
 from .errors import CflearnError
 from .estimators import EstimatorKind, evaluate_policy
 from .gradients import FD_TOLERANCE, run_grad_check
@@ -38,12 +38,17 @@ class ExperimentConfig:
     output_dir: str = "out"
 
 
-def _build_dataclass(cls, data: dict, context: str):
+def _build_dataclass(cls, data, context: str):
+    if not isinstance(data, dict):
+        raise ValueError(f"{context}: must be a mapping, got {data!r}")
     allowed = {f.name for f in fields(cls)}
     unknown = set(data) - allowed
     if unknown:
         raise ValueError(f"{context}: unknown keys {sorted(unknown)}")
-    return cls(**data)
+    try:
+        return cls(**data)
+    except TypeError as err:  # a required key is missing
+        raise ValueError(f"{context}: {err}") from err
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -53,19 +58,21 @@ def load_config(path: str | Path) -> ExperimentConfig:
     unknown = set(data) - {"task", "train", "splits", "split_seed", "output_dir"}
     if unknown:
         raise ValueError(f"{path}: unknown top-level keys {sorted(unknown)}")
-    task_data = dict(data.get("task") or {})
-    if "logging_mode" in task_data:
-        task_data["logging_mode"] = Mode(task_data["logging_mode"])
-    train_data = dict(data.get("train") or {})
-    if "kind" in train_data:
-        train_data["kind"] = EstimatorKind(train_data["kind"])
-    else:
+    train_data = data.get("train") or {}
+    if not isinstance(train_data, dict) or "kind" not in train_data:
         raise ValueError(f"{path}: train.kind is required")
+    splits = data.get("splits", (0.5, 0.25, 0.25))
+    if not isinstance(splits, (list, tuple)) or len(splits) != 3:
+        raise ValueError(f"{path}: splits must be a list of 3 fractions, got {splits!r}")
+    for value in splits:
+        _real("splits", value)
+    split_seed = data.get("split_seed", 0)
+    _integer("split_seed", split_seed)
     return ExperimentConfig(
-        task=_build_dataclass(TaskSpec, task_data, "task"),
+        task=_build_dataclass(TaskSpec, data.get("task") or {}, "task"),
         train=_build_dataclass(TrainConfig, train_data, "train"),
-        splits=tuple(data.get("splits", (0.5, 0.25, 0.25))),
-        split_seed=int(data.get("split_seed", 0)),
+        splits=tuple(splits),
+        split_seed=split_seed,
         output_dir=str(data.get("output_dir", "out")),
     )
 

@@ -49,43 +49,46 @@ class ProbeResult:
 
 def partition_dmax(log: Log) -> DmaxPartition:
     """Exact-equality partition of the log by maximal reward."""
-    if len(log.tuples) == 0:
+    if len(log) == 0:
         raise ValueError("log is empty")
-    rewards = np.array([t.reward for t in log.tuples])
-    mask = dmax_mask(rewards)
+    mask = dmax_mask(log.rewards)
     return DmaxPartition(
         dmax_indices=np.nonzero(mask)[0],
         rest_indices=np.nonzero(~mask)[0],
-        delta_max=float(rewards.max()),
+        delta_max=float(log.rewards.max()),
     )
 
 
-def _log_arrays(log: Log) -> tuple[np.ndarray, np.ndarray]:
-    rewards = np.array([t.reward for t in log.tuples])
-    if log.mode is Mode.STOCHASTIC:
-        propensities = np.array([t.propensity for t in log.tuples])
-    else:
-        propensities = np.ones(len(log.tuples))
-    return rewards, propensities
+def _propensities(log: Log) -> np.ndarray:
+    """mu_t: the logged propensities, or 1 on a deterministic log."""
+    return log.propensities if log.mode is Mode.STOCHASTIC else np.ones(len(log))
+
+
+def _values(assignments: np.ndarray, log: Log) -> np.ndarray:
+    """Plain value of each assignment row of an (..., n) array."""
+    assignments = np.asarray(assignments, dtype=float)
+    return (log.rewards * assignments / _propensities(log)).mean(axis=-1)
+
+
+def _values_reweighted(assignments: np.ndarray, log: Log) -> np.ndarray:
+    """Self-normalized value of each assignment row of an (..., n) array."""
+    weights = np.asarray(assignments, dtype=float) / _propensities(log)
+    total = weights.sum(axis=-1)
+    if np.any(total <= 0.0):
+        raise DegenerateSupportError("assignment puts zero mass on every tuple")
+    return (log.rewards * weights).sum(axis=-1) / total
 
 
 def assignment_value(assignment: np.ndarray, log: Log) -> float:
     """Plain importance-weighted value of a raw probability assignment:
     (1/n) sum_t delta_t pi_t / mu_t."""
-    rewards, propensities = _log_arrays(log)
-    assignment = np.asarray(assignment, dtype=float)
-    return float((rewards * assignment / propensities).mean())
+    return float(_values(assignment, log))
 
 
 def assignment_value_reweighted(assignment: np.ndarray, log: Log) -> float:
     """Self-normalized value of a raw probability assignment:
     sum(delta pi/mu) / sum(pi/mu)."""
-    rewards, propensities = _log_arrays(log)
-    weights = np.asarray(assignment, dtype=float) / propensities
-    total = weights.sum()
-    if total <= 0.0:
-        raise DegenerateSupportError("assignment puts zero mass on every tuple")
-    return float((rewards * weights).sum() / total)
+    return float(_values_reweighted(assignment, log))
 
 
 def probe_theorem1(log: Log, seed: int = 0, trials: int = 200) -> ProbeResult:
@@ -93,43 +96,38 @@ def probe_theorem1(log: Log, seed: int = 0, trials: int = 200) -> ProbeResult:
     some pi_t < 1, for the plain importance-weighted value.
 
     Requires every logged reward to be strictly positive; otherwise the
-    probe is skipped with an explicit status.
+    probe is skipped with an explicit status.  The challengers are the rows
+    of one (trials, n) uniform draw, evaluated together.
     """
-    rewards, _ = _log_arrays(log)
-    if np.any(rewards <= 0.0):
+    if np.any(log.rewards <= 0.0):
         return ProbeResult(
             theorem="all-mass-maximizer",
             holds=False,
             skipped=True,
             reason="hypothesis violated: some logged reward is zero",
         )
-    n = len(log.tuples)
+    n = len(log)
     reference = assignment_value(np.ones(n), log)
-    rng = np.random.default_rng(seed)
-    worst = -np.inf
-    for _ in range(trials):
-        challenger = rng.random(n)  # every coordinate < 1
-        value = assignment_value(challenger, log)
-        worst = max(worst, value)
-        if value >= reference:
-            return ProbeResult(
-                theorem="all-mass-maximizer",
-                holds=False,
-                reference_value=reference,
-                worst_challenger=worst,
-                witness="assignment with a coordinate below 1 reached the reference value",
-            )
+    challengers = np.random.default_rng(seed).random((trials, n))  # every coordinate < 1
+    values = _values(challengers, log)
+    failed = np.flatnonzero(values >= reference)
+    seen = values[: failed[0] + 1] if failed.size else values
     return ProbeResult(
         theorem="all-mass-maximizer",
-        holds=True,
+        holds=not failed.size,
         reference_value=reference,
-        worst_challenger=worst,
-        witness="all logged outputs at probability 1",
+        worst_challenger=float(seen.max(initial=-np.inf)),
+        witness="assignment with a coordinate below 1 reached the reference value"
+        if failed.size
+        else "all logged outputs at probability 1",
     )
 
 
-def _positive(rng: np.random.Generator) -> float:
-    return 1.0 - rng.random()  # in (0, 1]
+_WITNESSES = (
+    "mass confined to max-reward tuples missed delta_max",
+    "assignment with mass outside the max-reward set reached delta_max",
+    "assignment avoiding the max-reward set reached the degenerate value",
+)
 
 
 def probe_theorem2(log: Log, seed: int = 0, trials: int = 200) -> ProbeResult:
@@ -139,7 +137,9 @@ def probe_theorem2(log: Log, seed: int = 0, trials: int = 200) -> ProbeResult:
     the maximal reward; assignments with mass outside fall strictly below;
     assignments with no mass on the max-reward tuples fall strictly below
     the degenerate value.  Skipped when every tuple already attains the
-    maximum or the maximum is zero.
+    maximum or the maximum is zero.  Each trial draws its three challengers
+    in turn; all trials are then evaluated together, and the first failing
+    challenger in draw order decides the result.
     """
     part = partition_dmax(log)
     if part.delta_max <= 0.0:
@@ -157,52 +157,48 @@ def probe_theorem2(log: Log, seed: int = 0, trials: int = 200) -> ProbeResult:
             reason="hypothesis violated: every tuple attains the maximal reward",
         )
 
-    n = len(log.tuples)
+    n = len(log)
     rng = np.random.default_rng(seed)
     dmax, rest = part.dmax_indices, part.rest_indices
-    worst = -np.inf
+    # Each trial makes three challengers, each from values for its tuples, a
+    # positive value and then a pick of the tuple that takes it: confined to
+    # the max-reward tuples, a full row with a pick outside them, and values
+    # outside them only.  random(m) and then random() draw the same stream as
+    # random(m + 1), so each challenger takes one call for its values.
+    confined, outside, avoiding = (
+        np.zeros((trials, size + 1)) for size in (dmax.size, n, rest.size)
+    )
+    picks = np.empty((3, trials), dtype=np.intp)
+    for trial in range(trials):
+        confined[trial] = rng.random(dmax.size + 1)
+        picks[0, trial] = rng.integers(dmax.size)
+        outside[trial] = rng.random(n + 1)
+        picks[1, trial] = rng.integers(rest.size)
+        avoiding[trial] = rng.random(rest.size + 1)
+        picks[2, trial] = rng.integers(rest.size)
+    assignments = np.zeros((3, trials, n))
+    assignments[0][:, dmax] = confined[:, :-1]
+    assignments[1] = outside[:, :-1]
+    assignments[2][:, rest] = avoiding[:, :-1]
+    every = np.arange(trials)
+    for stage, (draws, support) in enumerate(((confined, dmax), (outside, rest), (avoiding, rest))):
+        assignments[stage, every, support[picks[stage]]] = 1.0 - draws[:, -1]
 
-    def fail(witness: str, value: float) -> ProbeResult:
-        return ProbeResult(
-            theorem="dmax-collapse",
-            holds=False,
-            reference_value=part.delta_max,
-            worst_challenger=max(worst, value),
-            witness=witness,
-        )
-
-    for _ in range(trials):
-        # mass confined to the max-reward tuples: value must equal delta_max
-        assignment = np.zeros(n)
-        assignment[dmax] = rng.random(dmax.size)
-        assignment[dmax[int(rng.integers(dmax.size))]] = _positive(rng)
-        value = assignment_value_reweighted(assignment, log)
-        if abs(value - part.delta_max) > DEGENERATE_VALUE_TOL:
-            return fail("mass confined to max-reward tuples missed delta_max", value)
-
-        # positive mass outside: strictly below delta_max
-        assignment = rng.random(n)
-        assignment[rest[int(rng.integers(rest.size))]] = _positive(rng)
-        value = assignment_value_reweighted(assignment, log)
-        worst = max(worst, value)
-        if value >= part.delta_max:
-            return fail("assignment with mass outside the max-reward set reached delta_max", value)
-
-        # no mass on the max-reward tuples: strictly below the degenerate value
-        assignment = np.zeros(n)
-        assignment[rest] = rng.random(rest.size)
-        assignment[rest[int(rng.integers(rest.size))]] = _positive(rng)
-        value = assignment_value_reweighted(assignment, log)
-        worst = max(worst, value)
-        if value >= part.delta_max:
-            return fail("assignment avoiding the max-reward set reached the degenerate value", value)
-
+    values = _values_reweighted(assignments, log).T  # (trials, 3), in draw order
+    failed = values >= part.delta_max
+    failed[:, 0] = np.abs(values[:, 0] - part.delta_max) > DEGENERATE_VALUE_TOL
+    # a confined challenger counts toward the worst value only when it fails
+    values[:, 0] = np.where(failed[:, 0], values[:, 0], -np.inf)
+    failing = np.flatnonzero(failed)
+    seen = values.ravel()[: failing[0] + 1] if failing.size else values
     return ProbeResult(
         theorem="dmax-collapse",
-        holds=True,
+        holds=not failing.size,
         reference_value=part.delta_max,
-        worst_challenger=worst,
-        witness="positive mass on a max-reward tuple, zero elsewhere",
+        worst_challenger=float(seen.max(initial=-np.inf)),
+        witness=_WITNESSES[failing[0] % 3]
+        if failing.size
+        else "positive mass on a max-reward tuple, zero elsewhere",
     )
 
 
@@ -223,7 +219,7 @@ def collapse_run(spec: TaskSpec, config: TrainConfig, with_truth: bool = True) -
     instances, truth, logger = generate_task(doubled)
     log = roll_log(instances, truth, logger, rng=spec.seed)
     half = spec.num_instances
-    train_log = Log(log.tuples[:half], log.mode)
-    validation_log = Log(log.tuples[half:], log.mode)
+    train_log = log.subset(slice(0, half))
+    validation_log = log.subset(slice(half, None))
     _, trace = train(config, train_log, validation_log, truth=truth if with_truth else None)
     return trace

@@ -11,6 +11,7 @@ softmax (Gibbs) distribution over each candidate set with scores
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -24,6 +25,18 @@ class Mode(Enum):
 
     DETERMINISTIC = "deterministic"
     STOCHASTIC = "stochastic"
+
+
+def _real(key: str, value) -> None:
+    """Reject a config value that is not a finite real number, naming its key."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not np.isfinite(value):
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
+
+
+def _integer(key: str, value) -> None:
+    """Reject a config value that is not an integer, naming its key."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,33 +98,132 @@ class LoggedTuple:
             raise ConfigurationError(f"propensity {self.propensity} outside (0, 1]")
 
 
-@dataclass(eq=False)
-class Log:
-    """A sequence of logged decisions produced under a single regime.
+def _softmax(scores: np.ndarray) -> np.ndarray:
+    """Row-wise softmax over the last axis, shifted by each row's maximum."""
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    np.exp(shifted, out=shifted)
+    return shifted / shifted.sum(axis=-1, keepdims=True)
 
-    The mode flag is authoritative: stochastic logs carry a propensity on
-    every tuple, deterministic logs on none.  Treat instances of this class
-    as immutable once constructed.
+
+def _probs(params: "PolicyParams", features: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Softmax probabilities (n, k_max) over a padded candidate tensor; 0 past
+    each row's k."""
+    n, k_max, d = features.shape
+    if params.dim != d:
+        raise ConfigurationError(
+            f"weight dimension {params.dim} does not match log feature dimension {d}"
+        )
+    scores = params.alpha * (features.reshape(n * k_max, d) @ params.weights).reshape(n, k_max)
+    if n and k.min() < k_max:
+        scores[np.arange(k_max) >= k[:, None]] = -np.inf
+    return _softmax(scores)
+
+
+def _stack_candidates(matrices: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Stack (k_i, d) candidate matrices into an (n, k_max, d) tensor, zero-padded
+    past each row's k, together with the (n,) candidate counts."""
+    if not matrices:
+        return np.zeros((0, 0, 0)), np.zeros(0, dtype=np.intp)
+    k = [m.shape[0] for m in matrices]
+    dims = {m.shape[1] for m in matrices}
+    if len(dims) > 1:
+        raise ConfigurationError(f"log mixes feature dimensions {sorted(dims)}")
+    n, k_max, d = len(matrices), max(k), dims.pop()
+    if min(k) == k_max:
+        features = np.concatenate(matrices).reshape(n, k_max, d)
+    else:
+        features = np.zeros((n, k_max, d))
+        for row, (m, count) in enumerate(zip(matrices, k)):
+            features[row, :count] = m
+    return features, np.array(k, dtype=np.intp)
+
+
+@dataclass(frozen=True, eq=False, init=False, repr=False)
+class Log:
+    """A sequence of logged decisions produced under a single regime, held
+    column by column.
+
+    Row t is one logged tuple.  ``features[t, y]`` is the feature vector of
+    candidate y; a log whose instances differ in k is zero-padded to the
+    largest k, and the policy gives padded candidates probability exactly 0
+    (their scores are set to -inf).  The mode flag is authoritative:
+    stochastic logs carry a propensity on every tuple, deterministic logs on
+    none.  The fields and their arrays are read-only.
     """
 
-    tuples: tuple[LoggedTuple, ...]
     mode: Mode
+    ids: np.ndarray            # (n,) instance ids (str objects)
+    features: np.ndarray       # (n, k_max, d), zero-padded past k
+    k: np.ndarray              # (n,) candidate count of each instance
+    chosen: np.ndarray         # (n,) index of the logged choice
+    rewards: np.ndarray        # (n,)
+    propensities: np.ndarray | None  # (n,) when stochastic, None when deterministic
 
-    def __post_init__(self) -> None:
-        self.tuples = tuple(self.tuples)
-        for t in self.tuples:
-            has_propensity = t.propensity is not None
-            if self.mode is Mode.STOCHASTIC and not has_propensity:
-                raise LogConsistencyError(
-                    "stochastic log contains a tuple without a propensity"
-                )
-            if self.mode is Mode.DETERMINISTIC and has_propensity:
-                raise LogConsistencyError(
-                    "deterministic log contains a tuple with a propensity"
-                )
+    def __init__(self, tuples, mode: Mode) -> None:
+        tuples = tuple(tuples)
+        stochastic = mode is Mode.STOCHASTIC
+        if any((t.propensity is None) == stochastic for t in tuples):
+            which = "without" if stochastic else "with"
+            raise LogConsistencyError(f"{mode.value} log contains a tuple {which} a propensity")
+        self._fill(
+            mode,
+            np.array([t.instance.id for t in tuples], dtype=object),
+            *_stack_candidates([t.instance.candidates for t in tuples]),
+            np.array([t.chosen for t in tuples], dtype=np.intp),
+            np.array([t.reward for t in tuples], dtype=float),
+            np.array([t.propensity for t in tuples], dtype=float) if stochastic else None,
+        )
+
+    @classmethod
+    def _from_columns(cls, mode, ids, features, k, chosen, rewards, propensities) -> "Log":
+        """A log over columns the caller has already validated."""
+        log = object.__new__(cls)
+        log._fill(mode, ids, features, k, chosen, rewards, propensities)
+        return log
+
+    def _fill(self, mode, *columns) -> None:
+        object.__setattr__(self, "mode", mode)
+        names = ("ids", "features", "k", "chosen", "rewards", "propensities")
+        for name, column in zip(names, columns):
+            if column is not None:
+                column.flags.writeable = False
+            object.__setattr__(self, name, column)
 
     def __len__(self) -> int:
-        return len(self.tuples)
+        return self.rewards.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.features.shape[2]
+
+    @property
+    def tuples(self) -> tuple[LoggedTuple, ...]:
+        """The rows as :class:`LoggedTuple` views over the columns, built anew
+        on every access."""
+        props = self.propensities.tolist() if self.propensities is not None else [None] * len(self)
+        return tuple(
+            LoggedTuple(Instance(ident, self.features[row, :count]), chosen, reward, prop)
+            for row, (ident, count, chosen, reward, prop) in enumerate(
+                zip(self.ids.tolist(), self.k.tolist(), self.chosen.tolist(),
+                    self.rewards.tolist(), props)
+            )
+        )
+
+    def subset(self, index) -> "Log":
+        """The log restricted to ``index`` (positions or a slice), in that order."""
+        props = None if self.propensities is None else self.propensities[index]
+        return Log._from_columns(
+            self.mode, self.ids[index], self.features[index], self.k[index],
+            self.chosen[index], self.rewards[index], props,
+        )
+
+    def probs(self, params: "PolicyParams") -> np.ndarray:
+        """Softmax probabilities of shape (n, k_max); 0 at padded candidates."""
+        return _probs(params, self.features, self.k)
+
+    def at_chosen(self, values: np.ndarray) -> np.ndarray:
+        """Per-candidate (n, k_max) values taken at each tuple's logged choice."""
+        return values[np.arange(len(self)), self.chosen]
 
 
 @dataclass(frozen=True, eq=False)

@@ -35,8 +35,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import _packed
-from .domain import Log, LoggedTuple, Mode, PolicyParams, policy_probs
+from .domain import Log, Mode, PolicyParams
 from .errors import DegenerateSupportError, LogConsistencyError
 
 if TYPE_CHECKING:
@@ -122,19 +121,16 @@ def _pass(kind: EstimatorKind, params: PolicyParams, log: Log, model: "RewardMod
     """One value-only objective pass; see :func:`cflearn.gradients.value_and_grad`."""
     from .gradients import value_and_grad  # import here: gradients builds on this module
 
-    return value_and_grad(kind, params, _packed.get(log), model, grad=False)
+    return value_and_grad(kind, params, log, model, grad=False)
 
 
-def rho(params: PolicyParams, tup: LoggedTuple, mode: Mode) -> float:
-    """Importance weight of one tuple: pi/mu when stochastic, pi otherwise."""
-    prob = float(policy_probs(params, tup.instance)[tup.chosen])
-    if mode is Mode.STOCHASTIC:
-        if tup.propensity is None:
-            raise LogConsistencyError(
-                "stochastic weighting needs a logged propensity on every tuple"
-            )
-        return prob / tup.propensity
-    return prob
+def _rho(log: Log, probs: np.ndarray) -> np.ndarray:
+    """Per-tuple importance weights from the (n, k_max) policy probabilities:
+    pi/mu on stochastic logs, pi otherwise."""
+    chosen = log.at_chosen(probs)
+    if log.mode is Mode.STOCHASTIC:
+        return chosen / log.propensities
+    return chosen
 
 
 def rho_weights(params: PolicyParams, log: Log) -> np.ndarray:
@@ -178,11 +174,10 @@ def value_reweighted(params: PolicyParams, log: Log) -> float:
     weight is zero, where the ratio is undefined.  Computed directly, not by
     the fused pass, so that it checks the pass's c = 0 reduction.
     """
-    if len(log.tuples) == 0:
+    if len(log) == 0:
         raise ValueError("log is empty")
-    packed = _packed.get(log)
-    rho_bar = _normalize(packed.rho(params))
-    return float((packed.rewards * rho_bar).mean())
+    rho_bar = _normalize(_rho(log, log.probs(params)))
+    return float((log.rewards * rho_bar).mean())
 
 
 def value_doubly_controlled(

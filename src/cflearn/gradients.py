@@ -36,13 +36,13 @@ from typing import Callable
 
 import numpy as np
 
-from . import _packed
 from .domain import Instance, Log, LoggedTuple, Mode, PolicyParams
 from .errors import DegenerateSupportError
 from .estimators import (
     EstimatorKind,
     WeightDiagnostics,
     _normalize,
+    _rho,
     check_mode,
     dmax_mask,
     family_kind,
@@ -110,30 +110,34 @@ class ObjectivePass:
 def value_and_grad(
     kind: EstimatorKind,
     params: PolicyParams,
-    packed: _packed.PackedLog,
+    log: Log,
     model: RewardModel | None = None,
     *,
+    predictions: np.ndarray | None = None,
     rows: np.ndarray | None = None,
     grad: bool = True,
 ) -> ObjectivePass:
-    """One softmax pass over ``packed``: value pieces, gradient rows, c_hat
+    """One softmax pass over ``log``: value pieces, gradient rows, c_hat
     inputs and weight diagnostics of ``kind`` at ``params``.
 
-    ``rows`` averages the gradient over those log positions only, while the
-    weights stay normalized over the whole log.  ``grad=False`` skips the
-    gradient.  Only the kind's family matters here; the log's mode decides
-    whether propensities divide the weights.
+    ``predictions`` are the model's (n, k_max) predictions over the log's
+    candidates; they do not depend on the policy, so a caller making many
+    passes predicts once and passes them in.  ``rows`` averages the gradient
+    over those log positions only, while the weights stay normalized over
+    the whole log.  ``grad=False`` skips the gradient.  Only the kind's
+    family matters here; the log's mode decides whether propensities divide
+    the weights.
     """
-    n = packed.n
+    n = len(log)
     if n == 0:
         raise ValueError("log is empty")
     controlled = kind.uses_reward_model
     if controlled and model is None:
         raise ValueError(f"estimator {kind.value} needs a reward model")
 
-    probs = packed.probs(params)
-    rho = packed.rho_from(packed.at_chosen(probs))
-    rewards = packed.rewards
+    probs = log.probs(params)
+    rho = _rho(log, probs)
+    rewards = log.rewards
     rho_bar = mass = ess = x = y = None
     if kind.reweighted or rho.sum() > 0.0:
         rho_bar = _normalize(rho)
@@ -146,11 +150,9 @@ def value_and_grad(
     else:
         a = float((rewards * rho).mean())
     if controlled:
-        preds = packed.predictions(model)
-        y = packed.at_chosen(preds) * rho_bar
-        direct = np.empty(n)  # D_t
-        for g, pg, dg in zip(packed.groups, probs, preds):
-            direct[g.idx] = (pg * dg).sum(axis=1)
+        preds = model.predict_features(log.features) if predictions is None else predictions
+        y = log.at_chosen(preds) * rho_bar
+        direct = (probs * preds).sum(axis=1)  # D_t
         b = float((direct - y).mean())
 
     grads = None
@@ -163,23 +165,18 @@ def value_and_grad(
             coeff_a = u * x - (u @ x / n) * rho_bar
         else:
             coeff_a = u * rewards * rho
+        _, k, d = log.features.shape
+        score = -probs  # e_{y_t} - pi_t
+        score[np.arange(n), log.chosen] += 1.0
+        # row B stays zero without a model: every reweighted kind runs the
+        # same (2, n k) product, so the c = 0 reduction is bit-exact
+        w = np.zeros((2, n, k))
+        np.multiply(coeff_a[:, None], score, out=w[0])
         if controlled:
             coeff_b = (u @ y / n) * rho_bar - u * y
-        grads = np.zeros((2, packed.dim))
-        for pos, (g, pg) in enumerate(zip(packed.groups, probs)):
-            m, k, d = g.feats.shape
-            score = -pg  # e_{y_t} - pi_t
-            score[np.arange(m), g.chosen] += 1.0
-            # row B stays zero without a model: every reweighted kind runs the
-            # same (2, m k) product, so the c = 0 reduction is bit-exact
-            w = np.zeros((2, m, k))
-            np.multiply(coeff_a[g.idx, None], score, out=w[0])
-            if controlled:
-                dg = preds[pos]
-                w[1] = coeff_b[g.idx, None] * score + (u[g.idx, None] * pg) * (
-                    dg - direct[g.idx, None]
-                )
-            grads += w.reshape(2, m * k) @ g.feats.reshape(m * k, d)
+            w[1] = coeff_b[:, None] * score + (u[:, None] * probs) * (preds - direct[:, None])
+        grads = np.zeros((2, d))
+        grads += w.reshape(2, n * k) @ log.features.reshape(n * k, d)
         grads *= params.alpha
     return ObjectivePass(
         kind=kind, rho=rho, rho_bar=rho_bar, x=x, y=y, a=a, b=b, grads=grads,
@@ -188,7 +185,7 @@ def value_and_grad(
 
 
 def _family_pass(family: str, params: PolicyParams, log: Log, model: RewardModel | None = None):
-    return value_and_grad(family_kind(family, log.mode), params, _packed.get(log), model)
+    return value_and_grad(family_kind(family, log.mode), params, log, model)
 
 
 def grad_ips_dpm(params: PolicyParams, log: Log) -> np.ndarray:
@@ -217,7 +214,7 @@ def gradient(
 ) -> np.ndarray:
     """Gradient of any estimator kind, with mode compatibility enforced."""
     check_mode(kind, log)
-    result = value_and_grad(kind, params, _packed.get(log), reward_model)
+    result = value_and_grad(kind, params, log, reward_model)
     return result.grad(result.resolve_control(c_hat))
 
 

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _packed
-from .domain import Instance, Log, PolicyParams
+from .domain import Log, PolicyParams
 from .errors import ConfigurationError, FittingError
 from .estimators import family_kind
 
@@ -67,17 +66,16 @@ def fit_reward_model(log: Log, ridge_lambda: float = 1e-3) -> RewardModel:
     have a unique solution.  A singular unpenalized system raises
     :class:`FittingError`.
     """
-    if len(log.tuples) == 0:
+    if len(log) == 0:
         raise ValueError("log is empty")
     if ridge_lambda < 0:
         raise ValueError(f"ridge_lambda must be non-negative, got {ridge_lambda}")
-    packed = _packed.get(log)
-    features = packed.chosen_features()
-    design = np.hstack([np.ones((packed.n, 1)), features])
+    features = log.at_chosen(log.features)  # phi(x_t, y_t), shape (n, d)
+    design = np.hstack([np.ones((len(log), 1)), features])
     gram = design.T @ design
     idx = np.arange(1, design.shape[1])
     gram[idx, idx] += ridge_lambda
-    moment = design.T @ packed.rewards
+    moment = design.T @ log.rewards
     if ridge_lambda == 0.0 and np.linalg.matrix_rank(gram) < gram.shape[0]:
         raise FittingError(
             "normal equations are singular; use ridge_lambda > 0 for a unique fit"
@@ -87,16 +85,6 @@ def fit_reward_model(log: Log, ridge_lambda: float = 1e-3) -> RewardModel:
     except np.linalg.LinAlgError as err:
         raise FittingError(f"normal equations could not be solved: {err}") from err
     return RewardModel(weights=beta[1:], intercept=float(beta[0]), ridge_lambda=float(ridge_lambda))
-
-
-def predict(model: RewardModel, instance: Instance, y: int) -> float:
-    """dhat(x, y), clipped to [0, 1]."""
-    return float(model.predict_features(instance.candidates[int(y)]))
-
-
-def predict_all(model: RewardModel, instance: Instance) -> np.ndarray:
-    """dhat(x, y) for every candidate of the instance."""
-    return model.predict_features(instance.candidates)
 
 
 def control_scalar(x: np.ndarray, y: np.ndarray) -> ControlScalar:
@@ -123,4 +111,4 @@ def estimate_c_hat(params: PolicyParams, log: Log, model: RewardModel) -> Contro
     from .gradients import value_and_grad  # import here: gradients builds on this module
 
     kind = family_kind("controlled", log.mode)
-    return value_and_grad(kind, params, _packed.get(log), model, grad=False).estimate_c_hat()
+    return value_and_grad(kind, params, log, model, grad=False).estimate_c_hat()

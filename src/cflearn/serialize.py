@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .domain import Instance, Log, LoggedTuple, Mode, PolicyParams
-from .errors import CflearnError, LogConsistencyError
+from .errors import CflearnError, ConfigurationError, LogConsistencyError
 from .reward import RewardModel
 from .simulator import GroundTruth, LoggingPolicy
 from .training import EpochRecord, TrainTrace
@@ -27,18 +27,20 @@ def _floats(values) -> list[float]:
 
 
 def write_log(path: str | Path, log: Log) -> None:
-    """Write the header and then one record per tuple, line by line."""
+    """Write the header and then one record per row, line by line."""
+    propensities = None if log.propensities is None else log.propensities.tolist()
+    columns = zip(log.ids.tolist(), log.k.tolist(), log.chosen.tolist(), log.rewards.tolist())
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(json.dumps({"mode": log.mode.value}) + "\n")
-        for t in log.tuples:
+        for row, (ident, k, chosen, reward) in enumerate(columns):
             record = {
-                "id": t.instance.id,
-                "features": t.instance.candidates.tolist(),
-                "chosen": int(t.chosen),
-                "reward": float(t.reward),
+                "id": ident,
+                "features": log.features[row, :k].tolist(),
+                "chosen": chosen,
+                "reward": reward,
             }
-            if t.propensity is not None:
-                record["propensity"] = float(t.propensity)
+            if propensities is not None:
+                record["propensity"] = propensities[row]
             handle.write(json.dumps(record) + "\n")
 
 
@@ -86,9 +88,48 @@ def read_log(path: str | Path) -> Log:
         for lineno, line in enumerate(handle, start=2):
             try:
                 tuples.append(_log_record(json.loads(line), mode))
+                if tuples[-1].instance.dim != tuples[0].instance.dim:
+                    raise ValueError(
+                        f"feature dimension {tuples[-1].instance.dim} differs from the "
+                        f"first record's {tuples[0].instance.dim}"
+                    )
             except (TypeError, ValueError, CflearnError) as err:
                 raise LogConsistencyError(f"{path}:{lineno}: bad log record: {err}") from err
-    return Log(tuple(tuples), mode)
+    return Log(tuples, mode)
+
+
+def _load_json(path: str | Path):
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as err:
+        raise ConfigurationError(f"{path}: not valid JSON: {err}") from err
+
+
+def _get(payload, key: str, convert, path: str | Path, where: str = ""):
+    """``convert(payload[key])``; raises ConfigurationError naming the file and the key."""
+    name = f"{where}.{key}" if where else key
+    if not isinstance(payload, dict) or key not in payload:
+        raise ConfigurationError(f"{path}: missing key {name}")
+    try:
+        return convert(payload[key])
+    except (TypeError, ValueError, CflearnError) as err:
+        raise ConfigurationError(f"{path}: bad value for {name}: {err}") from err
+
+
+def _vector(values) -> np.ndarray:
+    vector = np.array(values, dtype=float)
+    if vector.ndim != 1:
+        raise ValueError(f"expected a list of numbers, got shape {vector.shape}")
+    return vector
+
+
+def _params(payload, path: str | Path, where: str = "") -> PolicyParams:
+    weights = _get(payload, "weights", _vector, path, where)
+    alpha = _get(payload, "alpha", float, path, where)
+    try:
+        return PolicyParams(weights, alpha=alpha)
+    except ConfigurationError as err:
+        raise ConfigurationError(f"{path}: {err}") from err
 
 
 def write_truth(path: str | Path, truth: GroundTruth, logging_policy: LoggingPolicy) -> None:
@@ -105,15 +146,16 @@ def write_truth(path: str | Path, truth: GroundTruth, logging_policy: LoggingPol
 
 
 def read_truth(path: str | Path) -> tuple[GroundTruth, LoggingPolicy]:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    payload = _load_json(path)
+    rewards = _get(payload, "rewards", dict, path)
+    logger = _get(payload, "logging_policy", dict, path)
     truth = GroundTruth(
-        reward_weights=np.array(payload["reward_weights"], dtype=float),
-        rewards={key: np.array(vals, dtype=float) for key, vals in payload["rewards"].items()},
+        reward_weights=_get(payload, "reward_weights", _vector, path),
+        rewards={key: _get(rewards, key, _vector, path, "rewards") for key in rewards},
     )
-    logger = payload["logging_policy"]
     policy = LoggingPolicy(
-        params=PolicyParams(np.array(logger["weights"], dtype=float), alpha=logger["alpha"]),
-        mode=Mode(logger["mode"]),
+        params=_params(logger, path, "logging_policy"),
+        mode=_get(logger, "mode", Mode, path, "logging_policy"),
     )
     return truth, policy
 
@@ -126,8 +168,9 @@ def write_params(path: str | Path, params: PolicyParams, extra: dict | None = No
 
 
 def read_params(path: str | Path) -> tuple[PolicyParams, dict]:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    params = PolicyParams(np.array(payload.pop("weights"), dtype=float), alpha=payload.pop("alpha"))
+    payload = _load_json(path)
+    params = _params(payload, path)
+    del payload["weights"], payload["alpha"]
     return params, payload
 
 
@@ -141,11 +184,11 @@ def write_reward_model(path: str | Path, model: RewardModel) -> None:
 
 
 def read_reward_model(path: str | Path) -> RewardModel:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    payload = _load_json(path)
     return RewardModel(
-        weights=np.array(payload["weights"], dtype=float),
-        intercept=float(payload["intercept"]),
-        ridge_lambda=float(payload["ridge_lambda"]),
+        weights=_get(payload, "weights", _vector, path),
+        intercept=_get(payload, "intercept", float, path),
+        ridge_lambda=_get(payload, "ridge_lambda", float, path),
     )
 
 

@@ -18,7 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Instance, Log, LoggedTuple, Mode, PolicyParams, policy_probs
+from .domain import (
+    Instance, Log, Mode, PolicyParams, _integer, _probs, _real, _stack_candidates, policy_probs,
+)
+from .errors import ConfigurationError
 
 REWARD_QUANTUM = 1e-6
 
@@ -37,6 +40,14 @@ class TaskSpec:
     logger_alpha: float = 1.0
 
     def __post_init__(self) -> None:
+        for key in ("num_instances", "k", "d", "seed"):
+            _integer(key, getattr(self, key))
+        for key in ("reward_noise", "logger_quality", "logger_alpha"):
+            _real(key, getattr(self, key))
+        if isinstance(self.logging_mode, str):
+            object.__setattr__(self, "logging_mode", Mode(self.logging_mode))
+        if not isinstance(self.logging_mode, Mode):
+            raise ValueError(f"logging_mode must be a Mode, got {self.logging_mode!r}")
         if self.num_instances < 1 or self.k < 2 or self.d < 1:
             raise ValueError(
                 f"need num_instances >= 1, k >= 2, d >= 1; got "
@@ -70,6 +81,20 @@ class LoggingPolicy:
     mode: Mode
 
 
+class TaskInstances(tuple):
+    """The instances of a generated task, in order.  Their candidate matrices
+    are the rows of one read-only (n, k, d) tensor, ``features``, which the
+    logs rolled from them share instead of copying."""
+
+    features: np.ndarray
+
+    def __new__(cls, ids: list[str], features: np.ndarray) -> "TaskInstances":
+        features.flags.writeable = False
+        self = super().__new__(cls, (Instance(i, f) for i, f in zip(ids, features)))
+        self.features = features
+        return self
+
+
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x)
     pos = x >= 0
@@ -83,7 +108,7 @@ def _quantize(rewards: np.ndarray) -> np.ndarray:
     return np.round(rewards / REWARD_QUANTUM) * REWARD_QUANTUM
 
 
-def generate_task(spec: TaskSpec) -> tuple[list[Instance], GroundTruth, LoggingPolicy]:
+def generate_task(spec: TaskSpec) -> tuple[TaskInstances, GroundTruth, LoggingPolicy]:
     """Instances, ground truth, and logging policy, all fixed by the seed."""
     rng = np.random.default_rng(spec.seed)
     scale = 1.0 / np.sqrt(spec.d)
@@ -99,12 +124,9 @@ def generate_task(spec: TaskSpec) -> tuple[list[Instance], GroundTruth, LoggingP
     raw = _sigmoid(features @ hidden) + noise
     all_rewards = _quantize(np.clip(raw, 0.0, 1.0))
 
-    instances = []
-    rewards = {}
-    for i in range(spec.num_instances):
-        inst = Instance(id=f"i{i:05d}", candidates=features[i])
-        instances.append(inst)
-        rewards[inst.id] = all_rewards[i]
+    ids = [f"i{i:05d}" for i in range(spec.num_instances)]
+    instances = TaskInstances(ids, features)
+    rewards = dict(zip(ids, all_rewards))
 
     logger_weights = spec.logger_quality * hidden + (1.0 - spec.logger_quality) * perturbation
     policy = LoggingPolicy(
@@ -112,14 +134,6 @@ def generate_task(spec: TaskSpec) -> tuple[list[Instance], GroundTruth, LoggingP
         mode=spec.logging_mode,
     )
     return instances, GroundTruth(reward_weights=hidden, rewards=rewards), policy
-
-
-def _sample_index(probs: np.ndarray, u: float) -> int:
-    cumulative = np.cumsum(probs)
-    idx = int(np.searchsorted(cumulative, u, side="right"))
-    if idx >= probs.size or probs[idx] <= 0.0:
-        idx = int(np.max(np.nonzero(probs > 0.0)[0]))
-    return idx
 
 
 def roll_log(
@@ -131,29 +145,42 @@ def roll_log(
     """One logged tuple per instance under the logging policy.
 
     Deterministic mode picks the argmax candidate (lowest index on ties)
-    and records no propensity; stochastic mode samples a candidate and
-    records its probability.  ``rng`` seeds the stochastic draws.
+    and records no propensity; stochastic mode samples a candidate by
+    inverting the cumulative probabilities at one uniform draw per instance
+    and records its probability.  ``rng`` seeds the stochastic draws.
     """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    tuples = []
-    for inst in instances:
-        probs = policy_probs(logging_policy.params, inst)
-        if logging_policy.mode is Mode.DETERMINISTIC:
-            chosen = int(np.argmax(probs))
-            propensity = None
-        else:
-            chosen = _sample_index(probs, rng.random())
-            propensity = float(probs[chosen])
-        tuples.append(
-            LoggedTuple(
-                instance=inst,
-                chosen=chosen,
-                reward=float(truth(inst)[chosen]),
-                propensity=propensity,
-            )
-        )
-    return Log(tuple(tuples), logging_policy.mode)
+    mode = logging_policy.mode
+    if not instances:
+        return Log((), mode)
+    if isinstance(instances, TaskInstances):
+        features = instances.features
+        k = np.full(len(instances), features.shape[1], dtype=np.intp)
+    else:
+        features, k = _stack_candidates([inst.candidates for inst in instances])
+    probs = _probs(logging_policy.params, features, k)
+    rows = np.arange(len(instances))
+    propensities = None
+    if mode is Mode.DETERMINISTIC:
+        chosen = np.argmax(probs, axis=1)
+    else:
+        u = rng.random(len(instances))
+        # the count of cumulative probabilities <= u is searchsorted(side="right")
+        chosen = (np.cumsum(probs, axis=1) <= u[:, None]).sum(axis=1)
+        # rounding can step past the last candidate or onto a zero: take the
+        # last candidate with positive probability instead
+        off = (chosen >= k) | (probs[rows, np.minimum(chosen, k - 1)] <= 0.0)
+        if off.any():
+            last = probs.shape[1] - 1 - np.argmax(probs[:, ::-1] > 0.0, axis=1)
+            chosen = np.where(off, last, chosen)
+        propensities = probs[rows, chosen]
+    rewards = np.array([truth(inst)[y] for inst, y in zip(instances, chosen.tolist())], dtype=float)
+    outside = ~((rewards >= 0.0) & (rewards <= 1.0))
+    if outside.any():
+        raise ConfigurationError(f"reward {rewards[outside][0]} outside [0, 1]")
+    ids = np.array([inst.id for inst in instances], dtype=object)
+    return Log._from_columns(mode, ids, features, k, chosen.astype(np.intp), rewards, propensities)
 
 
 def split(
@@ -162,9 +189,10 @@ def split(
     """Seeded disjoint (train, validation, test) partition preserving mode.
 
     Sizes follow the rounded cumulative fractions, so exact fractions give
-    exact sizes.  Splits with fraction 0 come back empty.
+    exact sizes.  Splits with fraction 0 come back empty.  Each part keeps
+    log order.
     """
-    n = len(log.tuples)
+    n = len(log)
     if n == 0:
         raise ValueError("cannot split an empty log")
     fracs = np.asarray(fractions, dtype=float)
@@ -176,8 +204,7 @@ def split(
     parts = []
     start = 0
     for stop in boundaries:
-        chosen = np.sort(perm[start:stop])
-        parts.append(Log(tuple(log.tuples[i] for i in chosen), log.mode))
+        parts.append(log.subset(np.sort(perm[start:stop])))
         start = stop
     return parts[0], parts[1], parts[2]
 

@@ -14,11 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _packed
-from .domain import Instance, Log, PolicyParams, policy_probs
+from .domain import Instance, Log, PolicyParams, _integer, _real, policy_probs
 from .errors import ConfigurationError, DegenerateSupportError
 from .estimators import EstimatorKind, check_mode
-from .gradients import ObjectivePass, value_and_grad
+from .gradients import value_and_grad
 from .reward import RewardModel, fit_reward_model
 
 
@@ -49,9 +48,15 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if isinstance(self.kind, str):
             self.kind = EstimatorKind(self.kind)
+        if not isinstance(self.kind, EstimatorKind):
+            raise ValueError(f"kind must be an estimator kind, got {self.kind!r}")
+        for key in ("learning_rate", "ridge_lambda", "init_sigma", "alpha"):
+            _real(key, getattr(self, key))
+        for key in ("epochs", "seed", "early_stop_patience"):
+            _integer(key, getattr(self, key))
         if self.learning_rate < 0:
             raise ValueError(f"learning_rate must be non-negative, got {self.learning_rate}")
-        if isinstance(self.epochs, bool) or not isinstance(self.epochs, int) or self.epochs < 0:
+        if self.epochs < 0:
             raise ValueError(f"epochs must be a non-negative integer, got {self.epochs!r}")
         if self.early_stop_patience < 0:
             raise ValueError(f"early_stop_patience must be non-negative, got {self.early_stop_patience}")
@@ -108,19 +113,6 @@ def _batches(rng: np.random.Generator, n: int, batch_size: int) -> list[np.ndarr
     return [perm[i : i + batch_size] for i in range(0, n, batch_size)]
 
 
-def _minibatch_pass(
-    config: TrainConfig,
-    params: PolicyParams,
-    packed: _packed.PackedLog,
-    idx: np.ndarray,
-    model: RewardModel | None,
-) -> ObjectivePass:
-    """Pass for one minibatch, normalized within the batch or over the full log."""
-    if config.normalize == "batch":
-        return value_and_grad(config.kind, params, packed.subset(idx), model)
-    return value_and_grad(config.kind, params, packed, model, rows=idx)
-
-
 def _step(params: PolicyParams, learning_rate: float, grad: np.ndarray) -> PolicyParams:
     return PolicyParams(params.weights + learning_rate * grad, params.alpha)
 
@@ -141,25 +133,26 @@ def train(
     """
     check_mode(config.kind, train_log)
     check_mode(config.kind, validation_log)
-    if len(train_log.tuples) == 0:
+    if len(train_log) == 0:
         raise ValueError("train log is empty")
-    packed = _packed.get(train_log)
-    n = packed.n
+    n = len(train_log)
     batch_size = n if config.batch_size == "full" else int(config.batch_size)
     if batch_size > n:
         raise ConfigurationError(f"batch_size {batch_size} exceeds log size {n}")
 
-    params = initial if initial is not None else initial_params(config, packed.dim)
-    if params.dim != packed.dim:
+    params = initial if initial is not None else initial_params(config, train_log.dim)
+    if params.dim != train_log.dim:
         raise ConfigurationError(
-            f"initial weight dimension {params.dim} does not match features ({packed.dim})"
+            f"initial weight dimension {params.dim} does not match features ({train_log.dim})"
         )
 
     kind = config.kind
-    model = None
+    model = preds = validation_preds = None
     if kind.uses_reward_model:
+        # predictions do not depend on the policy: one per log for the whole run
         model = fit_reward_model(train_log, config.ridge_lambda)
-    validation_packed = _packed.get(validation_log)
+        preds = model.predict_features(train_log.features)
+        validation_preds = model.predict_features(validation_log.features)
 
     rng = np.random.default_rng(config.seed)
     trace = TrainTrace(reward_model=model)
@@ -174,20 +167,28 @@ def train(
     for epoch in range(1, config.epochs + 1):
         try:
             if current is None:
-                current = value_and_grad(kind, params, packed, model)
+                current = value_and_grad(kind, params, train_log, model, predictions=preds)
             if kind.estimates_control and (epoch == 1 or config.c_refresh == "epoch"):
                 c_hat = current.estimate_c_hat().c_hat
             batches = _batches(rng, n, batch_size)
             if len(batches) == 1:  # full batch: the step comes from the current pass
                 params = _step(params, config.learning_rate, current.grad(c_hat))
             else:
-                for idx in batches:
-                    step = _minibatch_pass(config, params, packed, idx, model).grad(c_hat)
-                    params = _step(params, config.learning_rate, step)
+                for idx in batches:  # normalized within the batch or over the full log
+                    if config.normalize == "batch":
+                        batch_preds = None if preds is None else preds[idx]
+                        batch = value_and_grad(
+                            kind, params, train_log.subset(idx), model, predictions=batch_preds
+                        )
+                    else:
+                        batch = value_and_grad(kind, params, train_log, model, predictions=preds, rows=idx)
+                    params = _step(params, config.learning_rate, batch.grad(c_hat))
 
             # this pass also supplies the next epoch's c_hat and full-batch step
-            current = value_and_grad(kind, params, packed, model)
-            validation = value_and_grad(kind, params, validation_packed, model, grad=False)
+            current = value_and_grad(kind, params, train_log, model, predictions=preds)
+            validation = value_and_grad(
+                kind, params, validation_log, model, predictions=validation_preds, grad=False
+            )
             mass_on_dmax = current.diagnostics().mass_on_dmax
         except DegenerateSupportError as err:
             trace.halted = str(err)

@@ -9,10 +9,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from cflearn import Instance, Log, LoggedTuple, Mode, PolicyParams
 
 BIG_GAP = 800.0  # exp(-800) underflows to 0.0
+
+# property tests draw the same examples on every run and write no example database
+settings.register_profile("derandomized", derandomize=True, database=None, deadline=None)
+settings.load_profile("derandomized")
 
 
 def two_way_instance(name: str, top_score: float, other_score: float = 0.0) -> Instance:

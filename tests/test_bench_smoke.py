@@ -1,0 +1,27 @@
+"""The benchmark still runs against the current package and checks its outputs.
+
+Runs ``bench/run.py`` from the repository root for a fraction of a second per
+workload; a change to the package's API that the benchmark relies on fails here.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("workload", ["montecarlo", "pipeline"])
+def test_workload_runs_correct_with_no_failures(workload):
+    done = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",
+         "--seconds", "0.1", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True, done.stdout
+    assert result["failed"] == 0, done.stdout

@@ -285,3 +285,67 @@ class TestUsageErrors:
         config.write_text(yaml.safe_dump(data))
         assert main(["generate-log", "--config", str(config)]) == 1
         assert "typo_key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "override, key",
+        [({"train.learning_rate": "fast"}, "learning_rate"), ({"splits": 5}, "splits"),
+         ({"task.k": "4"}, "k"), ({"split_seed": [1]}, "split_seed"), ({"task": {"k": 4}}, "num_instances")],
+    )
+    def test_bad_config_value_exits_one_naming_the_key(self, tmp_path, capsys, override, key):
+        config = write_config(tmp_path / "config.yaml", **override)
+        assert main(["generate-log", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cflearn: error:") and key in err
+
+
+class TestBadPayloads:
+    """params.json, reward_model.json and truth.json missing a key or holding
+    a bad value: exit 1 with the file and the key, never a traceback."""
+
+    @pytest.fixture
+    def trained(self, workspace, tmp_path):
+        config, out = workspace
+        run = tmp_path / "run"
+        config_data = yaml.safe_load(config.read_text())
+        config_data["train"]["kind"] = "dc"
+        config.write_text(yaml.safe_dump(config_data))
+        assert main(["train", "--config", str(config), "--log", str(out / "train.jsonl"), "--out", str(run)]) == 0
+        return out, run
+
+    def evaluate(self, out, run, tmp_path, **paths):
+        files = {"params": run / "params.json", "model": run / "reward_model.json",
+                 "truth": out / "truth.json"}
+        files.update(paths)
+        return main(["evaluate", "--params", str(files["params"]), "--model", str(files["model"]),
+                     "--truth", str(files["truth"]), "--log", str(out / "test.jsonl"),
+                     "--out", str(tmp_path / "report")])
+
+    @staticmethod
+    def edited(source: Path, target: Path, edit) -> Path:
+        payload = json.loads(source.read_text())
+        edit(payload)
+        target.write_text(json.dumps(payload))
+        return target
+
+    def test_intact_files_pass(self, trained, tmp_path):
+        assert self.evaluate(*trained, tmp_path) == 0
+
+    @pytest.mark.parametrize("name, key, edit", [
+        ("params", "weights", lambda p: p.pop("weights")),
+        ("params", "alpha", lambda p: p.pop("alpha")),
+        ("params", "alpha", lambda p: p.update(alpha="one")),
+        ("model", "intercept", lambda p: p.pop("intercept")),
+        ("model", "weights", lambda p: p.update(weights=[["a"]])),
+        ("truth", "logging_policy", lambda p: p.pop("logging_policy")),
+        ("truth", "logging_policy.alpha", lambda p: p["logging_policy"].pop("alpha")),
+        ("truth", "mode", lambda p: p["logging_policy"].update(mode="sometimes")),
+    ])
+    def test_bad_payload_exits_one_naming_file_and_key(self, trained, tmp_path, capsys, name, key, edit):
+        out, run = trained
+        source = {"params": run / "params.json", "model": run / "reward_model.json",
+                  "truth": out / "truth.json"}[name]
+        bad = self.edited(source, tmp_path / f"bad-{name}.json", edit)
+        capsys.readouterr()
+        assert self.evaluate(out, run, tmp_path, **{name: bad}) == 1
+        err = capsys.readouterr().err
+        assert f"{bad}:" in err and key in err

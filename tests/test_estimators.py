@@ -16,7 +16,6 @@ from cflearn import (
     diagnostics,
     evaluate_policy,
     policy_probs,
-    rho,
     rho_weights,
     value_doubly_controlled,
     value_ips_dpm,
@@ -24,6 +23,7 @@ from cflearn import (
 )
 
 from conftest import random_log, saturated_tuple, score_tuple, unit_params
+from oracles import rho
 
 
 def stochastic_twin(log: Log, propensity: float = 1.0) -> Log:

@@ -20,7 +20,6 @@ from cflearn import (
     train,
     value_and_grad,
 )
-from cflearn._packed import get
 
 import oracles
 from conftest import random_log
@@ -52,7 +51,7 @@ class TestRaggedOracle:
         model = RewardModel(rng.standard_normal(4) / 2, intercept=0.4, ridge_lambda=0.0)
         c = oracles.c_hat(params, log, model) if kind.estimates_control else 1.0
 
-        result = value_and_grad(kind, params, get(log), model)
+        result = value_and_grad(kind, params, log, model)
         np.testing.assert_allclose(result.resolve_control(), c, **TOL)
         np.testing.assert_allclose(result.value(c), oracles.value(kind, params, log, model, c), **TOL)
         np.testing.assert_allclose(result.grad(c), oracles.gradient(kind, params, log, model, c), **TOL)
@@ -82,18 +81,20 @@ class TestRaggedOracle:
         model = RewardModel(rng.standard_normal(3) / 2, intercept=0.3, ridge_lambda=0.0)
         rows = np.array([7, 1, 4, 2])
         for kind in (EstimatorKind.DPM, EstimatorKind.DPM_R, EstimatorKind.DC):
-            got = value_and_grad(kind, params, get(log), model, rows=rows).grad(0.6)
+            got = value_and_grad(kind, params, log, model, rows=rows).grad(0.6)
             want = oracles.terms(kind, params, log, model, 0.6)[1][rows].mean(axis=0)
             np.testing.assert_allclose(got, want, **TOL)
 
     def test_subset_keeps_cached_predictions(self, rng):
+        # predictions made once over the whole log serve any subset of its rows
         log = ragged_log(rng, 9, 3, Mode.STOCHASTIC)
         params = PolicyParams(rng.standard_normal(3))
         model = RewardModel(rng.standard_normal(3) / 2, intercept=0.3, ridge_lambda=0.0)
-        packed = get(log)
-        value_and_grad(EstimatorKind.DR, params, packed, model)  # fills the cache
+        preds = model.predict_features(log.features)
         idx = np.array([8, 0, 3, 5])
-        got = value_and_grad(EstimatorKind.DR, params, packed.subset(idx), model).grad(1.0)
+        got = value_and_grad(
+            EstimatorKind.DR, params, log.subset(idx), model, predictions=preds[idx]
+        ).grad(1.0)
         sub = Log(tuple(log.tuples[i] for i in idx), log.mode)
         np.testing.assert_allclose(got, oracles.gradient(EstimatorKind.DR, params, sub, model), **TOL)
 
@@ -122,16 +123,16 @@ class TestTrainerOracle:
 class TestPassCount:
     @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
     def test_two_softmax_passes_per_full_batch_epoch(self, rng, kind, monkeypatch):
-        from cflearn import _packed
+        from cflearn import domain
 
         calls = []
-        softmax = _packed._softmax
+        softmax = domain._softmax
 
         def counted(scores):
             calls.append(scores.shape)
             return softmax(scores)
 
-        monkeypatch.setattr(_packed, "_softmax", counted)
+        monkeypatch.setattr(domain, "_softmax", counted)
         train_log = kind_log(rng, kind, n=8)
         val_log = kind_log(rng, kind, n=4)
         for epochs in (1, 5):

@@ -14,11 +14,10 @@ from cflearn import (
     control_scalar,
     estimate_c_hat,
     fit_reward_model,
-    predict,
-    predict_all,
 )
 
 from conftest import random_log
+from oracles import predict, predict_all
 
 
 def log_with_rewards(rng, rewards, d=3, k=3):

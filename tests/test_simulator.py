@@ -67,6 +67,19 @@ class TestGenerateTask:
             spec(reward_noise=-0.1)
 
 
+class TestTaskSpecTypes:
+    @pytest.mark.parametrize("key, value", [
+        ("num_instances", 2.0), ("k", "4"), ("d", None), ("seed", True),
+        ("reward_noise", "none"), ("logger_quality", float("inf")), ("logging_mode", 1),
+    ])
+    def test_value_types_rejected_by_key(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            spec(**{key: value})
+
+    def test_logging_mode_name_accepted(self):
+        assert spec(logging_mode="stochastic").logging_mode is Mode.STOCHASTIC
+
+
 class TestRollLog:
     def test_deterministic_mode_contract(self):
         instances, truth, policy = generate_task(spec())

@@ -162,6 +162,15 @@ class TestGuards:
         with pytest.raises(ValueError, match="epochs"):
             TrainConfig(kind=EstimatorKind.DPM, epochs=2.5)
 
+    @pytest.mark.parametrize("key, value", [
+        ("learning_rate", "fast"), ("alpha", None), ("ridge_lambda", float("nan")),
+        ("init_sigma", [0.1]), ("seed", 1.5), ("early_stop_patience", "2"), ("kind", 3),
+    ])
+    def test_value_types_rejected_by_key(self, key, value):
+        fields = {"kind": EstimatorKind.DPM, key: value}
+        with pytest.raises(ValueError, match=key):
+            TrainConfig(**fields)
+
     def test_trace_carries_the_fitted_reward_model(self, rng):
         log = random_log(rng, 6, 3, 2, Mode.DETERMINISTIC)
         _, trace = train(TrainConfig(kind=EstimatorKind.DC, epochs=2), log, log)
