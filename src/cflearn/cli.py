@@ -18,11 +18,11 @@ import yaml
 from . import serialize
 from .degeneracy import ProbeResult, probe_theorem1, probe_theorem2
 from .domain import Log, Mode, PolicyParams, _integer, _real
-from .errors import CflearnError
+from .errors import CflearnError, ConfigurationError
 from .estimators import EstimatorKind, evaluate_policy
 from .gradients import FD_TOLERANCE, run_grad_check
 from .reward import RewardModel
-from .simulator import TaskSpec, generate_task, roll_log, split
+from .simulator import GroundTruth, TaskSpec, generate_task, roll_log, split
 from .training import TrainConfig, evaluate_truth, train
 
 USAGE_ERROR = 1
@@ -108,6 +108,18 @@ def cmd_generate_log(args) -> int:
     return 0
 
 
+def _check_truth_covers(truth: GroundTruth, truth_path, log: Log, log_path) -> None:
+    """Fail, before anything is evaluated, at the first instance of the log
+    whose true rewards the truth file lacks or gives for another k."""
+    for ident, k in zip(log.ids.tolist(), log.k.tolist()):
+        row = truth.rewards.get(ident)
+        if row is None or row.shape != (k,):
+            found = "no rewards" if row is None else f"{row.size} rewards for {k} candidates"
+            raise ConfigurationError(
+                f"{truth_path} does not cover {log_path}: instance {ident} has {found}"
+            )
+
+
 def cmd_train(args) -> int:
     config = load_config(args.config)
     train_cfg = config.train
@@ -120,7 +132,10 @@ def cmd_train(args) -> int:
     train_log = serialize.read_log(args.log)
     validation_path = args.validation or str(Path(args.log).with_name("validation.jsonl"))
     validation_log = serialize.read_log(validation_path)
-    truth = serialize.read_truth(args.truth)[0] if args.truth else None
+    truth = None
+    if args.truth:
+        truth = serialize.read_truth(args.truth)[0]
+        _check_truth_covers(truth, args.truth, train_log, args.log)
 
     params, trace = train(train_cfg, train_log, validation_log, truth=truth)
     extra = {
@@ -194,6 +209,9 @@ def cmd_evaluate(args) -> int:
     logs = [(Path(p).stem, serialize.read_log(p)) for p in args.log]
     if not logs:
         raise ValueError("pass at least one --log file")
+    if truth_bundle is not None:
+        for path, (_, log) in zip(args.log, logs):
+            _check_truth_covers(truth_bundle[0], args.truth, log, path)
     rows = _evaluate_rows(kind, params, logs, model, truth_bundle)
     out = Path(args.out) if args.out is not None else Path(args.params).parent
     out.mkdir(parents=True, exist_ok=True)

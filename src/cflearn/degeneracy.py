@@ -7,9 +7,11 @@ with the maximal logged reward and zero on everything else, so training it
 without a brake drives all normalized weight onto the max-reward tuples.
 
 The probes test these statements exactly as quantified: over raw per-tuple
-probability assignments, decoupled from any parametric policy.  A separate
-collapse run shows parametric softmax training approaching the same fixed
-point, and early stopping interrupting it.
+probability assignments, decoupled from any parametric policy.  Each probe
+draws all its random challengers in one block from its seed and evaluates
+them together; the first failing challenger, in trial order, decides the
+result.  A separate collapse run shows parametric softmax training
+approaching the same fixed point, and early stopping interrupting it.
 """
 
 from __future__ import annotations
@@ -137,9 +139,12 @@ def probe_theorem2(log: Log, seed: int = 0, trials: int = 200) -> ProbeResult:
     the maximal reward; assignments with mass outside fall strictly below;
     assignments with no mass on the max-reward tuples fall strictly below
     the degenerate value.  Skipped when every tuple already attains the
-    maximum or the maximum is zero.  Each trial draws its three challengers
-    in turn; all trials are then evaluated together, and the first failing
-    challenger in draw order decides the result.
+    maximum or the maximum is zero.  Each trial makes three challengers:
+    confined, outside and avoiding.  All their values come from one
+    (trials, m) uniform draw split by column into the three, and all their
+    picks from one (trials, 3) integer draw; every trial is then evaluated
+    together, and the first failing challenger, trial by trial and in that
+    order within a trial, decides the result.
     """
     part = partition_dmax(log)
     if part.delta_max <= 0.0:
@@ -163,19 +168,14 @@ def probe_theorem2(log: Log, seed: int = 0, trials: int = 200) -> ProbeResult:
     # Each trial makes three challengers, each from values for its tuples, a
     # positive value and then a pick of the tuple that takes it: confined to
     # the max-reward tuples, a full row with a pick outside them, and values
-    # outside them only.  random(m) and then random() draw the same stream as
-    # random(m + 1), so each challenger takes one call for its values.
-    confined, outside, avoiding = (
-        np.zeros((trials, size + 1)) for size in (dmax.size, n, rest.size)
+    # outside them only.  One uniform block holds every trial's values, split
+    # by column into the three challengers (the last column of each is the
+    # positive value, taken as 1 - u), and one integer block holds the picks.
+    widths = np.array([dmax.size, n, rest.size]) + 1
+    confined, outside, avoiding = np.split(
+        rng.random((trials, widths.sum())), np.cumsum(widths)[:-1], axis=1
     )
-    picks = np.empty((3, trials), dtype=np.intp)
-    for trial in range(trials):
-        confined[trial] = rng.random(dmax.size + 1)
-        picks[0, trial] = rng.integers(dmax.size)
-        outside[trial] = rng.random(n + 1)
-        picks[1, trial] = rng.integers(rest.size)
-        avoiding[trial] = rng.random(rest.size + 1)
-        picks[2, trial] = rng.integers(rest.size)
+    picks = rng.integers((dmax.size, rest.size, rest.size), size=(trials, 3)).T
     assignments = np.zeros((3, trials, n))
     assignments[0][:, dmax] = confined[:, :-1]
     assignments[1] = outside[:, :-1]

@@ -55,6 +55,8 @@ def _log_record(record, mode: Mode) -> LoggedTuple:
     if (propensity is None) == (mode is Mode.STOCHASTIC):
         need = "needs" if mode is Mode.STOCHASTIC else "must not have"
         raise ValueError(f"a {mode.value} log record {need} a propensity")
+    if not isinstance(record["id"], str):
+        raise TypeError(f"id must be a string, got {record['id']!r}")
     chosen = record["chosen"]
     if isinstance(chosen, bool) or not isinstance(chosen, int):
         raise TypeError(f"chosen must be an integer, got {chosen!r}")
@@ -70,8 +72,10 @@ def _log_record(record, mode: Mode) -> LoggedTuple:
 def read_log(path: str | Path) -> Log:
     """Read a log written by :func:`write_log`.
 
-    Malformed input raises :class:`LogConsistencyError` naming the file and
-    the line.
+    The records fill preallocated columns row by row: n comes from a count of
+    the lines, and the feature tensor widens only when a record has more
+    candidates than any before it.  Malformed input raises
+    :class:`LogConsistencyError` naming the file and the line.
     """
     with open(path, encoding="utf-8") as handle:
         header_line = handle.readline()
@@ -84,18 +88,37 @@ def read_log(path: str | Path) -> Log:
             mode = Mode(header["mode"])
         except ValueError as err:
             raise LogConsistencyError(f"{path}:1: bad log header: {err}") from err
-        tuples = []
-        for lineno, line in enumerate(handle, start=2):
+        start = handle.tell()
+        n = sum(1 for _ in handle)
+        handle.seek(start)
+        ids = np.empty(n, dtype=object)
+        k = np.empty(n, dtype=np.intp)
+        chosen = np.empty(n, dtype=np.intp)
+        rewards = np.empty(n)
+        propensities = np.empty(n) if mode is Mode.STOCHASTIC else None
+        features = np.zeros((0, 0, 0))
+        for row, line in enumerate(handle):
             try:
-                tuples.append(_log_record(json.loads(line), mode))
-                if tuples[-1].instance.dim != tuples[0].instance.dim:
+                t = _log_record(json.loads(line), mode)
+                candidates = t.instance.candidates
+                if row == 0:
+                    features = np.zeros((n,) + candidates.shape)
+                elif t.instance.dim != features.shape[2]:
                     raise ValueError(
-                        f"feature dimension {tuples[-1].instance.dim} differs from the "
-                        f"first record's {tuples[0].instance.dim}"
+                        f"feature dimension {t.instance.dim} differs from the "
+                        f"first record's {features.shape[2]}"
                     )
+                elif t.instance.k > features.shape[1]:
+                    wider = np.zeros((n, t.instance.k, features.shape[2]))
+                    wider[:row, : features.shape[1]] = features[:row]
+                    features = wider
             except (TypeError, ValueError, CflearnError) as err:
-                raise LogConsistencyError(f"{path}:{lineno}: bad log record: {err}") from err
-    return Log(tuples, mode)
+                raise LogConsistencyError(f"{path}:{row + 2}: bad log record: {err}") from err
+            features[row, : t.instance.k] = candidates
+            ids[row], k[row], chosen[row], rewards[row] = t.instance.id, t.instance.k, t.chosen, t.reward
+            if propensities is not None:
+                propensities[row] = t.propensity
+    return Log._from_columns(mode, ids, features, k, chosen, rewards, propensities)
 
 
 def _load_json(path: str | Path):

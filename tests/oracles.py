@@ -289,24 +289,34 @@ def probe_theorem2(log: Log, seed: int = 0, trials: int = 200) -> ProbeResult:
             worst_challenger=max(worst, value), witness=witness,
         )
 
-    for _ in range(trials):
+    # the same two blocks as the probe: the values of each trial's three
+    # challengers side by side, the last column of each its 1 - u value
+    values = rng.random((trials, (dmax.size + 1) + (n + 1) + (rest.size + 1)))
+    picks = rng.integers((dmax.size, rest.size, rest.size), size=(trials, 3))
+    for trial in range(trials):
+        row = values[trial]
+        confined, outside, avoiding = (
+            row[: dmax.size + 1], row[dmax.size + 1 : dmax.size + n + 2], row[dmax.size + n + 2 :]
+        )
+        pick_confined, pick_outside, pick_avoiding = (int(p) for p in picks[trial])
+
         assignment = np.zeros(n)
-        assignment[dmax] = rng.random(dmax.size)
-        assignment[dmax[int(rng.integers(dmax.size))]] = 1.0 - rng.random()
+        assignment[dmax] = confined[:-1]
+        assignment[dmax[pick_confined]] = 1.0 - confined[-1]
         value = assignment_value_reweighted(assignment, log)
         if abs(value - part.delta_max) > degeneracy.DEGENERATE_VALUE_TOL:
             return fail("mass confined to max-reward tuples missed delta_max", value)
 
-        assignment = rng.random(n)
-        assignment[rest[int(rng.integers(rest.size))]] = 1.0 - rng.random()
+        assignment = outside[:-1].copy()
+        assignment[rest[pick_outside]] = 1.0 - outside[-1]
         value = assignment_value_reweighted(assignment, log)
         worst = max(worst, value)
         if value >= part.delta_max:
             return fail("assignment with mass outside the max-reward set reached delta_max", value)
 
         assignment = np.zeros(n)
-        assignment[rest] = rng.random(rest.size)
-        assignment[rest[int(rng.integers(rest.size))]] = 1.0 - rng.random()
+        assignment[rest] = avoiding[:-1]
+        assignment[rest[pick_avoiding]] = 1.0 - avoiding[-1]
         value = assignment_value_reweighted(assignment, log)
         worst = max(worst, value)
         if value >= part.delta_max:

@@ -349,3 +349,46 @@ class TestBadPayloads:
         assert self.evaluate(out, run, tmp_path, **{name: bad}) == 1
         err = capsys.readouterr().err
         assert f"{bad}:" in err and key in err
+
+
+class TestTruthCoverage:
+    """A truth file that lacks an instance of the log, or gives it too few
+    rewards, fails before anything is evaluated: exit 1 naming the truth
+    file, the log file and the instance."""
+
+    @pytest.fixture
+    def trained(self, workspace, tmp_path):
+        config, out = workspace
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(config), "--log", str(out / "train.jsonl"), "--out", str(run)]) == 0
+        return config, out, run
+
+    @staticmethod
+    def bad_truth(out: Path, log_path: Path, tmp_path: Path, defect: str) -> tuple[Path, str]:
+        ident = read_log(log_path).ids[-1]
+        payload = json.loads((out / "truth.json").read_text())
+        if defect == "missing":
+            del payload["rewards"][ident]
+        else:
+            payload["rewards"][ident] = payload["rewards"][ident][:-1]
+        bad = tmp_path / f"truth-{defect}.json"
+        bad.write_text(json.dumps(payload))
+        return bad, ident
+
+    @pytest.mark.parametrize("defect", ["missing", "short"])
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_exits_one_naming_files_and_instance(self, trained, tmp_path, capsys, command, defect):
+        config, out, run = trained
+        log_path = out / ("train.jsonl" if command == "train" else "test.jsonl")
+        truth, ident = self.bad_truth(out, log_path, tmp_path, defect)
+        if command == "train":
+            argv = ["train", "--config", str(config), "--log", str(log_path)]
+        else:
+            argv = ["evaluate", "--params", str(run / "params.json"), "--log", str(out / "validation.jsonl"),
+                    "--log", str(log_path)]
+        capsys.readouterr()
+        assert main(argv + ["--truth", str(truth), "--out", str(tmp_path / "again")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cflearn: error:")
+        assert str(truth) in err and str(log_path) in err and ident in err
+        assert not (tmp_path / "again" / ("trace.csv" if command == "train" else "report.csv")).exists()

@@ -5,7 +5,7 @@ draws the same examples.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -19,7 +19,10 @@ from cflearn import (
     RewardModel,
     fd_check,
     normalized_weights,
+    rho_weights,
     value_and_grad,
+    value_doubly_controlled,
+    value_reweighted,
 )
 from cflearn.gradients import FD_TOLERANCE
 from cflearn.serialize import read_log, write_log
@@ -58,9 +61,9 @@ SMALL = st.floats(-2.0, 2.0, allow_nan=False)
 
 
 @st.composite
-def problems(draw, mode: Mode | None = None):
+def problems(draw, mode: Mode | None = None, elements=SMALL):
     """A ragged log with moderate features, policy weights and a reward model."""
-    log = draw(ragged_logs(SMALL, mode))
+    log = draw(ragged_logs(elements, mode))
     d = log.dim
     weights = draw(arrays(np.float64, d, elements=st.floats(-1.5, 1.5)))
     params = PolicyParams(weights, alpha=draw(st.floats(0.5, 2.0)))
@@ -110,6 +113,42 @@ def test_self_normalized_weights_average_one(problem):
     params, log, _ = problem
     _, rho_bar = normalized_weights(params, log)
     assert abs(rho_bar.mean() - 1.0) <= 1e-12
+
+
+@settings(max_examples=60)
+@given(problems(elements=st.floats(-1000.0, 1000.0)))
+def test_reweighted_value_within_supported_rewards(problem):
+    # wide features saturate the softmax, so some tuples get rho exactly 0
+    params, log, _ = problem
+    support = log.rewards[rho_weights(params, log) > 0.0]
+    assume(support.size)
+    value = value_reweighted(params, log)
+    assert support.min() - 1e-12 <= value <= support.max() + 1e-12
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_shifting_an_instance_leaves_policy_unchanged(data):
+    params, log, _ = data.draw(problems())
+    shifts = data.draw(arrays(np.float64, (len(log), log.dim), elements=st.floats(-10.0, 10.0)))
+    shifted = Log(
+        (
+            LoggedTuple(
+                Instance(t.instance.id, t.instance.candidates + shift),
+                t.chosen, t.reward, t.propensity,
+            )
+            for t, shift in zip(log.tuples, shifts)
+        ),
+        log.mode,
+    )
+    np.testing.assert_allclose(shifted.probs(params), log.probs(params), rtol=1e-9, atol=1e-12)
+
+
+@settings(max_examples=60)
+@given(problems())
+def test_controlled_value_at_zero_is_reweighted_value(problem):
+    params, log, model = problem
+    assert value_doubly_controlled(params, log, model, 0.0) == value_reweighted(params, log)
 
 
 @settings(max_examples=30)

@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -57,6 +58,17 @@ class TestLogRoundTrip:
         write_log(tmp_path / "b.jsonl", log)
         assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
 
+    def test_reading_holds_the_feature_tensor_once(self, tmp_path, rng):
+        path = tmp_path / "log.jsonl"
+        write_log(path, random_log(rng, 200, 10, 20, Mode.STOCHASTIC))
+        tracemalloc.start()
+        try:
+            log = read_log(path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - held < log.features.nbytes / 2
+
     def test_deterministic_records_have_no_propensity_key(self, tmp_path, rng):
         log = random_log(rng, 3, 3, 2, Mode.DETERMINISTIC)
         path = tmp_path / "log.jsonl"
@@ -98,12 +110,21 @@ class TestMalformedLog:
             '{"id": "x", "features": [[1.0], [2.0]], "chosen": 1.5, "reward": 0.5, "propensity": 0.5}',
             '{"id": "x", "features": [[1.0], [2.0]], "chosen": 0, "reward": 0.5}',
             '{"id": "x", "features": [[1.0], [2.0]], "chosen": 0, "reward": 2.0, "propensity": 0.5}',
+            '{"id": 7, "features": [[1.0], [2.0]], "chosen": 0, "reward": 0.5, "propensity": 0.5}',
         ],
     )
     def test_bad_record_names_its_line(self, tmp_path, rng, line):
         path, lines = self.written(tmp_path, rng)
         self.rewrite(path, lines, 2, line)
         with pytest.raises(LogConsistencyError, match=rf"{re.escape(str(path))}:2: "):
+            read_log(path)
+
+    def test_record_with_another_feature_dimension(self, tmp_path, rng):
+        path, lines = self.written(tmp_path, rng)
+        record = json.loads(lines[3])
+        record["features"] = [[0.5, 0.5, 0.5]] * 3
+        self.rewrite(path, lines, 4, json.dumps(record))
+        with pytest.raises(LogConsistencyError, match=":4: .*feature dimension 3 differs"):
             read_log(path)
 
     def test_propensity_in_deterministic_log(self, tmp_path, rng):

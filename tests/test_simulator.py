@@ -124,11 +124,13 @@ class TestRollLog:
         )
         probs = policy_probs(policy.params, instances[0])
         rng = np.random.default_rng(99)
-        rolls = 100_000
+        rolls, per_call = 100_000, 1_000
         counts = np.zeros(len(probs))
-        for _ in range(rolls):
-            log = roll_log(instances, truth, policy, rng=rng)
-            counts[log.tuples[0].chosen] += 1
+        # one uniform per instance, so 100 rolls of 1000 copies draw the same
+        # stream as 100,000 rolls of the one instance
+        for _ in range(rolls // per_call):
+            log = roll_log([instances[0]] * per_call, truth, policy, rng=rng)
+            counts += np.bincount(log.chosen, minlength=len(probs))
         freq = counts / rolls
         stderr = np.sqrt(probs * (1 - probs) / rolls)
         assert np.all(np.abs(freq - probs) <= 3 * stderr + 1e-9)
