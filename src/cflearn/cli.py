@@ -9,8 +9,10 @@ configuration error, 2 invariant or probe failure.
 from __future__ import annotations
 
 import argparse
+import pickle
 import sys
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 
 import yaml
@@ -23,7 +25,7 @@ from .estimators import EstimatorKind, evaluate_policy
 from .gradients import FD_TOLERANCE, run_grad_check
 from .reward import RewardModel
 from .simulator import GroundTruth, TaskSpec, generate_task, roll_log, split
-from .training import TrainConfig, evaluate_truth, train
+from .training import TrainConfig, _expected_reward, _true_rewards, train
 
 USAGE_ERROR = 1
 CHECK_FAILURE = 2
@@ -77,6 +79,78 @@ def load_config(path: str | Path) -> ExperimentConfig:
     )
 
 
+def _outcome(call) -> tuple[bool, object]:
+    try:
+        return True, call()
+    except Exception as err:
+        return False, err
+
+
+def _send_outcome(call, sender) -> None:
+    """Run ``call`` in a forked child and send its outcome as one pickle
+    protocol 5 stream whose array buffers travel out of band."""
+    buffers = []
+    payload = pickle.dumps(_outcome(call), protocol=5, buffer_callback=buffers.append)
+    sender.send(len(buffers))
+    sender.send_bytes(payload)
+    for buffer in buffers:
+        sender.send_bytes(buffer.raw())
+    sender.close()
+
+
+def _receive_outcome(child, receiver) -> tuple[bool, object]:
+    try:
+        count = receiver.recv()
+        payload = receiver.recv_bytes()
+        buffers = [receiver.recv_bytes() for _ in range(count)]
+    except EOFError:
+        child.join()
+        return False, CflearnError(
+            f"worker process {child.pid} exited with code {child.exitcode} "
+            "before it sent its result"
+        )
+    return pickle.loads(payload, buffers=buffers)
+
+
+def _concurrently(*calls) -> list:
+    """Run the argument-free ``calls`` at once; return their results in order.
+
+    The first call runs in this process and each other one in a forked child,
+    which inherits its inputs, so no argument is pickled.  The first failure
+    in call order is raised, as if the calls had run one after another, and
+    every child is joined before this returns.  Without the fork start
+    method the calls run in order here.  The calls only format or parse JSON
+    and copy arrays: none runs BLAS, whose worker threads a forked child lacks.
+    """
+    import multiprocessing  # here, so commands that never fork do not load it
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return [call() for call in calls]
+    context = multiprocessing.get_context("fork")
+    children = []
+    try:
+        for call in calls[1:]:
+            receiver, sender = context.Pipe(duplex=False)
+            child = context.Process(target=_send_outcome, args=(call, sender))
+            child.start()
+            sender.close()  # so a child that dies leaves the receiver at end of file
+            children.append((child, receiver))
+        outcomes = [_outcome(calls[0])]
+        outcomes += [_receive_outcome(child, receiver) for child, receiver in children]
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, receiver in children:
+            receiver.close()
+            child.join()
+    for ok, value in outcomes:
+        if not ok:
+            raise value
+    return [value for _, value in outcomes]
+
+
 def _out_dir(args, config: ExperimentConfig | None) -> Path:
     if args.out is not None:
         out = Path(args.out)
@@ -97,10 +171,12 @@ def cmd_generate_log(args) -> int:
     instances, truth, logger = generate_task(task)
     log = roll_log(instances, truth, logger, rng=task.seed)
     train_log, validation_log, test_log = split(log, config.splits, config.split_seed)
-    serialize.write_log(out / "train.jsonl", train_log)
-    serialize.write_log(out / "validation.jsonl", validation_log)
-    serialize.write_log(out / "test.jsonl", test_log)
-    serialize.write_truth(out / "truth.json", truth, logger)
+    _concurrently(
+        partial(serialize.write_log, out / "train.jsonl", train_log),
+        partial(serialize.write_log, out / "validation.jsonl", validation_log),
+        partial(serialize.write_log, out / "test.jsonl", test_log),
+        partial(serialize.write_truth, out / "truth.json", truth, logger),
+    )
     print(
         f"wrote {len(train_log)}/{len(validation_log)}/{len(test_log)} tuples "
         f"({log.mode.value}) to {out}"
@@ -129,9 +205,10 @@ def cmd_train(args) -> int:
         train_cfg = replace(train_cfg, seed=args.seed)
     out = _out_dir(args, config)
 
-    train_log = serialize.read_log(args.log)
     validation_path = args.validation or str(Path(args.log).with_name("validation.jsonl"))
-    validation_log = serialize.read_log(validation_path)
+    train_log, validation_log = _concurrently(
+        partial(serialize.read_log, args.log), partial(serialize.read_log, validation_path)
+    )
     truth = None
     if args.truth:
         truth = serialize.read_truth(args.truth)[0]
@@ -165,9 +242,9 @@ def _evaluate_rows(
         true_reward = logger_reward = improvement = None
         if truth_bundle is not None:
             truth, logger = truth_bundle
-            instances = [t.instance for t in log.tuples]
-            true_reward = evaluate_truth(params, instances, truth)
-            logger_reward = evaluate_truth(logger.params, instances, truth)
+            rewards = _true_rewards(truth, log)
+            true_reward = _expected_reward(log.probs(params), rewards)
+            logger_reward = _expected_reward(log.probs(logger.params), rewards)
             improvement = true_reward - logger_reward
         rows.append(
             [
@@ -206,9 +283,10 @@ def cmd_evaluate(args) -> int:
     if kind.uses_reward_model and model is None:
         raise ValueError(f"estimator {kind.value} needs --model reward_model.json")
     truth_bundle = serialize.read_truth(args.truth) if args.truth else None
-    logs = [(Path(p).stem, serialize.read_log(p)) for p in args.log]
-    if not logs:
+    if not args.log:
         raise ValueError("pass at least one --log file")
+    read = _concurrently(*[partial(serialize.read_log, p) for p in args.log])
+    logs = [(Path(p).stem, log) for p, log in zip(args.log, read)]
     if truth_bundle is not None:
         for path, (_, log) in zip(args.log, logs):
             _check_truth_covers(truth_bundle[0], args.truth, log, path)

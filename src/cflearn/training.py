@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import Instance, Log, PolicyParams, _integer, _real, policy_probs
+from .domain import Instance, Log, PolicyParams, _integer, _probs, _real, _stack_candidates
 from .errors import ConfigurationError, DegenerateSupportError
 from .estimators import EstimatorKind, check_mode
 from .gradients import value_and_grad
@@ -129,7 +129,9 @@ def train(
     Fully deterministic given the config: the only randomness is batch
     shuffling (and optionally the Gaussian init) from the config seed.  A
     degenerate-support error during an epoch is recorded on the trace and
-    training halts with the best parameters seen so far.
+    training halts with the best parameters seen so far.  A ``truth`` (a
+    :class:`~cflearn.simulator.GroundTruth` covering the train log) adds each
+    epoch's exact true reward on the train log to the trace.
     """
     check_mode(config.kind, train_log)
     check_mode(config.kind, validation_log)
@@ -156,7 +158,7 @@ def train(
 
     rng = np.random.default_rng(config.seed)
     trace = TrainTrace(reward_model=model)
-    truth_instances = [t.instance for t in train_log.tuples] if truth is not None else None
+    truth_rewards = _true_rewards(truth, train_log) if truth is not None else None
 
     best_value = -np.inf
     best_params = params
@@ -198,7 +200,7 @@ def train(
         grad_norm = float(np.linalg.norm(current.grad(c_hat)))
 
         true_reward = (
-            evaluate_truth(params, truth_instances, truth) if truth is not None else None
+            _expected_reward(train_log.probs(params), truth_rewards) if truth is not None else None
         )
         trace.records.append(
             EpochRecord(
@@ -229,13 +231,44 @@ def train(
     return params, trace
 
 
+def _reward_matrix(ids, rows, k: np.ndarray, k_max: int) -> np.ndarray:
+    """Per-candidate true rewards as one (n, k_max) matrix, zero past each
+    row's k; a row whose length is not its instance's k is an error."""
+    matrix = np.zeros((len(k), k_max))
+    for row, (ident, values, count) in enumerate(zip(ids, rows, k.tolist())):
+        values = np.asarray(values, dtype=float)
+        if values.shape != (count,):
+            raise ConfigurationError(
+                f"instance {ident!r} has {values.size} true rewards for {count} candidates"
+            )
+        matrix[row, :count] = values
+    return matrix
+
+
+def _true_rewards(truth, log: Log) -> np.ndarray:
+    """The (n, k_max) true rewards of the log's instances, gathered by id from
+    a :class:`~cflearn.simulator.GroundTruth`."""
+    ids = log.ids.tolist()
+    return _reward_matrix(ids, [truth.rewards[i] for i in ids], log.k, log.features.shape[1])
+
+
+def _expected_reward(probs: np.ndarray, rewards: np.ndarray) -> float:
+    """Mean over instances of sum_y pi(y | x) r(x, y) from padded (n, k_max)
+    matrices; padded candidates have probability 0 and reward 0."""
+    return float(np.einsum("ij,ij->i", probs, rewards).mean())
+
+
 def evaluate_truth(params: PolicyParams, instances: list[Instance], truth) -> float:
     """Exact expected true reward of the policy by full enumeration.
 
     ``truth`` is any callable mapping an instance to its per-candidate true
-    rewards (a :class:`~cflearn.simulator.GroundTruth` qualifies).
+    rewards (a :class:`~cflearn.simulator.GroundTruth` qualifies).  The
+    instances go through one softmax pass, zero-padded to the largest k.
     """
-    total = 0.0
-    for inst in instances:
-        total += float(policy_probs(params, inst) @ np.asarray(truth(inst), dtype=float))
-    return total / len(instances)
+    if len(instances) == 0:
+        raise ValueError("evaluate_truth needs at least one instance")
+    features, k = _stack_candidates([inst.candidates for inst in instances])
+    rewards = _reward_matrix(
+        [inst.id for inst in instances], [truth(inst) for inst in instances], k, features.shape[1]
+    )
+    return _expected_reward(_probs(params, features, k), rewards)

@@ -121,6 +121,14 @@ def diagnostics(params: PolicyParams, log: Log) -> tuple[float, float]:
     return float(bar[top].sum() / bar.size), float(q["rho"].sum() ** 2 / (q["rho"] ** 2).sum())
 
 
+def evaluate_truth(params: PolicyParams, instances, truth) -> float:
+    """Exact expected true reward, one ``policy_probs`` call per instance."""
+    total = 0.0
+    for inst in instances:
+        total += float(policy_probs(params, inst) @ np.asarray(truth(inst), dtype=float))
+    return total / len(instances)
+
+
 def _sublog(log: Log, idx) -> Log:
     return Log(tuple(log.tuples[i] for i in idx), log.mode)
 

@@ -1,14 +1,19 @@
 """End-to-end CLI behavior: commands, guards, exit codes, reproducibility."""
 
 import json
+import multiprocessing
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from cflearn.cli import main
-from cflearn.serialize import read_log, read_params, write_reward_model
+import oracles
+from cflearn import Instance, Log, LoggedTuple, Mode, cli, serialize
+from cflearn.cli import load_config, main
+from cflearn.serialize import read_log, read_params, read_truth, write_reward_model
+from cflearn.simulator import generate_task, roll_log, split
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -42,6 +47,23 @@ def write_config(path: Path, **overrides) -> Path:
             config[section] = value
     path.write_text(yaml.safe_dump(config))
     return path
+
+
+def _bad_log(source: Path, target: Path, line: int) -> Path:
+    """A copy of ``source`` whose record on ``line`` (1-based) lacks its features."""
+    lines = source.read_text().splitlines()
+    record = json.loads(lines[line - 1])
+    del record["features"]
+    lines[line - 1] = json.dumps(record)
+    target.write_text("\n".join(lines) + "\n")
+    return target
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Every command joins the processes it forks."""
+    yield
+    assert multiprocessing.active_children() == []
 
 
 @pytest.fixture
@@ -232,12 +254,7 @@ class TestEvaluate:
         config, out = workspace
         run = tmp_path / "run"
         main(["train", "--config", str(config), "--log", str(out / "train.jsonl"), "--out", str(run)])
-        lines = (out / "test.jsonl").read_text().splitlines()
-        record = json.loads(lines[1])
-        del record["features"]
-        lines[1] = json.dumps(record)
-        bad = tmp_path / "bad.jsonl"
-        bad.write_text("\n".join(lines) + "\n")
+        bad = _bad_log(out / "test.jsonl", tmp_path / "bad.jsonl", 2)
         capsys.readouterr()
         code = main(["evaluate", "--params", str(run / "params.json"), "--log", str(bad),
                      "--out", str(tmp_path / "report")])
@@ -392,3 +409,110 @@ class TestTruthCoverage:
         assert err.startswith("cflearn: error:")
         assert str(truth) in err and str(log_path) in err and ident in err
         assert not (tmp_path / "again" / ("trace.csv" if command == "train" else "report.csv")).exists()
+
+
+class TestConcurrentIO:
+    """generate-log writes, and train and evaluate read, their log files in
+    forked processes; the results and the errors are those of the serial code."""
+
+    def test_generate_log_files_equal_serial_writes(self, workspace, tmp_path):
+        config_path, out = workspace
+        config = load_config(config_path)
+        instances, truth, logger = generate_task(config.task)
+        log = roll_log(instances, truth, logger, rng=config.task.seed)
+        serial = tmp_path / "serial"
+        serial.mkdir()
+        for name, part in zip(("train", "validation", "test"), split(log, config.splits, config.split_seed)):
+            serialize.write_log(serial / f"{name}.jsonl", part)
+        serialize.write_truth(serial / "truth.json", truth, logger)
+        for name in ("train.jsonl", "validation.jsonl", "test.jsonl", "truth.json"):
+            assert (out / name).read_bytes() == (serial / name).read_bytes()
+
+    def test_two_malformed_logs_name_the_first_in_argument_order(self, workspace, tmp_path, capsys):
+        config, out = workspace
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(config), "--log", str(out / "train.jsonl"), "--out", str(run)]) == 0
+        late = _bad_log(out / "test.jsonl", tmp_path / "late.jsonl", 5)
+        early = _bad_log(out / "test.jsonl", tmp_path / "early.jsonl", 2)
+        for first, second, line in ((late, early, 5), (early, late, 2)):
+            capsys.readouterr()
+            code = main(["evaluate", "--params", str(run / "params.json"), "--log", str(first),
+                         "--log", str(second), "--out", str(tmp_path / "report")])
+            err = capsys.readouterr().err
+            assert code == 1
+            assert f"{first}:{line}:" in err and str(second) not in err
+
+    def test_child_that_dies_gives_a_named_error(self, workspace, tmp_path, monkeypatch, capfd):
+        config, out = workspace
+        parent = os.getpid()
+        real_read_log = serialize.read_log
+
+        def read_log_or_die(path):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real_read_log(path)
+
+        monkeypatch.setattr(serialize, "read_log", read_log_or_die)
+        capfd.readouterr()
+        code = main(["train", "--config", str(config), "--log", str(out / "train.jsonl"),
+                     "--out", str(tmp_path / "run")])
+        err = capfd.readouterr().err
+        assert code == 1
+        assert err.startswith("cflearn: error: worker process") and "exited with code 3" in err
+        assert "Traceback" not in err
+
+    def test_failures_are_raised_in_call_order(self):
+        def fail(message):
+            raise ValueError(message)
+
+        assert cli._concurrently(lambda: 1, lambda: 2, lambda: None) == [1, 2, None]
+        with pytest.raises(ValueError, match="^first$"):
+            cli._concurrently(lambda: 1, lambda: fail("first"), lambda: fail("second"))
+        with pytest.raises(ValueError, match="^parent$"):
+            cli._concurrently(lambda: fail("parent"), lambda: fail("child"))
+
+    @pytest.mark.parametrize("mode", [Mode.DETERMINISTIC, Mode.STOCHASTIC])
+    def test_log_read_in_a_child_is_bit_equal_and_read_only(self, tmp_path, rng, mode):
+        tuples = [
+            LoggedTuple(
+                Instance(f"m{t}", rng.standard_normal((2 + t % 4, 3))),
+                chosen=1,
+                reward=float(rng.uniform()),
+                propensity=float(rng.uniform(0.1, 1.0)) if mode is Mode.STOCHASTIC else None,
+            )
+            for t in range(25)
+        ]
+        path = tmp_path / "mixed.jsonl"
+        serialize.write_log(path, Log(tuples, mode))
+        _, child = cli._concurrently(lambda: None, lambda: read_log(path))
+        serial = read_log(path)
+        assert child.mode is serial.mode
+        assert child.ids.tolist() == serial.ids.tolist()
+        for name in ("features", "k", "chosen", "rewards", "propensities"):
+            got, want = getattr(child, name), getattr(serial, name)
+            if want is None:
+                assert got is None
+                continue
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        for name in ("ids", "features", "k", "chosen", "rewards", "propensities"):
+            column = getattr(child, name)
+            assert column is None or not column.flags.writeable
+
+    def test_report_true_reward_matches_per_instance_oracle(self, workspace, tmp_path):
+        config, out = workspace
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(config), "--log", str(out / "train.jsonl"), "--out", str(run)]) == 0
+        assert main(["evaluate", "--params", str(run / "params.json"), "--log", str(out / "validation.jsonl"),
+                     "--log", str(out / "test.jsonl"), "--truth", str(out / "truth.json"),
+                     "--out", str(tmp_path / "report")]) == 0
+        params, _ = read_params(run / "params.json")
+        truth, logger = read_truth(out / "truth.json")
+        rows = (tmp_path / "report" / "report.csv").read_text().splitlines()
+        header = rows[0].split(",")
+        for row, name in zip(rows[1:], ("validation", "test")):
+            values = dict(zip(header, row.split(",")))
+            instances = [t.instance for t in read_log(out / f"{name}.jsonl").tuples]
+            for column, policy in (("true_reward", params), ("logger_true_reward", logger.params)):
+                want = oracles.evaluate_truth(policy, instances, truth)
+                assert float(values[column]) == pytest.approx(want, rel=1e-12, abs=0.0)

@@ -16,9 +16,13 @@ from cflearn import (
     initial_params,
     policy_probs,
     train,
+    TaskSpec,
     TrainConfig,
+    generate_task,
+    roll_log,
 )
 
+import oracles
 from conftest import random_log
 
 
@@ -232,3 +236,33 @@ class TestEvaluateTruth:
         sampled = rewards["mc"][draws]
         stderr = sampled.std(ddof=1) / np.sqrt(draws.size)
         assert abs(sampled.mean() - exact) <= 3 * stderr
+
+    def test_matches_per_instance_oracle_with_mixed_k(self, rng):
+        instances = [
+            Instance(f"x{i}", rng.standard_normal((int(rng.integers(2, 7)), 3))) for i in range(40)
+        ]
+        rewards = {inst.id: rng.uniform(0, 1, size=inst.k) for inst in instances}
+        for _ in range(5):
+            params = PolicyParams(rng.standard_normal(3) * 2.0, alpha=float(rng.uniform(0.5, 2.0)))
+            got = evaluate_truth(params, instances, self.truth_fn(rewards))
+            want = oracles.evaluate_truth(params, instances, self.truth_fn(rewards))
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_reward_row_of_the_wrong_length_is_rejected(self, rng):
+        instances = [Instance("a", rng.standard_normal((3, 2))), Instance("b", rng.standard_normal((4, 2)))]
+        rewards = {"a": np.full(3, 0.5), "b": np.full(3, 0.5)}
+        with pytest.raises(ConfigurationError, match="'b' has 3 true rewards for 4 candidates"):
+            evaluate_truth(PolicyParams(np.zeros(2)), instances, self.truth_fn(rewards))
+
+    def test_empty_instance_list_is_rejected(self):
+        with pytest.raises(ValueError, match="at least one instance"):
+            evaluate_truth(PolicyParams(np.zeros(2)), [], self.truth_fn({}))
+
+    def test_train_trace_matches_oracle_on_the_train_log(self):
+        spec = TaskSpec(num_instances=30, k=4, d=5, seed=3, logging_mode=Mode.STOCHASTIC)
+        instances, truth, logger = generate_task(spec)
+        log = roll_log(instances, truth, logger, rng=4)
+        config = TrainConfig(kind=EstimatorKind.IPS_R, learning_rate=0.5, epochs=1)
+        params, trace = train(config, log, log, truth=truth)
+        want = oracles.evaluate_truth(params, [t.instance for t in log.tuples], truth)
+        assert trace.records[0].true_reward == pytest.approx(want, rel=1e-12, abs=0.0)
