@@ -112,16 +112,28 @@ def _receive_outcome(child, receiver) -> tuple[bool, object]:
     return pickle.loads(payload, buffers=buffers)
 
 
-def _concurrently(*calls) -> list:
+# Forking costs a fixed 15-20 ms (importing multiprocessing, then a few ms
+# a child), which is about the JSON work of 0.5-1 MB of log text: below this
+# many bytes in the children's files, the calls run in order instead.
+CONCURRENT_MIN_BYTES = 1 << 20
+# A float's repr and the ", " after it, which make up almost all of a log file.
+JSON_BYTES_PER_VALUE = 21
+
+
+def _concurrently(*calls, child_bytes: int) -> list:
     """Run the argument-free ``calls`` at once; return their results in order.
 
     The first call runs in this process and each other one in a forked child,
     which inherits its inputs, so no argument is pickled.  The first failure
     in call order is raised, as if the calls had run one after another, and
-    every child is joined before this returns.  Without the fork start
-    method the calls run in order here.  The calls only format or parse JSON
-    and copy arrays: none runs BLAS, whose worker threads a forked child lacks.
+    every child is joined before this returns.  The calls run in order here
+    instead when the children's files hold fewer than
+    ``CONCURRENT_MIN_BYTES`` bytes (``child_bytes``) or the fork start method
+    is missing.  The calls only format or parse JSON and copy arrays: none
+    runs BLAS, whose worker threads a forked child lacks.
     """
+    if child_bytes < CONCURRENT_MIN_BYTES:
+        return [call() for call in calls]
     import multiprocessing  # here, so commands that never fork do not load it
 
     if "fork" not in multiprocessing.get_all_start_methods():
@@ -151,6 +163,18 @@ def _concurrently(*calls) -> list:
     return [value for _, value in outcomes]
 
 
+def _file_bytes(paths) -> int:
+    """The summed size of the files; one that cannot be read counts 0, so
+    reading it reports the error."""
+    total = 0
+    for path in paths:
+        try:
+            total += Path(path).stat().st_size
+        except OSError:
+            pass
+    return total
+
+
 def _out_dir(args, config: ExperimentConfig | None) -> Path:
     if args.out is not None:
         out = Path(args.out)
@@ -171,11 +195,13 @@ def cmd_generate_log(args) -> int:
     instances, truth, logger = generate_task(task)
     log = roll_log(instances, truth, logger, rng=task.seed)
     train_log, validation_log, test_log = split(log, config.splits, config.split_seed)
+    child_values = sum(int(part.k.sum()) * part.dim for part in (validation_log, test_log))
     _concurrently(
         partial(serialize.write_log, out / "train.jsonl", train_log),
         partial(serialize.write_log, out / "validation.jsonl", validation_log),
         partial(serialize.write_log, out / "test.jsonl", test_log),
         partial(serialize.write_truth, out / "truth.json", truth, logger),
+        child_bytes=JSON_BYTES_PER_VALUE * child_values,
     )
     print(
         f"wrote {len(train_log)}/{len(validation_log)}/{len(test_log)} tuples "
@@ -207,7 +233,9 @@ def cmd_train(args) -> int:
 
     validation_path = args.validation or str(Path(args.log).with_name("validation.jsonl"))
     train_log, validation_log = _concurrently(
-        partial(serialize.read_log, args.log), partial(serialize.read_log, validation_path)
+        partial(serialize.read_log, args.log),
+        partial(serialize.read_log, validation_path),
+        child_bytes=_file_bytes([validation_path]),
     )
     truth = None
     if args.truth:
@@ -285,7 +313,9 @@ def cmd_evaluate(args) -> int:
     truth_bundle = serialize.read_truth(args.truth) if args.truth else None
     if not args.log:
         raise ValueError("pass at least one --log file")
-    read = _concurrently(*[partial(serialize.read_log, p) for p in args.log])
+    read = _concurrently(
+        *[partial(serialize.read_log, p) for p in args.log], child_bytes=_file_bytes(args.log[1:])
+    )
     logs = [(Path(p).stem, log) for p, log in zip(args.log, read)]
     if truth_bundle is not None:
         for path, (_, log) in zip(args.log, logs):

@@ -19,6 +19,7 @@ from .errors import ConfigurationError, DegenerateSupportError
 from .estimators import EstimatorKind, check_mode
 from .gradients import value_and_grad
 from .reward import RewardModel, fit_reward_model
+from .simulator import GroundTruth
 
 
 @dataclass
@@ -129,9 +130,10 @@ def train(
     Fully deterministic given the config: the only randomness is batch
     shuffling (and optionally the Gaussian init) from the config seed.  A
     degenerate-support error during an epoch is recorded on the trace and
-    training halts with the best parameters seen so far.  A ``truth`` (a
-    :class:`~cflearn.simulator.GroundTruth` covering the train log) adds each
-    epoch's exact true reward on the train log to the trace.
+    training halts with the best parameters seen so far.  A ``truth``, any
+    callable mapping an instance to its per-candidate true rewards as for
+    :func:`evaluate_truth`, adds each epoch's exact true reward on the train
+    log to the trace.
     """
     check_mode(config.kind, train_log)
     check_mode(config.kind, validation_log)
@@ -246,10 +248,14 @@ def _reward_matrix(ids, rows, k: np.ndarray, k_max: int) -> np.ndarray:
 
 
 def _true_rewards(truth, log: Log) -> np.ndarray:
-    """The (n, k_max) true rewards of the log's instances, gathered by id from
-    a :class:`~cflearn.simulator.GroundTruth`."""
+    """The (n, k_max) true rewards of the log's instances: gathered by id from
+    a :class:`~cflearn.simulator.GroundTruth`, else ``truth`` of each instance."""
     ids = log.ids.tolist()
-    return _reward_matrix(ids, [truth.rewards[i] for i in ids], log.k, log.features.shape[1])
+    if isinstance(truth, GroundTruth):
+        rows = [truth.rewards[i] for i in ids]
+    else:
+        rows = [truth(t.instance) for t in log.tuples]
+    return _reward_matrix(ids, rows, log.k, log.features.shape[1])
 
 
 def _expected_reward(probs: np.ndarray, rewards: np.ndarray) -> float:

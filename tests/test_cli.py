@@ -3,6 +3,7 @@
 import json
 import multiprocessing
 import os
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -415,6 +416,11 @@ class TestConcurrentIO:
     """generate-log writes, and train and evaluate read, their log files in
     forked processes; the results and the errors are those of the serial code."""
 
+    @pytest.fixture(autouse=True)
+    def fork_any_size(self, monkeypatch):
+        """The test logs are far below the size at which commands fork."""
+        monkeypatch.setattr(cli, "CONCURRENT_MIN_BYTES", 0)
+
     def test_generate_log_files_equal_serial_writes(self, workspace, tmp_path):
         config_path, out = workspace
         config = load_config(config_path)
@@ -465,11 +471,36 @@ class TestConcurrentIO:
         def fail(message):
             raise ValueError(message)
 
-        assert cli._concurrently(lambda: 1, lambda: 2, lambda: None) == [1, 2, None]
+        assert cli._concurrently(lambda: 1, lambda: 2, lambda: None, child_bytes=0) == [1, 2, None]
         with pytest.raises(ValueError, match="^first$"):
-            cli._concurrently(lambda: 1, lambda: fail("first"), lambda: fail("second"))
+            cli._concurrently(lambda: 1, lambda: fail("first"), lambda: fail("second"), child_bytes=0)
         with pytest.raises(ValueError, match="^parent$"):
-            cli._concurrently(lambda: fail("parent"), lambda: fail("child"))
+            cli._concurrently(lambda: fail("parent"), lambda: fail("child"), child_bytes=0)
+
+    def test_calls_run_in_order_here_without_fork(self, monkeypatch):
+        def fail(message):
+            raise ValueError(message)
+
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        ran = []
+        results = cli._concurrently(*[partial(ran.append, i) for i in range(3)], os.getpid, child_bytes=0)
+        assert results == [None, None, None, os.getpid()] and ran == [0, 1, 2]
+        with pytest.raises(ValueError, match="^first$"):
+            cli._concurrently(os.getpid, lambda: fail("first"), lambda: fail("second"), child_bytes=0)
+
+    def test_small_files_are_handled_here(self, monkeypatch):
+        monkeypatch.setattr(cli, "CONCURRENT_MIN_BYTES", 1000)
+        assert cli._concurrently(os.getpid, os.getpid, child_bytes=999) == [os.getpid()] * 2
+        parent, child = cli._concurrently(os.getpid, os.getpid, child_bytes=1000)
+        assert parent == os.getpid() and child != parent
+
+    def test_generate_log_without_fork_writes_the_same_files(self, workspace, tmp_path, monkeypatch):
+        config, out = workspace
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        serial = tmp_path / "serial"
+        assert main(["generate-log", "--config", str(config), "--out", str(serial)]) == 0
+        for name in ("train.jsonl", "validation.jsonl", "test.jsonl", "truth.json"):
+            assert (serial / name).read_bytes() == (out / name).read_bytes()
 
     @pytest.mark.parametrize("mode", [Mode.DETERMINISTIC, Mode.STOCHASTIC])
     def test_log_read_in_a_child_is_bit_equal_and_read_only(self, tmp_path, rng, mode):
@@ -484,7 +515,7 @@ class TestConcurrentIO:
         ]
         path = tmp_path / "mixed.jsonl"
         serialize.write_log(path, Log(tuples, mode))
-        _, child = cli._concurrently(lambda: None, lambda: read_log(path))
+        _, child = cli._concurrently(lambda: None, lambda: read_log(path), child_bytes=0)
         serial = read_log(path)
         assert child.mode is serial.mode
         assert child.ids.tolist() == serial.ids.tolist()

@@ -266,3 +266,12 @@ class TestEvaluateTruth:
         params, trace = train(config, log, log, truth=truth)
         want = oracles.evaluate_truth(params, [t.instance for t in log.tuples], truth)
         assert trace.records[0].true_reward == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_train_takes_any_callable_truth(self):
+        spec = TaskSpec(num_instances=30, k=4, d=5, seed=3, logging_mode=Mode.STOCHASTIC)
+        instances, truth, logger = generate_task(spec)
+        log = roll_log(instances, truth, logger, rng=4)
+        config = TrainConfig(kind=EstimatorKind.IPS_R, learning_rate=0.5, epochs=3)
+        _, by_id = train(config, log, log, truth=truth)
+        _, by_call = train(config, log, log, truth=lambda inst: truth.rewards[inst.id])
+        assert [r.true_reward for r in by_call.records] == [r.true_reward for r in by_id.records]
