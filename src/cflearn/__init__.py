@@ -36,39 +36,29 @@ from .errors import (
 from .estimators import (
     EstimatorKind,
     EstimatorReport,
+    ObjectivePass,
     WeightDiagnostics,
     diagnostics,
+    estimate_c_hat,
     evaluate_policy,
+    grad_doubly_controlled,
+    grad_ips_dpm,
+    grad_reweighted,
     normalized_weights,
     objective_value,
     rho_weights,
+    value_and_grad,
     value_doubly_controlled,
     value_ips_dpm,
     value_reweighted,
 )
-from .gradients import (
-    ObjectivePass,
-    fd_check,
-    grad_doubly_controlled,
-    grad_ips_dpm,
-    grad_reweighted,
-    gradient,
-    run_grad_check,
-    value_and_grad,
-)
-from .reward import (
-    ControlScalar,
-    RewardModel,
-    control_scalar,
-    estimate_c_hat,
-    fit_reward_model,
-)
+from .gradients import fd_check, run_grad_check
+from .reward import ControlScalar, RewardModel, control_scalar, fit_reward_model
 from .simulator import (
     GroundTruth,
     LoggingPolicy,
     TaskSpec,
     generate_task,
-    logging_policy_truth,
     roll_log,
     split,
 )

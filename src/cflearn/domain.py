@@ -270,10 +270,7 @@ def policy_probs(params: PolicyParams, instance: Instance) -> np.ndarray:
     after subtracting the maximum score so large scores cannot overflow.
     """
     _check_dim(params, instance)
-    scores = params.alpha * (instance.candidates @ params.weights)
-    scores -= scores.max()
-    np.exp(scores, out=scores)
-    return scores / scores.sum()
+    return _softmax(params.alpha * (instance.candidates @ params.weights))
 
 
 def log_prob_gradient(params: PolicyParams, instance: Instance, y: int) -> np.ndarray:

@@ -3,9 +3,8 @@
 The direct reward model is a ridge regression of logged rewards on the
 features of the chosen candidates; predictions are clipped to [0, 1], the
 range rewards live in.  The control scalar is the variance-minimizing
-multiplier Cov(X, Y) / Var(Y) of the two weighted per-tuple terms the
-doubly controlled objective differences: X_t = delta_t rho_bar_t (observed)
-and Y_t = dhat_t rho_bar_t (modelled).
+multiplier Cov(X, Y) / Var(Y) of two paired samples; :mod:`cflearn.estimators`
+defines the X and Y of the controlled objective.
 """
 
 from __future__ import annotations
@@ -14,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Log, PolicyParams
+from .domain import Log
 from .errors import ConfigurationError, FittingError
-from .estimators import family_kind
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,15 +98,3 @@ def control_scalar(x: np.ndarray, y: np.ndarray) -> ControlScalar:
     if var < VAR_FLOOR:
         return ControlScalar(c_hat=0.0, cov_xy=cov, var_y=var)
     return ControlScalar(c_hat=cov / var, cov_xy=cov, var_y=var)
-
-
-def estimate_c_hat(params: PolicyParams, log: Log, model: RewardModel) -> ControlScalar:
-    """Variance-optimal control scalar of the doubly controlled objective.
-
-    Uses X_t = delta_t rho_bar_t and Y_t = dhat_t rho_bar_t under the
-    current policy weights.
-    """
-    from .gradients import value_and_grad  # import here: gradients builds on this module
-
-    kind = family_kind("controlled", log.mode)
-    return value_and_grad(kind, params, log, model, grad=False).estimate_c_hat()

@@ -18,9 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import (
-    Instance, Log, Mode, PolicyParams, _integer, _probs, _real, _stack_candidates, policy_probs,
-)
+from .domain import Instance, Log, Mode, PolicyParams, _integer, _probs, _real, _stack_candidates
 from .errors import ConfigurationError
 
 REWARD_QUANTUM = 1e-6
@@ -207,22 +205,3 @@ def split(
         parts.append(log.subset(np.sort(perm[start:stop])))
         start = stop
     return parts[0], parts[1], parts[2]
-
-
-def logging_policy_truth(
-    logging_policy: LoggingPolicy, instances: list[Instance], truth: GroundTruth
-) -> float:
-    """True expected reward the logger itself achieves on these instances.
-
-    Deterministic loggers earn the reward of their argmax choice; stochastic
-    loggers the policy expectation.
-    """
-    total = 0.0
-    for inst in instances:
-        probs = policy_probs(logging_policy.params, inst)
-        rewards = truth(inst)
-        if logging_policy.mode is Mode.DETERMINISTIC:
-            total += float(rewards[int(np.argmax(probs))])
-        else:
-            total += float(probs @ rewards)
-    return total / len(instances)

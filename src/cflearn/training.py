@@ -16,8 +16,7 @@ import numpy as np
 
 from .domain import Instance, Log, PolicyParams, _integer, _probs, _real, _stack_candidates
 from .errors import ConfigurationError, DegenerateSupportError
-from .estimators import EstimatorKind, check_mode
-from .gradients import value_and_grad
+from .estimators import EstimatorKind, check_mode, value_and_grad
 from .reward import RewardModel, fit_reward_model
 from .simulator import GroundTruth
 

@@ -129,6 +129,23 @@ def evaluate_truth(params: PolicyParams, instances, truth) -> float:
     return total / len(instances)
 
 
+def logging_policy_truth(logging_policy, instances, truth) -> float:
+    """True expected reward the logger itself achieves on these instances.
+
+    Deterministic loggers earn the reward of their argmax choice; stochastic
+    loggers the policy expectation.
+    """
+    total = 0.0
+    for inst in instances:
+        probs = policy_probs(logging_policy.params, inst)
+        rewards = truth(inst)
+        if logging_policy.mode is Mode.DETERMINISTIC:
+            total += float(rewards[int(np.argmax(probs))])
+        else:
+            total += float(probs @ rewards)
+    return total / len(instances)
+
+
 def _sublog(log: Log, idx) -> Log:
     return Log(tuple(log.tuples[i] for i in idx), log.mode)
 

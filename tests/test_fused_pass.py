@@ -15,7 +15,6 @@ from cflearn import (
     diagnostics,
     estimate_c_hat,
     evaluate_policy,
-    gradient,
     objective_value,
     train,
     value_and_grad,
@@ -59,7 +58,7 @@ class TestRaggedOracle:
             objective_value(kind, params, log, model), oracles.value(kind, params, log, model, c), **TOL
         )
         np.testing.assert_allclose(
-            gradient(kind, params, log, model), oracles.gradient(kind, params, log, model, c), **TOL
+            result.grad(result.resolve_control()), oracles.gradient(kind, params, log, model, c), **TOL
         )
 
     @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)

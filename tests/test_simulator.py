@@ -7,12 +7,12 @@ from cflearn import (
     Mode,
     TaskSpec,
     generate_task,
-    logging_policy_truth,
     policy_probs,
     roll_log,
     split,
 )
 from cflearn.simulator import REWARD_QUANTUM, _quantize, _sigmoid
+from oracles import logging_policy_truth
 
 
 def spec(**overrides) -> TaskSpec:
