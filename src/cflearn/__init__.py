@@ -32,6 +32,7 @@ from .errors import (
     DegenerateSupportError,
     FittingError,
     LogConsistencyError,
+    ScoreOverflowError,
 )
 from .estimators import (
     EstimatorKind,

@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigurationError, LogConsistencyError
+from .errors import ConfigurationError, LogConsistencyError, ScoreOverflowError
 
 
 class Mode(Enum):
@@ -113,7 +113,13 @@ def _probs(params: "PolicyParams", features: np.ndarray, k: np.ndarray) -> np.nd
         raise ConfigurationError(
             f"weight dimension {params.dim} does not match log feature dimension {d}"
         )
-    scores = params.alpha * (features.reshape(n * k_max, d) @ params.weights).reshape(n, k_max)
+    # padded candidates score exactly 0, so checking every score checks the real ones
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = params.alpha * (features.reshape(n * k_max, d) @ params.weights).reshape(n, k_max)
+    if not np.isfinite(scores).all():
+        raise ScoreOverflowError(
+            "policy scores overflowed: alpha * weights . features is not finite"
+        )
     if n and k.min() < k_max:
         scores[np.arange(k_max) >= k[:, None]] = -np.inf
     return _softmax(scores)

@@ -19,6 +19,11 @@ class DegenerateSupportError(CflearnError):
     undefined (0/0) rather than zero."""
 
 
+class ScoreOverflowError(DegenerateSupportError):
+    """Policy scores or weights left the float range, so the softmax
+    probabilities are undefined; training halts as on degenerate support."""
+
+
 class FittingError(CflearnError):
     """The regression system is singular and no penalty is in place to
     make the solution unique."""

@@ -222,6 +222,8 @@ def value_and_grad(
     controlled = kind.uses_reward_model
     if controlled and model is None:
         raise ValueError(f"estimator {kind.value} needs a reward model")
+    if rows is not None and len(rows) == 0:
+        raise ValueError("rows is empty: the gradient needs at least one log position")
 
     probs = log.probs(params)
     rho = _rho(log, probs)

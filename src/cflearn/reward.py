@@ -61,8 +61,8 @@ def fit_reward_model(log: Log, ridge_lambda: float = 1e-3) -> RewardModel:
 
     The L2 penalty applies to the weights only, never the intercept, and the
     system is solved by normal equations, which for ridge_lambda > 0 always
-    have a unique solution.  A singular unpenalized system raises
-    :class:`FittingError`.
+    have a unique solution.  A singular unpenalized system, or one whose
+    Gram matrix or solution leaves the float range, raises :class:`FittingError`.
     """
     if len(log) == 0:
         raise ValueError("log is empty")
@@ -70,7 +70,10 @@ def fit_reward_model(log: Log, ridge_lambda: float = 1e-3) -> RewardModel:
         raise ValueError(f"ridge_lambda must be non-negative, got {ridge_lambda}")
     features = log.at_chosen(log.features)  # phi(x_t, y_t), shape (n, d)
     design = np.hstack([np.ones((len(log), 1)), features])
-    gram = design.T @ design
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        gram = design.T @ design
+    if not np.isfinite(gram).all():
+        raise FittingError("normal equations overflow: the chosen features are too large")
     idx = np.arange(1, design.shape[1])
     gram[idx, idx] += ridge_lambda
     moment = design.T @ log.rewards
@@ -82,6 +85,8 @@ def fit_reward_model(log: Log, ridge_lambda: float = 1e-3) -> RewardModel:
         beta = np.linalg.solve(gram, moment)
     except np.linalg.LinAlgError as err:
         raise FittingError(f"normal equations could not be solved: {err}") from err
+    if not np.isfinite(beta).all():
+        raise FittingError("the solution of the normal equations is not finite")
     return RewardModel(weights=beta[1:], intercept=float(beta[0]), ridge_lambda=float(ridge_lambda))
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import Instance, Log, PolicyParams, _integer, _probs, _real, _stack_candidates
-from .errors import ConfigurationError, DegenerateSupportError
+from .errors import ConfigurationError, DegenerateSupportError, ScoreOverflowError
 from .estimators import EstimatorKind, check_mode, value_and_grad
 from .reward import RewardModel, fit_reward_model
 from .simulator import GroundTruth
@@ -114,7 +114,13 @@ def _batches(rng: np.random.Generator, n: int, batch_size: int) -> list[np.ndarr
 
 
 def _step(params: PolicyParams, learning_rate: float, grad: np.ndarray) -> PolicyParams:
-    return PolicyParams(params.weights + learning_rate * grad, params.alpha)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        weights = params.weights + learning_rate * grad
+    if not np.isfinite(weights).all():
+        raise ScoreOverflowError(
+            f"weights overflowed: the step at learning rate {learning_rate} is not finite"
+        )
+    return PolicyParams(weights, params.alpha)
 
 
 def train(
@@ -128,8 +134,9 @@ def train(
 
     Fully deterministic given the config: the only randomness is batch
     shuffling (and optionally the Gaussian init) from the config seed.  A
-    degenerate-support error during an epoch is recorded on the trace and
-    training halts with the best parameters seen so far.  A ``truth``, any
+    degenerate-support error during an epoch, an overflow of the scores or
+    of a step included, is recorded on the trace and training halts with
+    the best parameters seen so far.  A ``truth``, any
     callable mapping an instance to its per-candidate true rewards as for
     :func:`evaluate_truth`, adds each epoch's exact true reward on the train
     log to the trace.

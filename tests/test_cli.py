@@ -263,6 +263,42 @@ class TestEvaluate:
         assert f"{bad}:2:" in capsys.readouterr().err
 
 
+class TestOverflow:
+    """Scores past the float range end in a named halt or error, never NaN."""
+
+    @staticmethod
+    def scaled_log(source: Path, target: Path, scale: float) -> Path:
+        log = read_log(source)
+        rows = tuple(
+            LoggedTuple(Instance(t.instance.id, scale * t.instance.candidates), t.chosen, t.reward)
+            for t in log.tuples
+        )
+        serialize.write_log(target, Log(rows, log.mode))
+        return target
+
+    def test_train_records_the_halt_and_writes_outputs(self, workspace, tmp_path):
+        config, out = workspace
+        train_log = self.scaled_log(out / "train.jsonl", tmp_path / "train.jsonl", 100.0)
+        self.scaled_log(out / "validation.jsonl", tmp_path / "validation.jsonl", 100.0)
+        config = write_config(tmp_path / "steep.yaml", **{"train.learning_rate": 1e306})
+        run = tmp_path / "run"
+        code = main(["train", "--config", str(config), "--log", str(train_log), "--out", str(run)])
+        assert code == 0
+        params, meta = read_params(run / "params.json")
+        assert meta["halted"].startswith("policy scores overflowed")
+        np.testing.assert_array_equal(params.weights, np.zeros(5))
+        assert (run / "trace.csv").read_text().splitlines()[1:] == []
+
+    def test_evaluate_exits_one(self, workspace, tmp_path, capsys):
+        _, out = workspace
+        log = self.scaled_log(out / "test.jsonl", tmp_path / "test.jsonl", 1e200)
+        (tmp_path / "params.json").write_text(json.dumps({"weights": [1e200] * 5, "alpha": 1.0, "kind": "dpm-r"}))
+        code = main(["evaluate", "--params", str(tmp_path / "params.json"), "--log", str(log),
+                     "--out", str(tmp_path / "report")])
+        assert code == 1
+        assert "scores overflowed" in capsys.readouterr().err
+
+
 class TestChecks:
     def test_grad_check_passes(self, tmp_path, capsys):
         out = tmp_path / "gc"

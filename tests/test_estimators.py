@@ -13,12 +13,14 @@ from cflearn import (
     Mode,
     PolicyParams,
     RewardModel,
+    ScoreOverflowError,
     diagnostics,
     evaluate_policy,
     policy_probs,
     rho_weights,
     value_doubly_controlled,
     value_ips_dpm,
+    value_and_grad,
     value_reweighted,
 )
 
@@ -86,6 +88,19 @@ class TestValueIpsDpm:
     def test_empty_log_rejected(self):
         with pytest.raises(ValueError):
             value_ips_dpm(unit_params(), Log((), Mode.DETERMINISTIC))
+
+    def test_overflowing_scores_raise_a_named_error(self):
+        # 1e200 * 1e200 leaves the float range: the value was NaN, with only warnings
+        feats = np.array([[1e200, 0.0], [-1e200, 0.0]])
+        log = Log(
+            tuple(LoggedTuple(Instance(f"o{i}", feats), i % 2, 0.5) for i in range(4)),
+            Mode.DETERMINISTIC,
+        )
+        params = PolicyParams(np.array([1e200, 0.0]))
+        with pytest.raises(ScoreOverflowError, match="scores overflowed"):
+            value_ips_dpm(params, log)
+        with pytest.raises(DegenerateSupportError):
+            value_and_grad(EstimatorKind.DPM_R, params, log)
 
 
 class TestValueReweighted:
@@ -250,6 +265,11 @@ class TestKindDispatch:
         assert report.kind is EstimatorKind.IPS_R
         assert report.value == value_reweighted(params, log)
         assert report.weights_used.shape == (6,)
+
+    def test_empty_rows_rejected(self, rng):
+        log = random_log(rng, 5, 3, 2, Mode.DETERMINISTIC)
+        with pytest.raises(ValueError, match="rows"):
+            value_and_grad(EstimatorKind.DPM_R, PolicyParams(np.zeros(2)), log, rows=np.array([], int))
 
     def test_required_modes(self):
         stochastic = {EstimatorKind.IPS, EstimatorKind.IPS_R, EstimatorKind.DR, EstimatorKind.CDR}

@@ -1,0 +1,52 @@
+"""The package's import layering: domain -> reward -> estimators -> the rest."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cflearn"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+# the one import allowed inside a function: commands that never fork skip its cost
+LOCAL_IMPORTS = {("cli", "_concurrently", "multiprocessing")}
+
+
+def imported(node: ast.AST) -> list[str]:
+    """Module names an import statement binds, package-relative ones as ``cflearn.x``."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if node.level == 0:
+        return [node.module]
+    if node.module:
+        return [f"cflearn.{node.module}"]
+    return [f"cflearn.{alias.name}" for alias in node.names]
+
+
+def module_imports(path: Path) -> set[str]:
+    nodes = ast.walk(ast.parse(path.read_text()))
+    return {name for node in nodes if isinstance(node, (ast.Import, ast.ImportFrom)) for name in imported(node)}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_import_inside_a_function(path):
+    found = set()
+    for func in ast.walk(ast.parse(path.read_text())):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    found |= {(path.stem, func.name, name) for name in imported(node)}
+    assert found <= LOCAL_IMPORTS
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_type_checking_guard(path):
+    assert "TYPE_CHECKING" not in path.read_text()
+
+
+@pytest.mark.parametrize(
+    "module, forbidden",
+    [("reward", "cflearn.estimators"), ("estimators", "cflearn.gradients")],
+)
+def test_lower_layer_does_not_import_a_higher_one(module, forbidden):
+    assert forbidden not in module_imports(PACKAGE / f"{module}.py")

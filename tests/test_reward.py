@@ -69,6 +69,15 @@ class TestFit:
             fit_reward_model(log, ridge_lambda=0.0)
         fit_reward_model(log, ridge_lambda=1e-3)  # penalty restores uniqueness
 
+    def test_overflowing_gram_matrix_raises(self, rng):
+        # squares of 1e200 overflow: the fit was NaN weights with only a warning
+        tuples = tuple(
+            LoggedTuple(Instance(f"h{i}", rng.standard_normal((3, 2)) * 1e200), 0, float(rng.uniform()))
+            for i in range(10)
+        )
+        with pytest.raises(FittingError, match="overflow"):
+            fit_reward_model(Log(tuples, Mode.DETERMINISTIC))
+
     def test_training_loss_monotone_in_ridge(self, rng):
         log = linear_log(rng, 30, 3, rng.uniform(-0.3, 0.3, size=3), intercept=0.4)
         feats = np.stack([t.instance.candidates[t.chosen] for t in log.tuples])

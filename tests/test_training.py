@@ -149,6 +149,24 @@ class TestGuards:
         assert trace.records == []
         np.testing.assert_array_equal(params.weights, start.weights)
 
+    @pytest.mark.parametrize("learning_rate, cause", [(1e306, "policy scores"), (1e308, "weights")])
+    def test_overflow_halts_with_the_initial_params(self, rng, learning_rate, cause):
+        # the first step reaches weights whose scores overflow, or overflows itself
+        def scaled(log):
+            return Log(
+                tuple(LoggedTuple(Instance(t.instance.id, 100.0 * t.instance.candidates),
+                                  t.chosen, t.reward) for t in log.tuples),
+                log.mode,
+            )
+
+        train_log = scaled(random_log(rng, 20, 3, 4, Mode.DETERMINISTIC))
+        val_log = scaled(random_log(rng, 20, 3, 4, Mode.DETERMINISTIC))
+        config = TrainConfig(kind=EstimatorKind.DPM_R, learning_rate=learning_rate, epochs=10)
+        params, trace = train(config, train_log, val_log)
+        assert trace.halted.startswith(f"{cause} overflowed")
+        assert trace.records == []
+        np.testing.assert_array_equal(params.weights, np.zeros(4))
+
     def test_invalid_config_values(self):
         with pytest.raises(ValueError):
             TrainConfig(kind=EstimatorKind.DPM, learning_rate=-0.1)
