@@ -24,8 +24,8 @@ from .errors import CflearnError, ConfigurationError
 from .estimators import EstimatorKind, evaluate_policy
 from .gradients import FD_TOLERANCE, run_grad_check
 from .reward import RewardModel
-from .simulator import GroundTruth, TaskSpec, generate_task, roll_log, split
-from .training import TrainConfig, _expected_reward, _true_rewards, train
+from .simulator import GroundTruth, LoggingPolicy, TaskSpec, generate_task, roll_log, split
+from .training import TrainConfig, _expected_reward, train
 
 USAGE_ERROR = 1
 CHECK_FAILURE = 2
@@ -210,16 +210,14 @@ def cmd_generate_log(args) -> int:
     return 0
 
 
-def _check_truth_covers(truth: GroundTruth, truth_path, log: Log, log_path) -> None:
-    """Fail, before anything is evaluated, at the first instance of the log
-    whose true rewards the truth file lacks or gives for another k."""
-    for ident, k in zip(log.ids.tolist(), log.k.tolist()):
-        row = truth.rewards.get(ident)
-        if row is None or row.shape != (k,):
-            found = "no rewards" if row is None else f"{row.size} rewards for {k} candidates"
-            raise ConfigurationError(
-                f"{truth_path} does not cover {log_path}: instance {ident} has {found}"
-            )
+def _truth_rewards(truth: GroundTruth, truth_path, log: Log, log_path):
+    """The log's (n, k_max) true rewards; a truth file that lacks an instance
+    of the log, or gives it the wrong number of rewards, is an error naming
+    both files."""
+    try:
+        return truth.reward_matrix(log.ids, log.k, log.features.shape[1])
+    except ConfigurationError as err:
+        raise ConfigurationError(f"{truth_path} does not cover {log_path}: {err}") from err
 
 
 def cmd_train(args) -> int:
@@ -240,7 +238,7 @@ def cmd_train(args) -> int:
     truth = None
     if args.truth:
         truth = serialize.read_truth(args.truth)[0]
-        _check_truth_covers(truth, args.truth, train_log, args.log)
+        _truth_rewards(truth, args.truth, train_log, args.log)  # fail naming both files
 
     params, trace = train(train_cfg, train_log, validation_log, truth=truth)
     extra = {
@@ -257,36 +255,38 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _evaluate_rows(
+def _evaluate_row(
+    path: str,
     kind: EstimatorKind,
     params: PolicyParams,
-    logs: list[tuple[str, Log]],
+    log: Log,
     model: RewardModel | None,
-    truth_bundle,
-) -> list[list]:
-    rows = []
-    for label, log in logs:
+    rewards,
+    logger: LoggingPolicy | None,
+) -> list:
+    """The report row of the log read from ``path``: the estimate, its
+    diagnostics and, given the log's true ``rewards``, the true rewards of the
+    policy, from the estimate's own pass, and of the logger.  An error names
+    the file."""
+    try:
         report = evaluate_policy(kind, params, log, model)
         true_reward = logger_reward = improvement = None
-        if truth_bundle is not None:
-            truth, logger = truth_bundle
-            rewards = _true_rewards(truth, log)
-            true_reward = _expected_reward(log.probs(params), rewards)
+        if rewards is not None:
+            true_reward = _expected_reward(report.probs, rewards)
             logger_reward = _expected_reward(log.probs(logger.params), rewards)
             improvement = true_reward - logger_reward
-        rows.append(
-            [
-                label,
-                kind.value,
-                report.value,
-                report.effective_sample_size,
-                report.mass_on_dmax,
-                true_reward,
-                logger_reward,
-                improvement,
-            ]
-        )
-    return rows
+    except CflearnError as err:
+        raise type(err)(f"{path}: {err}") from err
+    return [
+        Path(path).stem,
+        kind.value,
+        report.value,
+        report.effective_sample_size,
+        report.mass_on_dmax,
+        true_reward,
+        logger_reward,
+        improvement,
+    ]
 
 
 REPORT_COLUMNS = [
@@ -310,17 +310,21 @@ def cmd_evaluate(args) -> int:
     model = serialize.read_reward_model(args.model) if args.model else None
     if kind.uses_reward_model and model is None:
         raise ValueError(f"estimator {kind.value} needs --model reward_model.json")
-    truth_bundle = serialize.read_truth(args.truth) if args.truth else None
+    truth, logger = serialize.read_truth(args.truth) if args.truth else (None, None)
     if not args.log:
         raise ValueError("pass at least one --log file")
-    read = _concurrently(
+    logs = _concurrently(
         *[partial(serialize.read_log, p) for p in args.log], child_bytes=_file_bytes(args.log[1:])
     )
-    logs = [(Path(p).stem, log) for p, log in zip(args.log, read)]
-    if truth_bundle is not None:
-        for path, (_, log) in zip(args.log, logs):
-            _check_truth_covers(truth_bundle[0], args.truth, log, path)
-    rows = _evaluate_rows(kind, params, logs, model, truth_bundle)
+    # every log is checked against the truth before any is evaluated
+    rewards = [
+        None if truth is None else _truth_rewards(truth, args.truth, log, path)
+        for path, log in zip(args.log, logs)
+    ]
+    rows = [
+        _evaluate_row(path, kind, params, log, model, log_rewards, logger)
+        for path, log, log_rewards in zip(args.log, logs, rewards)
+    ]
     out = Path(args.out) if args.out is not None else Path(args.params).parent
     out.mkdir(parents=True, exist_ok=True)
     serialize.write_csv(out / "report.csv", REPORT_COLUMNS, rows)

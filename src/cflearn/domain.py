@@ -261,22 +261,19 @@ class PolicyParams:
         return self.weights.shape[0]
 
 
-def _check_dim(params: PolicyParams, instance: Instance) -> None:
+def policy_probs(params: PolicyParams, instance: Instance) -> np.ndarray:
+    """Softmax choice probabilities over the candidates of ``instance``.
+
+    The one-row case of the log's score path: scores that leave the float
+    range raise :class:`ScoreOverflowError`, and the exponentials are taken
+    after subtracting the maximum score so large scores cannot overflow.
+    """
     if params.dim != instance.dim:
         raise ConfigurationError(
             f"weight dimension {params.dim} does not match feature dimension "
             f"{instance.dim} of instance {instance.id!r}"
         )
-
-
-def policy_probs(params: PolicyParams, instance: Instance) -> np.ndarray:
-    """Softmax choice probabilities over the candidates of ``instance``.
-
-    Scores are ``alpha * weights . features``; the exponentials are taken
-    after subtracting the maximum score so large scores cannot overflow.
-    """
-    _check_dim(params, instance)
-    return _softmax(params.alpha * (instance.candidates @ params.weights))
+    return _probs(params, instance.candidates[None], np.array([instance.k]))[0]
 
 
 def log_prob_gradient(params: PolicyParams, instance: Instance, y: int) -> np.ndarray:

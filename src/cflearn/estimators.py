@@ -97,6 +97,7 @@ class EstimatorReport:
     weights_used: np.ndarray
     mass_on_dmax: float
     effective_sample_size: float
+    probs: np.ndarray  # (n, k_max) policy probabilities of the pass
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,6 +156,7 @@ class ObjectivePass:
     """
 
     kind: EstimatorKind
+    probs: np.ndarray             # (n, k_max) policy probabilities, 0 past each k
     rho: np.ndarray               # raw importance weights, in log order
     rho_bar: np.ndarray | None    # self-normalized weights
     x: np.ndarray | None          # X = delta * rho_bar (self-normalized kinds)
@@ -177,11 +179,9 @@ class ObjectivePass:
             raise ValueError("control scalar estimation needs at least 2 tuples")
         return control_scalar(self.x, self.y)
 
-    def resolve_control(self, c_hat: float | None = None) -> float:
-        """The control scalar this kind uses: ``c_hat`` when given, otherwise
-        the estimate for cDC/cDR and 1 for every other kind."""
-        if c_hat is not None:
-            return float(c_hat)
+    def resolve_control(self) -> float:
+        """The control scalar this kind uses: the estimate for cDC/cDR and 1
+        for every other kind."""
         if self.kind.estimates_control:
             return self.estimate_c_hat().c_hat
         return 1.0
@@ -269,7 +269,7 @@ def value_and_grad(
         grads += w.reshape(2, n * k) @ log.features.reshape(n * k, d)
         grads *= params.alpha
     return ObjectivePass(
-        kind=kind, rho=rho, rho_bar=rho_bar, x=x, y=y, a=a, b=b, grads=grads,
+        kind=kind, probs=probs, rho=rho, rho_bar=rho_bar, x=x, y=y, a=a, b=b, grads=grads,
         mass_on_dmax=mass, effective_sample_size=ess,
     )
 
@@ -346,12 +346,11 @@ def objective_value(
     params: PolicyParams,
     log: Log,
     reward_model: RewardModel | None = None,
-    c_hat: float | None = None,
 ) -> float:
     """Value of any estimator kind, with mode compatibility enforced."""
     check_mode(kind, log)
     result = value_and_grad(kind, params, log, reward_model, grad=False)
-    return result.value(result.resolve_control(c_hat))
+    return result.value(result.resolve_control())
 
 
 def evaluate_policy(
@@ -359,12 +358,12 @@ def evaluate_policy(
     params: PolicyParams,
     log: Log,
     reward_model: RewardModel | None = None,
-    c_hat: float | None = None,
 ) -> EstimatorReport:
-    """Full report: estimator value plus weight diagnostics, from one pass."""
+    """Full report: estimator value, weight diagnostics and the policy
+    probabilities, from one pass."""
     check_mode(kind, log)
     result = value_and_grad(kind, params, log, reward_model, grad=False)
-    value = result.value(result.resolve_control(c_hat))
+    value = result.value(result.resolve_control())
     diag = result.diagnostics()
     return EstimatorReport(
         kind=kind,
@@ -372,4 +371,5 @@ def evaluate_policy(
         weights_used=diag.weights if kind.reweighted else result.rho,
         mass_on_dmax=diag.mass_on_dmax,
         effective_sample_size=diag.effective_sample_size,
+        probs=result.probs,
     )

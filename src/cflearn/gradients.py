@@ -120,9 +120,9 @@ def run_grad_check(
     k_max: int = 5,
     d_max: int = 6,
     families: dict | None = None,
-    tolerance: float = FD_TOLERANCE,
 ) -> list[GradCheckResult]:
-    """Finite-difference check of each gradient family on seeded random problems."""
+    """Finite-difference check of each gradient family on seeded random
+    problems; a problem fails at a relative error of ``FD_TOLERANCE`` or more."""
     families = families if families is not None else default_families()
     rng = np.random.default_rng(seed)
     problems = [random_problem(rng, n_max, k_max, d_max) for _ in range(count)]
@@ -143,7 +143,7 @@ def run_grad_check(
                 singular += 1
                 continue
             worst = max(worst, err)
-            if err >= tolerance:
+            if err >= FD_TOLERANCE:
                 failures += 1
         results.append(
             GradCheckResult(

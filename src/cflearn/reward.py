@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import Log
-from .errors import ConfigurationError, FittingError
+from .errors import ConfigurationError, FittingError, ScoreOverflowError
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,14 +33,21 @@ class RewardModel:
         return self.weights.shape[0]
 
     def predict_features(self, features: np.ndarray) -> np.ndarray:
-        """Clipped predictions for feature arrays of shape (..., d)."""
+        """Clipped predictions for feature arrays of shape (..., d); raises
+        :class:`ScoreOverflowError` when one leaves the float range."""
         features = np.asarray(features, dtype=float)
         if features.shape[-1] != self.dim:
             raise ConfigurationError(
                 f"reward model dimension {self.dim} does not match features "
                 f"with last axis {features.shape[-1]}"
             )
-        return np.clip(features @ self.weights + self.intercept, 0.0, 1.0)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+            predictions = features @ self.weights + self.intercept
+        if not np.isfinite(predictions).all():
+            raise ScoreOverflowError(
+                "reward model predictions overflowed: weights . features + intercept is not finite"
+            )
+        return np.clip(predictions, 0.0, 1.0)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -219,20 +220,7 @@ TRACE_COLUMNS = ["epoch", "train_value", "validation_value", "true_reward", "mas
 
 
 def write_trace(path: str | Path, trace: TrainTrace) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(TRACE_COLUMNS)
-        for rec in trace.records:
-            writer.writerow(
-                [
-                    rec.epoch,
-                    repr(rec.train_value),
-                    repr(rec.validation_value),
-                    "" if rec.true_reward is None else repr(rec.true_reward),
-                    repr(rec.mass_on_dmax),
-                    repr(rec.grad_norm),
-                ]
-            )
+    write_csv(path, TRACE_COLUMNS, [astuple(rec) for rec in trace.records])
 
 
 def read_trace(path: str | Path) -> TrainTrace:

@@ -69,6 +69,26 @@ class GroundTruth:
     def __call__(self, instance: Instance) -> np.ndarray:
         return self.rewards[instance.id]
 
+    def reward_matrix(self, ids, k: np.ndarray, k_max: int) -> np.ndarray:
+        """The true rewards of the instances ``ids``, with ``k`` candidates
+        each, as one (n, k_max) matrix that is zero past each row's k.
+
+        Raises :class:`ConfigurationError` at the first instance without a
+        reward row or whose row is not k long.
+        """
+        matrix = np.zeros((len(k), k_max))
+        for row, (ident, count) in enumerate(zip(ids, k.tolist())):
+            values = self.rewards.get(ident)
+            if values is None:
+                raise ConfigurationError(f"instance {ident!r} has no true rewards")
+            values = np.asarray(values, dtype=float)
+            if values.shape != (count,):
+                raise ConfigurationError(
+                    f"instance {ident!r} has {values.size} true rewards for {count} candidates"
+                )
+            matrix[row, :count] = values
+        return matrix
+
 
 @dataclass(frozen=True, eq=False)
 class LoggingPolicy:

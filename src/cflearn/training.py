@@ -93,7 +93,7 @@ class TrainTrace:
     records: list[EpochRecord] = field(default_factory=list)
     best_epoch: int | None = None
     stopped_early: bool = False
-    halted: str | None = None  # set when a degenerate-support error aborted training
+    halted: str | None = None  # "epoch <e>: <cause>" when a degenerate-support error aborted training
     reward_model: RewardModel | None = None  # the model fitted for DC/DR/cDC/cDR kinds
 
 
@@ -128,7 +128,7 @@ def train(
     train_log: Log,
     validation_log: Log,
     initial: PolicyParams | None = None,
-    truth=None,
+    truth: GroundTruth | None = None,
 ) -> tuple[PolicyParams, TrainTrace]:
     """Run gradient ascent; return the final (or best-validation) params and trace.
 
@@ -136,10 +136,9 @@ def train(
     shuffling (and optionally the Gaussian init) from the config seed.  A
     degenerate-support error during an epoch, an overflow of the scores or
     of a step included, is recorded on the trace and training halts with
-    the best parameters seen so far.  A ``truth``, any
-    callable mapping an instance to its per-candidate true rewards as for
-    :func:`evaluate_truth`, adds each epoch's exact true reward on the train
-    log to the trace.
+    the best parameters seen so far; ``halted`` names the epoch and the
+    cause.  A ``truth`` adds each epoch's exact true reward on the train log
+    to the trace, from the probabilities of that epoch's train-log pass.
     """
     check_mode(config.kind, train_log)
     check_mode(config.kind, validation_log)
@@ -156,6 +155,11 @@ def train(
             f"initial weight dimension {params.dim} does not match features ({train_log.dim})"
         )
 
+    truth_rewards = (
+        None if truth is None
+        else truth.reward_matrix(train_log.ids, train_log.k, train_log.features.shape[1])
+    )
+
     kind = config.kind
     model = preds = validation_preds = None
     if kind.uses_reward_model:
@@ -166,7 +170,6 @@ def train(
 
     rng = np.random.default_rng(config.seed)
     trace = TrainTrace(reward_model=model)
-    truth_rewards = _true_rewards(truth, train_log) if truth is not None else None
 
     best_value = -np.inf
     best_params = params
@@ -201,15 +204,13 @@ def train(
             )
             mass_on_dmax = current.diagnostics().mass_on_dmax
         except DegenerateSupportError as err:
-            trace.halted = str(err)
+            trace.halted = f"epoch {epoch}: {err}"
             break
         train_value = current.value(c_hat)
         validation_value = validation.value(c_hat)
         grad_norm = float(np.linalg.norm(current.grad(c_hat)))
 
-        true_reward = (
-            _expected_reward(train_log.probs(params), truth_rewards) if truth is not None else None
-        )
+        true_reward = None if truth is None else _expected_reward(current.probs, truth_rewards)
         trace.records.append(
             EpochRecord(
                 epoch=epoch,
@@ -239,48 +240,20 @@ def train(
     return params, trace
 
 
-def _reward_matrix(ids, rows, k: np.ndarray, k_max: int) -> np.ndarray:
-    """Per-candidate true rewards as one (n, k_max) matrix, zero past each
-    row's k; a row whose length is not its instance's k is an error."""
-    matrix = np.zeros((len(k), k_max))
-    for row, (ident, values, count) in enumerate(zip(ids, rows, k.tolist())):
-        values = np.asarray(values, dtype=float)
-        if values.shape != (count,):
-            raise ConfigurationError(
-                f"instance {ident!r} has {values.size} true rewards for {count} candidates"
-            )
-        matrix[row, :count] = values
-    return matrix
-
-
-def _true_rewards(truth, log: Log) -> np.ndarray:
-    """The (n, k_max) true rewards of the log's instances: gathered by id from
-    a :class:`~cflearn.simulator.GroundTruth`, else ``truth`` of each instance."""
-    ids = log.ids.tolist()
-    if isinstance(truth, GroundTruth):
-        rows = [truth.rewards[i] for i in ids]
-    else:
-        rows = [truth(t.instance) for t in log.tuples]
-    return _reward_matrix(ids, rows, log.k, log.features.shape[1])
-
-
 def _expected_reward(probs: np.ndarray, rewards: np.ndarray) -> float:
     """Mean over instances of sum_y pi(y | x) r(x, y) from padded (n, k_max)
     matrices; padded candidates have probability 0 and reward 0."""
     return float(np.einsum("ij,ij->i", probs, rewards).mean())
 
 
-def evaluate_truth(params: PolicyParams, instances: list[Instance], truth) -> float:
+def evaluate_truth(params: PolicyParams, instances: list[Instance], truth: GroundTruth) -> float:
     """Exact expected true reward of the policy by full enumeration.
 
-    ``truth`` is any callable mapping an instance to its per-candidate true
-    rewards (a :class:`~cflearn.simulator.GroundTruth` qualifies).  The
-    instances go through one softmax pass, zero-padded to the largest k.
+    The instances go through one softmax pass, zero-padded to the largest k,
+    against the truth's rewards for them.
     """
     if len(instances) == 0:
         raise ValueError("evaluate_truth needs at least one instance")
     features, k = _stack_candidates([inst.candidates for inst in instances])
-    rewards = _reward_matrix(
-        [inst.id for inst in instances], [truth(inst) for inst in instances], k, features.shape[1]
-    )
+    rewards = truth.reward_matrix([inst.id for inst in instances], k, features.shape[1])
     return _expected_reward(_probs(params, features, k), rewards)

@@ -248,6 +248,22 @@ class TestEvaluate:
         improvement = float(values[header.index("improvement")])
         assert abs(improvement) <= 1e-12
 
+    def test_two_softmax_passes_per_log_with_truth(self, workspace, tmp_path, monkeypatch):
+        from cflearn import domain
+
+        config, out = workspace
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(config), "--log", str(out / "train.jsonl"), "--out", str(run)]) == 0
+        calls = []
+        softmax = domain._softmax
+        monkeypatch.setattr(domain, "_softmax", lambda scores: calls.append(1) or softmax(scores))
+        assert main(["evaluate", "--params", str(run / "params.json"), "--log", str(out / "validation.jsonl"),
+                     "--log", str(out / "test.jsonl"), "--truth", str(out / "truth.json"),
+                     "--out", str(tmp_path / "report")]) == 0
+        # per log: the estimate's pass, whose probabilities give the policy's
+        # true reward, and the logger's pass
+        assert len(calls) == 2 * 2
+
     def test_missing_files_fail(self, tmp_path):
         assert main(["evaluate", "--params", str(tmp_path / "missing.json")]) == 1
 
@@ -285,7 +301,7 @@ class TestOverflow:
         code = main(["train", "--config", str(config), "--log", str(train_log), "--out", str(run)])
         assert code == 0
         params, meta = read_params(run / "params.json")
-        assert meta["halted"].startswith("policy scores overflowed")
+        assert meta["halted"].startswith("epoch 1: policy scores overflowed")
         np.testing.assert_array_equal(params.weights, np.zeros(5))
         assert (run / "trace.csv").read_text().splitlines()[1:] == []
 
@@ -296,7 +312,8 @@ class TestOverflow:
         code = main(["evaluate", "--params", str(tmp_path / "params.json"), "--log", str(log),
                      "--out", str(tmp_path / "report")])
         assert code == 1
-        assert "scores overflowed" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{log}: " in err and "scores overflowed" in err
 
 
 class TestChecks:

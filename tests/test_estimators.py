@@ -101,6 +101,11 @@ class TestValueIpsDpm:
             value_ips_dpm(params, log)
         with pytest.raises(DegenerateSupportError):
             value_and_grad(EstimatorKind.DPM_R, params, log)
+        # the per-instance score paths check the same way: they gave [nan nan]
+        with pytest.raises(ScoreOverflowError, match="scores overflowed"):
+            policy_probs(params, Instance("o", feats))
+        with pytest.raises(ScoreOverflowError, match="predictions overflowed"):
+            RewardModel(weights=params.weights, intercept=0.0, ridge_lambda=0.0).predict_features(feats)
 
 
 class TestValueReweighted:

@@ -5,6 +5,7 @@ import pytest
 
 from cflearn import (
     EstimatorKind,
+    GroundTruth,
     Instance,
     Log,
     LoggedTuple,
@@ -134,12 +135,18 @@ class TestPassCount:
         monkeypatch.setattr(domain, "_softmax", counted)
         train_log = kind_log(rng, kind, n=8)
         val_log = kind_log(rng, kind, n=4)
-        for epochs in (1, 5):
+        truth = GroundTruth(
+            reward_weights=np.zeros(train_log.dim),
+            rewards={ident: rng.uniform(0, 1, size=k) for ident, k in zip(train_log.ids, train_log.k)},
+        )
+        for with_truth, epochs in [(False, 1), (False, 5), (True, 1), (True, 5)]:
             calls.clear()
             config = TrainConfig(kind=kind, learning_rate=0.2, epochs=epochs)
-            _, trace = train(config, train_log, val_log)
+            _, trace = train(config, train_log, val_log, truth=truth if with_truth else None)
             assert len(trace.records) == epochs
-            # one pass at the start, then one train and one validation pass per epoch
+            assert all((r.true_reward is not None) == with_truth for r in trace.records)
+            # one pass at the start, then one train and one validation pass per
+            # epoch; the true reward reads the train pass's probabilities
             assert len(calls) == 1 + 2 * epochs
 
     def test_reward_model_predicted_once_per_log(self, rng, monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 from cflearn import (
     ConfigurationError,
     EstimatorKind,
+    GroundTruth,
     Instance,
     Log,
     LoggedTuple,
@@ -163,7 +164,7 @@ class TestGuards:
         val_log = scaled(random_log(rng, 20, 3, 4, Mode.DETERMINISTIC))
         config = TrainConfig(kind=EstimatorKind.DPM_R, learning_rate=learning_rate, epochs=10)
         params, trace = train(config, train_log, val_log)
-        assert trace.halted.startswith(f"{cause} overflowed")
+        assert trace.halted.startswith(f"epoch 1: {cause} overflowed")
         assert trace.records == []
         np.testing.assert_array_equal(params.weights, np.zeros(4))
 
@@ -226,21 +227,21 @@ class TestMinibatch:
 
 
 class TestEvaluateTruth:
-    def truth_fn(self, rewards):
-        return lambda inst: rewards[inst.id]
+    def ground_truth(self, rewards):
+        return GroundTruth(reward_weights=np.zeros(1), rewards=rewards)
 
     def test_mass_one_policy_gets_per_instance_max(self):
         # weights saturate probability 1 onto candidate 0 of each instance
         feats = np.array([[800.0], [0.0]])
         instances = [Instance(f"m{i}", feats.copy()) for i in range(3)]
         rewards = {"m0": np.array([0.9, 0.1]), "m1": np.array([0.8, 0.0]), "m2": np.array([0.7, 0.2])}
-        value = evaluate_truth(PolicyParams(np.array([1.0])), instances, self.truth_fn(rewards))
+        value = evaluate_truth(PolicyParams(np.array([1.0])), instances, self.ground_truth(rewards))
         assert value == pytest.approx((0.9 + 0.8 + 0.7) / 3, rel=1e-12)
 
     def test_uniform_policy_gets_mean_reward(self, rng):
         instances = [Instance(f"u{i}", rng.standard_normal((4, 2))) for i in range(5)]
         rewards = {inst.id: rng.uniform(0, 1, size=4) for inst in instances}
-        value = evaluate_truth(PolicyParams(np.zeros(2)), instances, self.truth_fn(rewards))
+        value = evaluate_truth(PolicyParams(np.zeros(2)), instances, self.ground_truth(rewards))
         expected = np.mean([rewards[i.id].mean() for i in instances])
         assert value == pytest.approx(expected, rel=1e-12)
 
@@ -248,7 +249,7 @@ class TestEvaluateTruth:
         inst = Instance("mc", rng.standard_normal((5, 3)))
         rewards = {"mc": rng.uniform(0, 1, size=5)}
         params = PolicyParams(rng.standard_normal(3))
-        exact = evaluate_truth(params, [inst], self.truth_fn(rewards))
+        exact = evaluate_truth(params, [inst], self.ground_truth(rewards))
         probs = policy_probs(params, inst)
         draws = rng.choice(5, size=100_000, p=probs)
         sampled = rewards["mc"][draws]
@@ -262,19 +263,25 @@ class TestEvaluateTruth:
         rewards = {inst.id: rng.uniform(0, 1, size=inst.k) for inst in instances}
         for _ in range(5):
             params = PolicyParams(rng.standard_normal(3) * 2.0, alpha=float(rng.uniform(0.5, 2.0)))
-            got = evaluate_truth(params, instances, self.truth_fn(rewards))
-            want = oracles.evaluate_truth(params, instances, self.truth_fn(rewards))
+            got = evaluate_truth(params, instances, self.ground_truth(rewards))
+            want = oracles.evaluate_truth(params, instances, self.ground_truth(rewards))
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_reward_row_of_the_wrong_length_is_rejected(self, rng):
         instances = [Instance("a", rng.standard_normal((3, 2))), Instance("b", rng.standard_normal((4, 2)))]
         rewards = {"a": np.full(3, 0.5), "b": np.full(3, 0.5)}
         with pytest.raises(ConfigurationError, match="'b' has 3 true rewards for 4 candidates"):
-            evaluate_truth(PolicyParams(np.zeros(2)), instances, self.truth_fn(rewards))
+            evaluate_truth(PolicyParams(np.zeros(2)), instances, self.ground_truth(rewards))
+
+    def test_instance_without_rewards_is_rejected(self, rng):
+        instances = [Instance(name, rng.standard_normal((3, 2))) for name in ("a", "b", "c")]
+        rewards = {"a": np.full(3, 0.5)}
+        with pytest.raises(ConfigurationError, match="'b' has no true rewards"):
+            evaluate_truth(PolicyParams(np.zeros(2)), instances, self.ground_truth(rewards))
 
     def test_empty_instance_list_is_rejected(self):
         with pytest.raises(ValueError, match="at least one instance"):
-            evaluate_truth(PolicyParams(np.zeros(2)), [], self.truth_fn({}))
+            evaluate_truth(PolicyParams(np.zeros(2)), [], self.ground_truth({}))
 
     def test_train_trace_matches_oracle_on_the_train_log(self):
         spec = TaskSpec(num_instances=30, k=4, d=5, seed=3, logging_mode=Mode.STOCHASTIC)
@@ -284,12 +291,3 @@ class TestEvaluateTruth:
         params, trace = train(config, log, log, truth=truth)
         want = oracles.evaluate_truth(params, [t.instance for t in log.tuples], truth)
         assert trace.records[0].true_reward == pytest.approx(want, rel=1e-12, abs=0.0)
-
-    def test_train_takes_any_callable_truth(self):
-        spec = TaskSpec(num_instances=30, k=4, d=5, seed=3, logging_mode=Mode.STOCHASTIC)
-        instances, truth, logger = generate_task(spec)
-        log = roll_log(instances, truth, logger, rng=4)
-        config = TrainConfig(kind=EstimatorKind.IPS_R, learning_rate=0.5, epochs=3)
-        _, by_id = train(config, log, log, truth=truth)
-        _, by_call = train(config, log, log, truth=lambda inst: truth.rewards[inst.id])
-        assert [r.true_reward for r in by_call.records] == [r.true_reward for r in by_id.records]
