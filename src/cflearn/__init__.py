@@ -36,9 +36,7 @@ from .errors import (
 )
 from .estimators import (
     EstimatorKind,
-    EstimatorReport,
     ObjectivePass,
-    WeightDiagnostics,
     diagnostics,
     estimate_c_hat,
     evaluate_policy,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import pickle
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from functools import partial
 from pathlib import Path
@@ -21,7 +22,7 @@ from . import serialize
 from .degeneracy import ProbeResult, probe_theorem1, probe_theorem2
 from .domain import Log, Mode, PolicyParams, _integer, _real
 from .errors import CflearnError, ConfigurationError
-from .estimators import EstimatorKind, evaluate_policy
+from .estimators import EstimatorKind, check_log, evaluate_policy
 from .gradients import FD_TOLERANCE, run_grad_check
 from .reward import RewardModel
 from .simulator import GroundTruth, LoggingPolicy, TaskSpec, generate_task, roll_log, split
@@ -210,14 +211,21 @@ def cmd_generate_log(args) -> int:
     return 0
 
 
+@contextmanager
+def _naming(prefix):
+    """Prefix a package error raised inside with the file(s) it concerns."""
+    try:
+        yield
+    except CflearnError as err:
+        raise type(err)(f"{prefix}: {err}") from err
+
+
 def _truth_rewards(truth: GroundTruth, truth_path, log: Log, log_path):
     """The log's (n, k_max) true rewards; a truth file that lacks an instance
     of the log, or gives it the wrong number of rewards, is an error naming
     both files."""
-    try:
+    with _naming(f"{truth_path} does not cover {log_path}"):
         return truth.reward_matrix(log.ids, log.k, log.features.shape[1])
-    except ConfigurationError as err:
-        raise ConfigurationError(f"{truth_path} does not cover {log_path}: {err}") from err
 
 
 def cmd_train(args) -> int:
@@ -235,6 +243,14 @@ def cmd_train(args) -> int:
         partial(serialize.read_log, validation_path),
         child_bytes=_file_bytes([validation_path]),
     )
+    for path, log in ((args.log, train_log), (validation_path, validation_log)):
+        with _naming(path):  # before training, so a bad log names its file
+            check_log(train_cfg.kind, log)
+    if validation_log.dim != train_log.dim:
+        raise ConfigurationError(
+            f"{validation_path}: feature dimension {validation_log.dim} differs from "
+            f"{args.log}'s {train_log.dim}"
+        )
     truth = None
     if args.truth:
         truth = serialize.read_truth(args.truth)[0]
@@ -268,25 +284,23 @@ def _evaluate_row(
     diagnostics and, given the log's true ``rewards``, the true rewards of the
     policy, from the estimate's own pass, and of the logger.  An error names
     the file."""
-    try:
-        report = evaluate_policy(kind, params, log, model)
+    with _naming(path):
+        result = evaluate_policy(kind, params, log, model)
         true_reward = logger_reward = improvement = None
         if rewards is not None:
-            true_reward = _expected_reward(report.probs, rewards)
+            true_reward = _expected_reward(result.probs, rewards)
             logger_reward = _expected_reward(log.probs(logger.params), rewards)
             improvement = true_reward - logger_reward
-    except CflearnError as err:
-        raise type(err)(f"{path}: {err}") from err
-    return [
-        Path(path).stem,
-        kind.value,
-        report.value,
-        report.effective_sample_size,
-        report.mass_on_dmax,
-        true_reward,
-        logger_reward,
-        improvement,
-    ]
+        return [
+            Path(path).stem,
+            kind.value,
+            result.value,
+            result.effective_sample_size,
+            result.mass_on_dmax,
+            true_reward,
+            logger_reward,
+            improvement,
+        ]
 
 
 REPORT_COLUMNS = [

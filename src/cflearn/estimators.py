@@ -10,14 +10,8 @@ propensity on stochastic logs) and its self-normalized form
     controlled:  V = (1/n) sum_t [ (delta_t - c dhat_t) rho_bar_t
                                    + c sum_y dhat(x_t, y) pi_w(y | x_t) ]
 
-============  ===========  ==========================================
-kind          log mode     objective
-============  ===========  ==========================================
-IPS / DPM     stoch / det  plain
-IPS+R/DPM+R   stoch / det  controlled with c = 0 (self-normalized)
-DR / DC       stoch / det  controlled with c = 1
-cDR / cDC     stoch / det  controlled with the estimated c_hat
-============  ===========  ==========================================
+:class:`EstimatorKind` is the table of the eight kinds: each one's log mode
+and its control c, from which the rest of the module reads its formula.
 
 The inner sum always weights by ``pi_w``: propensities are only logged for
 the chosen output, so ``pi/mu`` is undefined off the logged choice.  The
@@ -57,60 +51,53 @@ from .errors import DegenerateSupportError, LogConsistencyError
 from .reward import ControlScalar, RewardModel, control_scalar
 
 
-class EstimatorKind(Enum):
-    IPS = "ips"
-    DPM = "dpm"
-    IPS_R = "ips-r"
-    DPM_R = "dpm-r"
-    DR = "dr"
-    DC = "dc"
-    CDR = "cdr"
-    CDC = "cdc"
+# The control of cDR/cDC: c_hat, estimated from each pass's X and Y.
+ESTIMATED = "estimated"
 
-    @property
-    def required_mode(self) -> Mode:
-        if self in (EstimatorKind.IPS, EstimatorKind.IPS_R, EstimatorKind.DR, EstimatorKind.CDR):
-            return Mode.STOCHASTIC
-        return Mode.DETERMINISTIC
+
+class EstimatorKind(Enum):
+    """The eight objectives, one row each: name, log mode and control c.
+
+    A control of None marks the plain objective; any other control the
+    controlled one at c = 0 (self-normalized), 1 or ``ESTIMATED``.
+    """
+
+    IPS = ("ips", Mode.STOCHASTIC, None)
+    DPM = ("dpm", Mode.DETERMINISTIC, None)
+    IPS_R = ("ips-r", Mode.STOCHASTIC, 0.0)
+    DPM_R = ("dpm-r", Mode.DETERMINISTIC, 0.0)
+    DR = ("dr", Mode.STOCHASTIC, 1.0)
+    DC = ("dc", Mode.DETERMINISTIC, 1.0)
+    CDR = ("cdr", Mode.STOCHASTIC, ESTIMATED)
+    CDC = ("cdc", Mode.DETERMINISTIC, ESTIMATED)
+
+    def __new__(cls, value: str, mode: Mode, control: float | str | None):
+        kind = object.__new__(cls)
+        kind._value_ = value
+        kind.required_mode = mode
+        kind.control = control
+        return kind
 
     @property
     def reweighted(self) -> bool:
         """Whether the objective uses self-normalized weights."""
-        return self not in (EstimatorKind.IPS, EstimatorKind.DPM)
+        return self.control is not None
 
     @property
     def uses_reward_model(self) -> bool:
-        return self in (EstimatorKind.DR, EstimatorKind.DC, EstimatorKind.CDR, EstimatorKind.CDC)
+        return self.reweighted and self.control != 0.0
 
     @property
     def estimates_control(self) -> bool:
-        """Whether the control scalar is estimated from data rather than fixed at 1."""
-        return self in (EstimatorKind.CDR, EstimatorKind.CDC)
+        """Whether the control scalar is estimated from data rather than fixed."""
+        return self.control == ESTIMATED
 
 
-@dataclass(frozen=True, eq=False)
-class EstimatorReport:
-    """Value of one estimator plus weight diagnostics."""
-
-    kind: EstimatorKind
-    value: float
-    weights_used: np.ndarray
-    mass_on_dmax: float
-    effective_sample_size: float
-    probs: np.ndarray  # (n, k_max) policy probabilities of the pass
-
-
-@dataclass(frozen=True, eq=False)
-class WeightDiagnostics:
-    """Concentration diagnostics of the self-normalized weights."""
-
-    weights: np.ndarray          # rho_bar, in log order
-    mass_on_dmax: float          # share of normalized weight on max-reward tuples
-    effective_sample_size: float  # n^2 / sum rho_bar^2 = (sum rho)^2 / sum rho^2, in (0, n]
-
-
-def check_mode(kind: EstimatorKind, log: Log) -> None:
-    """Reject silently running an estimator on the wrong logging regime."""
+def check_log(kind: EstimatorKind, log: Log) -> None:
+    """Reject a log the estimator cannot run on: an empty one, or one from
+    the wrong logging regime."""
+    if len(log) == 0:
+        raise LogConsistencyError("log is empty")
     if log.mode is kind.required_mode:
         return
     if kind.required_mode is Mode.STOCHASTIC:
@@ -131,12 +118,13 @@ def _rho(log: Log, probs: np.ndarray) -> np.ndarray:
     return chosen
 
 
+ZERO_WEIGHTS = "all importance weights are zero; the self-normalized value is undefined"
+
+
 def _normalize(rho_values: np.ndarray) -> np.ndarray:
     total = rho_values.sum()
     if total <= 0.0:
-        raise DegenerateSupportError(
-            "all importance weights are zero; the self-normalized value is undefined"
-        )
+        raise DegenerateSupportError(ZERO_WEIGHTS)
     return rho_values.size * rho_values / total
 
 
@@ -150,9 +138,9 @@ class ObjectivePass:
     """What one softmax pass over a log yields at fixed policy weights.
 
     ``b`` and the second gradient row are zero for kinds without a reward
-    model, so ``value(c)`` and ``grad(c)`` serve every kind.  ``rho_bar`` and
-    the diagnostics are None when every weight is zero, which only plain
-    kinds tolerate.
+    model, so ``value_at(c)`` and ``grad(c)`` serve every kind.  ``rho_bar``
+    and the diagnostics are None when every weight is zero, which only
+    plain kinds tolerate.
     """
 
     kind: EstimatorKind
@@ -164,10 +152,18 @@ class ObjectivePass:
     a: float
     b: float
     grads: np.ndarray | None      # rows A and B, shape (2, d); None without grad
-    mass_on_dmax: float | None
-    effective_sample_size: float | None
+    mass_on_dmax: float | None    # share of rho_bar on the max-reward tuples
+    effective_sample_size: float | None  # n^2 / sum rho_bar^2, in (0, n]
 
-    def value(self, c: float = 0.0) -> float:
+    @property
+    def value(self) -> float:
+        """The value at the kind's own control, c_hat from this pass for cDC/cDR."""
+        control = self.kind.control
+        if self.kind.estimates_control:
+            control = self.estimate_c_hat().c_hat
+        return self.value_at(control or 0.0)
+
+    def value_at(self, c: float) -> float:
         return self.a + c * self.b
 
     def grad(self, c: float = 0.0) -> np.ndarray:
@@ -175,24 +171,13 @@ class ObjectivePass:
 
     def estimate_c_hat(self) -> ControlScalar:
         """Variance-optimal c from this pass's X and Y."""
-        if self.rho.size < 2:
-            raise ValueError("control scalar estimation needs at least 2 tuples")
         return control_scalar(self.x, self.y)
 
-    def resolve_control(self) -> float:
-        """The control scalar this kind uses: the estimate for cDC/cDR and 1
-        for every other kind."""
-        if self.kind.estimates_control:
-            return self.estimate_c_hat().c_hat
-        return 1.0
-
-    def diagnostics(self) -> WeightDiagnostics:
-        """Weight diagnostics; raises DegenerateSupportError when every weight is zero."""
-        return WeightDiagnostics(
-            weights=self.rho_bar if self.rho_bar is not None else _normalize(self.rho),
-            mass_on_dmax=self.mass_on_dmax,
-            effective_sample_size=self.effective_sample_size,
-        )
+    def check_support(self) -> None:
+        """Raise DegenerateSupportError when every weight is zero, where
+        ``rho_bar`` and the diagnostics are undefined."""
+        if self.rho_bar is None:
+            raise DegenerateSupportError(ZERO_WEIGHTS)
 
 
 def value_and_grad(
@@ -291,7 +276,7 @@ def normalized_weights(params: PolicyParams, log: Log) -> tuple[np.ndarray, np.n
 
 def value_ips_dpm(params: PolicyParams, log: Log) -> float:
     """The plain value; inverse propensity scoring on a stochastic log."""
-    return value_and_grad(EstimatorKind.DPM, params, log, grad=False).value()
+    return value_and_grad(EstimatorKind.DPM, params, log, grad=False).value
 
 
 def value_reweighted(params: PolicyParams, log: Log) -> float:
@@ -311,12 +296,13 @@ def value_doubly_controlled(
     params: PolicyParams, log: Log, reward_model: RewardModel, c_hat: float
 ) -> float:
     """The controlled value at ``c_hat``."""
-    return value_and_grad(EstimatorKind.DC, params, log, reward_model, grad=False).value(c_hat)
+    return value_and_grad(EstimatorKind.DC, params, log, reward_model, grad=False).value_at(c_hat)
 
 
-def diagnostics(params: PolicyParams, log: Log) -> WeightDiagnostics:
-    """Weight-concentration diagnostics of the policy on this log."""
-    return value_and_grad(EstimatorKind.DPM_R, params, log, grad=False).diagnostics()
+def diagnostics(params: PolicyParams, log: Log) -> ObjectivePass:
+    """The self-normalized pass, whose ``rho_bar``, ``mass_on_dmax`` and
+    ``effective_sample_size`` diagnose the policy's weights on this log."""
+    return value_and_grad(EstimatorKind.DPM_R, params, log, grad=False)
 
 
 def grad_ips_dpm(params: PolicyParams, log: Log) -> np.ndarray:
@@ -348,9 +334,7 @@ def objective_value(
     reward_model: RewardModel | None = None,
 ) -> float:
     """Value of any estimator kind, with mode compatibility enforced."""
-    check_mode(kind, log)
-    result = value_and_grad(kind, params, log, reward_model, grad=False)
-    return result.value(result.resolve_control())
+    return evaluate_policy(kind, params, log, reward_model).value
 
 
 def evaluate_policy(
@@ -358,18 +342,11 @@ def evaluate_policy(
     params: PolicyParams,
     log: Log,
     reward_model: RewardModel | None = None,
-) -> EstimatorReport:
-    """Full report: estimator value, weight diagnostics and the policy
-    probabilities, from one pass."""
-    check_mode(kind, log)
+) -> ObjectivePass:
+    """The pass of ``kind`` at ``params``, with mode compatibility enforced;
+    a log on which every weight is zero raises DegenerateSupportError, for
+    plain kinds too."""
+    check_log(kind, log)
     result = value_and_grad(kind, params, log, reward_model, grad=False)
-    value = result.value(result.resolve_control())
-    diag = result.diagnostics()
-    return EstimatorReport(
-        kind=kind,
-        value=value,
-        weights_used=diag.weights if kind.reweighted else result.rho,
-        mass_on_dmax=diag.mass_on_dmax,
-        effective_sample_size=diag.effective_sample_size,
-        probs=result.probs,
-    )
+    result.check_support()
+    return result

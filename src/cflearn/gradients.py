@@ -31,7 +31,6 @@ def fd_check(
     value_fn: Callable[[PolicyParams], float],
     grad_fn: Callable[[PolicyParams], np.ndarray],
     params: PolicyParams,
-    step: float = FD_STEP,
 ) -> float:
     """Max relative disagreement between ``grad_fn`` and central differences.
 
@@ -44,10 +43,10 @@ def fd_check(
     worst = 0.0
     for j in range(weights.size):
         bump = np.zeros_like(weights)
-        bump[j] = step
+        bump[j] = FD_STEP
         hi = value_fn(PolicyParams(weights + bump, params.alpha))
         lo = value_fn(PolicyParams(weights - bump, params.alpha))
-        numeric = (hi - lo) / (2.0 * step)
+        numeric = (hi - lo) / (2.0 * FD_STEP)
         err = abs(analytic[j] - numeric) / max(1.0, abs(analytic[j]))
         worst = max(worst, err)
     return worst

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import astuple
+from dataclasses import astuple, fields
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -216,7 +217,15 @@ def read_reward_model(path: str | Path) -> RewardModel:
     )
 
 
-TRACE_COLUMNS = ["epoch", "train_value", "validation_value", "true_reward", "mass_on_dmax", "grad_norm"]
+TRACE_COLUMNS = [f.name for f in fields(EpochRecord)]
+_TRACE_TYPES = [get_type_hints(EpochRecord)[name] for name in TRACE_COLUMNS]
+
+
+def _trace_cell(hint, cell: str):
+    """A trace cell as its EpochRecord type; empty is None where the type allows it."""
+    if cell == "" and type(None) in get_args(hint):
+        return None
+    return int(cell) if hint is int else float(cell)
 
 
 def write_trace(path: str | Path, trace: TrainTrace) -> None:
@@ -231,16 +240,7 @@ def read_trace(path: str | Path) -> TrainTrace:
         if header != TRACE_COLUMNS:
             raise ValueError(f"{path}: unexpected trace columns {header}")
         for row in reader:
-            trace.records.append(
-                EpochRecord(
-                    epoch=int(row[0]),
-                    train_value=float(row[1]),
-                    validation_value=float(row[2]),
-                    true_reward=None if row[3] == "" else float(row[3]),
-                    mass_on_dmax=float(row[4]),
-                    grad_norm=float(row[5]),
-                )
-            )
+            trace.records.append(EpochRecord(*map(_trace_cell, _TRACE_TYPES, row)))
     return trace
 
 

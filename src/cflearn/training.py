@@ -16,7 +16,7 @@ import numpy as np
 
 from .domain import Instance, Log, PolicyParams, _integer, _probs, _real, _stack_candidates
 from .errors import ConfigurationError, DegenerateSupportError, ScoreOverflowError
-from .estimators import EstimatorKind, check_mode, value_and_grad
+from .estimators import EstimatorKind, check_log, value_and_grad
 from .reward import RewardModel, fit_reward_model
 from .simulator import GroundTruth
 
@@ -140,11 +140,20 @@ def train(
     cause.  A ``truth`` adds each epoch's exact true reward on the train log
     to the trace, from the probabilities of that epoch's train-log pass.
     """
-    check_mode(config.kind, train_log)
-    check_mode(config.kind, validation_log)
-    if len(train_log) == 0:
-        raise ValueError("train log is empty")
+    kind = config.kind
+    for log in (train_log, validation_log):
+        check_log(kind, log)
+    if validation_log.dim != train_log.dim:
+        raise ConfigurationError(
+            f"validation log feature dimension {validation_log.dim} differs from "
+            f"the train log's {train_log.dim}"
+        )
     n = len(train_log)
+    if kind.estimates_control and n < 2:
+        raise ConfigurationError(
+            f"estimator {kind.value} estimates its control scalar on the train log, "
+            "which needs at least 2 tuples"
+        )
     batch_size = n if config.batch_size == "full" else int(config.batch_size)
     if batch_size > n:
         raise ConfigurationError(f"batch_size {batch_size} exceeds log size {n}")
@@ -160,7 +169,6 @@ def train(
         else truth.reward_matrix(train_log.ids, train_log.k, train_log.features.shape[1])
     )
 
-    kind = config.kind
     model = preds = validation_preds = None
     if kind.uses_reward_model:
         # predictions do not depend on the policy: one per log for the whole run
@@ -202,12 +210,12 @@ def train(
             validation = value_and_grad(
                 kind, params, validation_log, model, predictions=validation_preds, grad=False
             )
-            mass_on_dmax = current.diagnostics().mass_on_dmax
+            current.check_support()
         except DegenerateSupportError as err:
             trace.halted = f"epoch {epoch}: {err}"
             break
-        train_value = current.value(c_hat)
-        validation_value = validation.value(c_hat)
+        train_value = current.value_at(c_hat)
+        validation_value = validation.value_at(c_hat)
         grad_norm = float(np.linalg.norm(current.grad(c_hat)))
 
         true_reward = None if truth is None else _expected_reward(current.probs, truth_rewards)
@@ -217,7 +225,7 @@ def train(
                 train_value=train_value,
                 validation_value=validation_value,
                 true_reward=true_reward,
-                mass_on_dmax=mass_on_dmax,
+                mass_on_dmax=current.mass_on_dmax,
                 grad_norm=grad_norm,
             )
         )

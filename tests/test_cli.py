@@ -316,6 +316,19 @@ class TestOverflow:
         assert f"{log}: " in err and "scores overflowed" in err
 
 
+    def test_evaluate_plain_kind_on_zero_weights_exits_one(self, tmp_path, capsys):
+        feats = np.array([[800.0], [0.0]])
+        log = tmp_path / "test.jsonl"
+        serialize.write_log(log, Log(tuple(LoggedTuple(Instance(f"z{i}", feats), 1, 0.5)
+                                           for i in range(3)), Mode.DETERMINISTIC))
+        (tmp_path / "params.json").write_text(json.dumps({"weights": [1.0], "alpha": 1.0, "kind": "dpm"}))
+        code = main(["evaluate", "--params", str(tmp_path / "params.json"), "--log", str(log),
+                     "--out", str(tmp_path / "report")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{log}: all importance weights are zero" in err
+
+
 class TestChecks:
     def test_grad_check_passes(self, tmp_path, capsys):
         out = tmp_path / "gc"
@@ -463,6 +476,58 @@ class TestTruthCoverage:
         assert err.startswith("cflearn: error:")
         assert str(truth) in err and str(log_path) in err and ident in err
         assert not (tmp_path / "again" / ("trace.csv" if command == "train" else "report.csv")).exists()
+
+
+class TestBadLogs:
+    """A log the estimator cannot use fails before training or evaluation:
+    exit 1 naming the file, never a traceback."""
+
+    VARIANTS = {
+        "empty": {"splits": [1.0, 0.0, 0.0]},
+        "d3": {"task.d": 3},
+        "deterministic": {"task.logging_mode": "deterministic"},
+    }
+
+    @pytest.fixture
+    def logs(self, tmp_path):
+        """The tests' task logged stochastically for cdr, and one variant per defect."""
+        base = {"task.logging_mode": "stochastic", "train.kind": "cdr"}
+        config = write_config(tmp_path / "config.yaml", **base)
+        assert main(["generate-log", "--config", str(config), "--out", str(tmp_path / "good")]) == 0
+        for name, overrides in self.VARIANTS.items():
+            variant = write_config(tmp_path / f"{name}.yaml", **{**base, **overrides})
+            assert main(["generate-log", "--config", str(variant), "--out", str(tmp_path / name)]) == 0
+        return config, tmp_path
+
+    @staticmethod
+    def error(capsys, bad: Path) -> str:
+        err = capsys.readouterr().err
+        assert err.startswith(f"cflearn: error: {bad}: ")
+        assert "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("variant", list(VARIANTS))
+    def test_train_names_the_validation_log(self, logs, tmp_path, capsys, variant):
+        config, base = logs
+        bad = base / variant / "validation.jsonl"
+        capsys.readouterr()
+        code = main(["train", "--config", str(config), "--log", str(base / "good" / "train.jsonl"),
+                     "--validation", str(bad), "--out", str(tmp_path / "run")])
+        assert code == 1
+        self.error(capsys, bad)
+        assert not (tmp_path / "run" / "params.json").exists()
+
+    def test_evaluate_names_an_empty_log(self, logs, tmp_path, capsys):
+        config, base = logs
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(config), "--log", str(base / "good" / "train.jsonl"),
+                     "--out", str(run)]) == 0
+        bad = base / "empty" / "validation.jsonl"
+        capsys.readouterr()
+        code = main(["evaluate", "--params", str(run / "params.json"), "--model",
+                     str(run / "reward_model.json"), "--log", str(bad), "--out", str(tmp_path / "report")])
+        assert code == 1
+        assert "log is empty" in self.error(capsys, bad)
 
 
 class TestConcurrentIO:

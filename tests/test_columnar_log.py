@@ -208,7 +208,7 @@ class TestMixedK:
             got = value_and_grad(kind, params, back, model)
             for c in (0.0, 0.7, 1.0):
                 np.testing.assert_allclose(
-                    got.value(c), oracles.value(kind, params, back, model, c), **RAGGED
+                    got.value_at(c), oracles.value(kind, params, back, model, c), **RAGGED
                 )
                 np.testing.assert_allclose(
                     got.grad(c), oracles.gradient(kind, params, back, model, c), **RAGGED

@@ -242,7 +242,7 @@ class TestDiagnostics:
     def test_weights_align_with_log(self, rng):
         log = random_log(rng, 5, 3, 2, Mode.STOCHASTIC)
         diag = diagnostics(PolicyParams(rng.standard_normal(2)), log)
-        assert diag.weights.shape == (5,)
+        assert diag.rho_bar.shape == (5,)
         assert 0.0 < diag.effective_sample_size <= 5.0
         assert 0.0 <= diag.mass_on_dmax <= 1.0
 
@@ -263,13 +263,21 @@ class TestKindDispatch:
         with pytest.raises(LogConsistencyError, match="deterministic"):
             evaluate_policy(EstimatorKind.DPM, params, sto)
 
+    def test_zero_weights_raise_for_plain_kinds_too(self):
+        # every logged choice saturates to probability exactly 0
+        log = Log(tuple(saturated_tuple(f"z{i}", 0.5, on=False) for i in range(3)), Mode.DETERMINISTIC)
+        assert value_ips_dpm(unit_params(), log) == 0.0
+        for kind in (EstimatorKind.DPM, EstimatorKind.DPM_R):
+            with pytest.raises(DegenerateSupportError, match="all importance weights are zero"):
+                evaluate_policy(kind, unit_params(), log)
+
     def test_report_fields(self, rng):
         log = random_log(rng, 6, 3, 2, Mode.STOCHASTIC)
         params = PolicyParams(rng.standard_normal(2))
         report = evaluate_policy(EstimatorKind.IPS_R, params, log)
         assert report.kind is EstimatorKind.IPS_R
         assert report.value == value_reweighted(params, log)
-        assert report.weights_used.shape == (6,)
+        assert report.rho_bar.shape == (6,)
 
     def test_empty_rows_rejected(self, rng):
         log = random_log(rng, 5, 3, 2, Mode.DETERMINISTIC)
@@ -281,3 +289,13 @@ class TestKindDispatch:
         for kind in EstimatorKind:
             expected = Mode.STOCHASTIC if kind in stochastic else Mode.DETERMINISTIC
             assert kind.required_mode is expected
+
+    def test_families_read_from_the_table(self):
+        plain = {EstimatorKind.IPS, EstimatorKind.DPM}
+        modelled = {EstimatorKind.DR, EstimatorKind.DC, EstimatorKind.CDR, EstimatorKind.CDC}
+        estimated = {EstimatorKind.CDR, EstimatorKind.CDC}
+        for kind in EstimatorKind:
+            assert kind.reweighted is (kind not in plain)
+            assert kind.uses_reward_model is (kind in modelled)
+            assert kind.estimates_control is (kind in estimated)
+        assert [EstimatorKind(name).control for name in ("ips-r", "dpm-r", "dr", "dc")] == [0, 0, 1, 1]

@@ -1,5 +1,7 @@
 """The fused objective pass against per-instance oracles, and its cost per epoch."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -52,15 +54,13 @@ class TestRaggedOracle:
         c = oracles.c_hat(params, log, model) if kind.estimates_control else 1.0
 
         result = value_and_grad(kind, params, log, model)
-        np.testing.assert_allclose(result.resolve_control(), c, **TOL)
-        np.testing.assert_allclose(result.value(c), oracles.value(kind, params, log, model, c), **TOL)
+        np.testing.assert_allclose(result.value, oracles.value(kind, params, log, model, c), **TOL)
+        np.testing.assert_allclose(result.value_at(c), oracles.value(kind, params, log, model, c), **TOL)
         np.testing.assert_allclose(result.grad(c), oracles.gradient(kind, params, log, model, c), **TOL)
         np.testing.assert_allclose(
             objective_value(kind, params, log, model), oracles.value(kind, params, log, model, c), **TOL
         )
-        np.testing.assert_allclose(
-            result.grad(result.resolve_control()), oracles.gradient(kind, params, log, model, c), **TOL
-        )
+        assert objective_value(kind, params, log, model) == result.value
 
     @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
     def test_diagnostics_and_c_hat(self, rng, mode):
@@ -118,6 +118,25 @@ class TestTrainerOracle:
         np.testing.assert_allclose(params.weights, want_params.weights, rtol=1e-9, atol=1e-12)
         got = [(r.train_value, r.validation_value, r.mass_on_dmax, r.grad_norm) for r in trace.records]
         np.testing.assert_allclose(got, want_records, rtol=1e-9, atol=1e-12)
+
+
+    @pytest.mark.parametrize("batch_size", [5, "full"])
+    @pytest.mark.parametrize("kind", [EstimatorKind.CDR, EstimatorKind.CDC], ids=lambda k: k.value)
+    def test_c_refresh_once_matches_pre_fusion_trainer(self, rng, kind, batch_size):
+        train_log = kind_log(rng, kind, n=13)
+        val_log = kind_log(rng, kind, n=6)
+        config = TrainConfig(
+            kind=kind, learning_rate=0.3, epochs=4, batch_size=batch_size, c_refresh="once",
+            seed=3, init="gaussian", init_sigma=0.5,
+        )
+        params, trace = train(config, train_log, val_log)
+        want_params, want_records = oracles.train(config, train_log, val_log)
+        np.testing.assert_allclose(params.weights, want_params.weights, rtol=1e-9, atol=1e-12)
+        got = [(r.train_value, r.validation_value, r.mass_on_dmax, r.grad_norm) for r in trace.records]
+        np.testing.assert_allclose(got, want_records, rtol=1e-9, atol=1e-12)
+        # c_hat re-estimated every epoch takes other steps
+        per_epoch, _ = train(replace(config, c_refresh="epoch"), train_log, val_log)
+        assert not np.allclose(params.weights, per_epoch.weights, rtol=1e-9, atol=1e-12)
 
 
 class TestPassCount:

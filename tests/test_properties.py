@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cflearn import (
+    CflearnError,
     EstimatorKind,
     Instance,
     Log,
@@ -17,9 +18,11 @@ from cflearn import (
     Mode,
     PolicyParams,
     RewardModel,
+    TrainConfig,
     fd_check,
     normalized_weights,
     rho_weights,
+    train,
     value_and_grad,
     value_doubly_controlled,
     value_reweighted,
@@ -159,9 +162,70 @@ def test_finite_differences_agree(data):
     c = data.draw(st.floats(0.0, 2.0)) if kind.uses_reward_model else 0.0
 
     def value(p):
-        return value_and_grad(kind, p, log, model, grad=False).value(c)
+        return value_and_grad(kind, p, log, model, grad=False).value_at(c)
 
     def grad(p):
         return value_and_grad(kind, p, log, model).grad(c)
 
     assert fd_check(value, grad, params) < FD_TOLERANCE
+
+
+@st.composite
+def scaled_log(draw, mode: Mode, d: int, scale: float, max_n: int = 6) -> Log:
+    """A ragged log of up to ``max_n`` tuples, k <= 4, with features in [-scale, scale]."""
+    unit = st.floats(-1.0, 1.0)
+    tuples = []
+    for t in range(draw(st.integers(1, max_n))):
+        k = draw(st.integers(2, 4))
+        candidates = draw(arrays(np.float64, (k, d), elements=unit)) * scale
+        propensity = draw(st.floats(0.05, 1.0)) if mode is Mode.STOCHASTIC else None
+        tuples.append(
+            LoggedTuple(Instance(f"s{t}", candidates), draw(st.integers(0, k - 1)),
+                        draw(st.floats(0.0, 1.0)), propensity)
+        )
+    return Log(tuples, mode)
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_extreme_scales_end_finite_or_in_a_named_error(data):
+    kind = data.draw(st.sampled_from(list(EstimatorKind)), label="kind")
+    scale = 10.0 ** data.draw(st.floats(-3.0, 250.0), label="log10 feature scale")
+    learning_rate = 10.0 ** data.draw(st.floats(-3.0, 308.0), label="log10 learning rate")
+    alpha = 10.0 ** data.draw(st.floats(-2.0, 2.0), label="log10 alpha")
+    d = data.draw(st.integers(1, 3), label="d")
+    train_log = data.draw(scaled_log(kind.required_mode, d, scale), label="train log")
+    validation_log = data.draw(scaled_log(kind.required_mode, d, scale), label="validation log")
+    weights = data.draw(arrays(np.float64, d, elements=st.floats(-1.0, 1.0)), label="weights")
+    model = RewardModel(
+        data.draw(arrays(np.float64, d, elements=st.floats(-1.0, 1.0)), label="model weights"),
+        intercept=0.5,
+        ridge_lambda=0.0,
+    )
+
+    try:
+        result = value_and_grad(kind, PolicyParams(weights, alpha), train_log, model)
+        pieces = [result.a, result.b, result.grads]
+        if len(train_log) > 1 or not kind.estimates_control:  # c_hat needs two tuples
+            pieces.append(result.value)
+        assert all(np.isfinite(piece).all() for piece in pieces)
+    except CflearnError:
+        pass
+
+    epochs = data.draw(st.integers(1, 3), label="epochs")
+    config = TrainConfig(kind=kind, learning_rate=learning_rate, epochs=epochs, alpha=alpha)
+    try:
+        params, trace = train(config, train_log, validation_log)
+    except CflearnError:
+        return  # a named error before the first epoch
+    assert np.isfinite(params.weights).all()
+    for record in trace.records:
+        assert all(
+            np.isfinite(value)
+            for value in (record.train_value, record.validation_value, record.mass_on_dmax,
+                          record.grad_norm)
+        )
+    if trace.halted is None:
+        assert len(trace.records) == epochs
+    else:
+        assert trace.halted.startswith(f"epoch {len(trace.records) + 1}: ")

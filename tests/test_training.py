@@ -136,6 +136,19 @@ class TestGuards:
         with pytest.raises(ConfigurationError):
             train(TrainConfig(kind=EstimatorKind.DPM, batch_size=9), log, log)
 
+    def test_empty_or_narrower_validation_log_rejected(self, rng):
+        log = random_log(rng, 4, 3, 2, Mode.DETERMINISTIC)
+        with pytest.raises(LogConsistencyError, match="log is empty"):
+            train(TrainConfig(kind=EstimatorKind.DPM), log, Log((), Mode.DETERMINISTIC))
+        narrow = random_log(rng, 4, 3, 1, Mode.DETERMINISTIC)
+        with pytest.raises(ConfigurationError, match="dimension 1 differs"):
+            train(TrainConfig(kind=EstimatorKind.DPM), log, narrow)
+
+    def test_estimated_control_needs_two_train_tuples(self, rng):
+        log = random_log(rng, 1, 3, 2, Mode.DETERMINISTIC)
+        with pytest.raises(ConfigurationError, match="at least 2 tuples"):
+            train(TrainConfig(kind=EstimatorKind.CDC), log, log)
+
     def test_degenerate_support_halts_with_trace_note(self, rng):
         # chosen candidates saturate to probability exactly 0 at the start
         feats = np.array([[800.0], [0.0]])
@@ -149,6 +162,14 @@ class TestGuards:
         assert trace.halted is not None
         assert trace.records == []
         np.testing.assert_array_equal(params.weights, start.weights)
+
+    def test_plain_kind_halts_on_zero_weights(self):
+        feats = np.array([[800.0], [0.0]])
+        log = Log(tuple(LoggedTuple(Instance(f"d{i}", feats), 1, 0.5) for i in range(3)), Mode.DETERMINISTIC)
+        config = TrainConfig(kind=EstimatorKind.DPM, learning_rate=0.1, epochs=10)
+        _, trace = train(config, log, log, initial=PolicyParams(np.array([1.0])))
+        assert trace.halted.startswith("epoch 1: all importance weights are zero")
+        assert trace.records == []
 
     @pytest.mark.parametrize("learning_rate, cause", [(1e306, "policy scores"), (1e308, "weights")])
     def test_overflow_halts_with_the_initial_params(self, rng, learning_rate, cause):
