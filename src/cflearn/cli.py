@@ -9,11 +9,9 @@ configuration error, 2 invariant or probe failure.
 from __future__ import annotations
 
 import argparse
-import pickle
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
-from functools import partial
 from pathlib import Path
 
 import yaml
@@ -80,102 +78,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
     )
 
 
-def _outcome(call) -> tuple[bool, object]:
-    try:
-        return True, call()
-    except Exception as err:
-        return False, err
-
-
-def _send_outcome(call, sender) -> None:
-    """Run ``call`` in a forked child and send its outcome as one pickle
-    protocol 5 stream whose array buffers travel out of band."""
-    buffers = []
-    payload = pickle.dumps(_outcome(call), protocol=5, buffer_callback=buffers.append)
-    sender.send(len(buffers))
-    sender.send_bytes(payload)
-    for buffer in buffers:
-        sender.send_bytes(buffer.raw())
-    sender.close()
-
-
-def _receive_outcome(child, receiver) -> tuple[bool, object]:
-    try:
-        count = receiver.recv()
-        payload = receiver.recv_bytes()
-        buffers = [receiver.recv_bytes() for _ in range(count)]
-    except EOFError:
-        child.join()
-        return False, CflearnError(
-            f"worker process {child.pid} exited with code {child.exitcode} "
-            "before it sent its result"
-        )
-    return pickle.loads(payload, buffers=buffers)
-
-
-# Forking costs a fixed 15-20 ms (importing multiprocessing, then a few ms
-# a child), which is about the JSON work of 0.5-1 MB of log text: below this
-# many bytes in the children's files, the calls run in order instead.
-CONCURRENT_MIN_BYTES = 1 << 20
-# A float's repr and the ", " after it, which make up almost all of a log file.
-JSON_BYTES_PER_VALUE = 21
-
-
-def _concurrently(*calls, child_bytes: int) -> list:
-    """Run the argument-free ``calls`` at once; return their results in order.
-
-    The first call runs in this process and each other one in a forked child,
-    which inherits its inputs, so no argument is pickled.  The first failure
-    in call order is raised, as if the calls had run one after another, and
-    every child is joined before this returns.  The calls run in order here
-    instead when the children's files hold fewer than
-    ``CONCURRENT_MIN_BYTES`` bytes (``child_bytes``) or the fork start method
-    is missing.  The calls only format or parse JSON and copy arrays: none
-    runs BLAS, whose worker threads a forked child lacks.
-    """
-    if child_bytes < CONCURRENT_MIN_BYTES:
-        return [call() for call in calls]
-    import multiprocessing  # here, so commands that never fork do not load it
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return [call() for call in calls]
-    context = multiprocessing.get_context("fork")
-    children = []
-    try:
-        for call in calls[1:]:
-            receiver, sender = context.Pipe(duplex=False)
-            child = context.Process(target=_send_outcome, args=(call, sender))
-            child.start()
-            sender.close()  # so a child that dies leaves the receiver at end of file
-            children.append((child, receiver))
-        outcomes = [_outcome(calls[0])]
-        outcomes += [_receive_outcome(child, receiver) for child, receiver in children]
-    except BaseException:
-        for child, _ in children:
-            child.terminate()
-        raise
-    finally:
-        for child, receiver in children:
-            receiver.close()
-            child.join()
-    for ok, value in outcomes:
-        if not ok:
-            raise value
-    return [value for _, value in outcomes]
-
-
-def _file_bytes(paths) -> int:
-    """The summed size of the files; one that cannot be read counts 0, so
-    reading it reports the error."""
-    total = 0
-    for path in paths:
-        try:
-            total += Path(path).stat().st_size
-        except OSError:
-            pass
-    return total
-
-
 def _out_dir(args, config: ExperimentConfig | None) -> Path:
     if args.out is not None:
         out = Path(args.out)
@@ -196,14 +98,9 @@ def cmd_generate_log(args) -> int:
     instances, truth, logger = generate_task(task)
     log = roll_log(instances, truth, logger, rng=task.seed)
     train_log, validation_log, test_log = split(log, config.splits, config.split_seed)
-    child_values = sum(int(part.k.sum()) * part.dim for part in (validation_log, test_log))
-    _concurrently(
-        partial(serialize.write_log, out / "train.jsonl", train_log),
-        partial(serialize.write_log, out / "validation.jsonl", validation_log),
-        partial(serialize.write_log, out / "test.jsonl", test_log),
-        partial(serialize.write_truth, out / "truth.json", truth, logger),
-        child_bytes=JSON_BYTES_PER_VALUE * child_values,
-    )
+    for name, part in (("train", train_log), ("validation", validation_log), ("test", test_log)):
+        serialize.write_log(out / f"{name}.jsonl", part)
+    serialize.write_truth(out / "truth.json", truth, logger)
     print(
         f"wrote {len(train_log)}/{len(validation_log)}/{len(test_log)} tuples "
         f"({log.mode.value}) to {out}"
@@ -238,11 +135,8 @@ def cmd_train(args) -> int:
     out = _out_dir(args, config)
 
     validation_path = args.validation or str(Path(args.log).with_name("validation.jsonl"))
-    train_log, validation_log = _concurrently(
-        partial(serialize.read_log, args.log),
-        partial(serialize.read_log, validation_path),
-        child_bytes=_file_bytes([validation_path]),
-    )
+    train_log = serialize.read_log(args.log)
+    validation_log = serialize.read_log(validation_path)
     for path, log in ((args.log, train_log), (validation_path, validation_log)):
         with _naming(path):  # before training, so a bad log names its file
             check_log(train_cfg.kind, log)
@@ -327,9 +221,7 @@ def cmd_evaluate(args) -> int:
     truth, logger = serialize.read_truth(args.truth) if args.truth else (None, None)
     if not args.log:
         raise ValueError("pass at least one --log file")
-    logs = _concurrently(
-        *[partial(serialize.read_log, p) for p in args.log], child_bytes=_file_bytes(args.log[1:])
-    )
+    logs = [serialize.read_log(path) for path in args.log]
     # every log is checked against the truth before any is evaluated
     rewards = [
         None if truth is None else _truth_rewards(truth, args.truth, log, path)

@@ -187,13 +187,6 @@ class Log:
         log._fill(mode, ids, features, k, chosen, rewards, propensities)
         return log
 
-    def __reduce__(self):
-        # pickles as its columns; unpickling marks them read-only again
-        return Log._from_columns, (
-            self.mode, self.ids, self.features, self.k, self.chosen, self.rewards,
-            self.propensities,
-        )
-
     def _fill(self, mode, *columns) -> None:
         object.__setattr__(self, "mode", mode)
         names = ("ids", "features", "k", "chosen", "rewards", "propensities")

@@ -347,6 +347,11 @@ def evaluate_policy(
     a log on which every weight is zero raises DegenerateSupportError, for
     plain kinds too."""
     check_log(kind, log)
+    if kind.estimates_control and len(log) < 2:
+        raise LogConsistencyError(
+            f"estimator {kind.value} estimates its control scalar on the log, "
+            "which needs at least 2 tuples"
+        )
     result = value_and_grad(kind, params, log, reward_model, grad=False)
     result.check_support()
     return result

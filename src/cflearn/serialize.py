@@ -2,20 +2,21 @@
 
 Logs are line-delimited JSON: a one-line header carrying the mode, then one
 self-describing record per tuple with its embedded candidate feature matrix.
-All floats are written as Python's shortest round-trip decimals, so writing
-and re-reading reproduces every value bit for bit, and identical inputs
-always produce byte-identical files.
+orjson is the one JSON codec.  It writes compact UTF-8 with every float as
+its shortest round-trip decimal (Ryu), so any JSON reader gets back every
+value bit for bit, and identical inputs always produce byte-identical files.
+Every file is read as bytes, so no input escapes as a bare decode error.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import astuple, fields
 from pathlib import Path
 from typing import get_args, get_type_hints
 
 import numpy as np
+import orjson
 
 from .domain import Instance, Log, LoggedTuple, Mode, PolicyParams
 from .errors import CflearnError, ConfigurationError, LogConsistencyError
@@ -28,22 +29,26 @@ def _floats(values) -> list[float]:
     return [float(v) for v in np.asarray(values, dtype=float).ravel()]
 
 
+def _write_json(path: str | Path, payload: dict) -> None:
+    Path(path).write_bytes(orjson.dumps(payload, option=orjson.OPT_INDENT_2) + b"\n")
+
+
 def write_log(path: str | Path, log: Log) -> None:
     """Write the header and then one record per row, line by line."""
     propensities = None if log.propensities is None else log.propensities.tolist()
     columns = zip(log.ids.tolist(), log.k.tolist(), log.chosen.tolist(), log.rewards.tolist())
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps({"mode": log.mode.value}) + "\n")
+    with open(path, "wb") as handle:
+        handle.write(orjson.dumps({"mode": log.mode.value}) + b"\n")
         for row, (ident, k, chosen, reward) in enumerate(columns):
             record = {
                 "id": ident,
-                "features": log.features[row, :k].tolist(),
+                "features": log.features[row, :k],  # a contiguous (k, d) block
                 "chosen": chosen,
                 "reward": reward,
             }
             if propensities is not None:
                 record["propensity"] = propensities[row]
-            handle.write(json.dumps(record) + "\n")
+            handle.write(orjson.dumps(record, option=orjson.OPT_SERIALIZE_NUMPY) + b"\n")
 
 
 def _log_record(record, mode: Mode) -> LoggedTuple:
@@ -79,12 +84,12 @@ def read_log(path: str | Path) -> Log:
     candidates than any before it.  Malformed input raises
     :class:`LogConsistencyError` naming the file and the line.
     """
-    with open(path, encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         header_line = handle.readline()
         if not header_line:
             raise LogConsistencyError(f"{path}: empty log file")
         try:
-            header = json.loads(header_line)
+            header = orjson.loads(header_line)
             if not isinstance(header, dict) or "mode" not in header:
                 raise ValueError("the header needs a mode field")
             mode = Mode(header["mode"])
@@ -101,7 +106,7 @@ def read_log(path: str | Path) -> Log:
         features = np.zeros((0, 0, 0))
         for row, line in enumerate(handle):
             try:
-                t = _log_record(json.loads(line), mode)
+                t = _log_record(orjson.loads(line), mode)
                 candidates = t.instance.candidates
                 if row == 0:
                     features = np.zeros((n,) + candidates.shape)
@@ -124,10 +129,16 @@ def read_log(path: str | Path) -> Log:
 
 
 def _load_json(path: str | Path):
+    data = Path(path).read_bytes()
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
-        raise ConfigurationError(f"{path}: not valid JSON: {err}") from err
+        return orjson.loads(data)
+    except orjson.JSONDecodeError as err:
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as bad:  # orjson places these at line 1
+            line = data.count(b"\n", 0, bad.start) + 1
+            raise ConfigurationError(f"{path}:{line}: not valid UTF-8: {bad.reason}") from bad
+        raise ConfigurationError(f"{path}:{err.lineno}: not valid JSON: {err.msg}") from err
 
 
 def _get(payload, key: str, convert, path: str | Path, where: str = ""):
@@ -167,7 +178,7 @@ def write_truth(path: str | Path, truth: GroundTruth, logging_policy: LoggingPol
             "mode": logging_policy.mode.value,
         },
     }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    _write_json(path, payload)
 
 
 def read_truth(path: str | Path) -> tuple[GroundTruth, LoggingPolicy]:
@@ -189,7 +200,7 @@ def write_params(path: str | Path, params: PolicyParams, extra: dict | None = No
     payload = {"weights": _floats(params.weights), "alpha": float(params.alpha)}
     if extra:
         payload.update(extra)
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    _write_json(path, payload)
 
 
 def read_params(path: str | Path) -> tuple[PolicyParams, dict]:
@@ -205,7 +216,7 @@ def write_reward_model(path: str | Path, model: RewardModel) -> None:
         "intercept": float(model.intercept),
         "ridge_lambda": float(model.ridge_lambda),
     }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    _write_json(path, payload)
 
 
 def read_reward_model(path: str | Path) -> RewardModel:

@@ -1,9 +1,7 @@
 """End-to-end CLI behavior: commands, guards, exit codes, reproducibility."""
 
 import json
-import multiprocessing
-import os
-from functools import partial
+import re
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +9,7 @@ import pytest
 import yaml
 
 import oracles
-from cflearn import Instance, Log, LoggedTuple, Mode, cli, serialize
+from cflearn import Instance, Log, LoggedTuple, Mode, serialize
 from cflearn.cli import load_config, main
 from cflearn.serialize import read_log, read_params, read_truth, write_reward_model
 from cflearn.simulator import generate_task, roll_log, split
@@ -60,13 +58,6 @@ def _bad_log(source: Path, target: Path, line: int) -> Path:
     return target
 
 
-@pytest.fixture(autouse=True)
-def no_child_left():
-    """Every command joins the processes it forks."""
-    yield
-    assert multiprocessing.active_children() == []
-
-
 @pytest.fixture
 def workspace(tmp_path):
     config = write_config(tmp_path / "config.yaml")
@@ -92,6 +83,19 @@ class TestGenerateLog:
         assert main(["generate-log", "--config", str(config), "--out", str(again)]) == 0
         for name in ("train.jsonl", "validation.jsonl", "test.jsonl", "truth.json"):
             assert (out / name).read_bytes() == (again / name).read_bytes()
+
+    def test_generate_log_files_equal_serial_writes(self, workspace, tmp_path):
+        config_path, out = workspace
+        config = load_config(config_path)
+        instances, truth, logger = generate_task(config.task)
+        log = roll_log(instances, truth, logger, rng=config.task.seed)
+        serial = tmp_path / "serial"
+        serial.mkdir()
+        for name, part in zip(("train", "validation", "test"), split(log, config.splits, config.split_seed)):
+            serialize.write_log(serial / f"{name}.jsonl", part)
+        serialize.write_truth(serial / "truth.json", truth, logger)
+        for name in ("train.jsonl", "validation.jsonl", "test.jsonl", "truth.json"):
+            assert (out / name).read_bytes() == (serial / name).read_bytes()
 
 
 class TestTrain:
@@ -277,6 +281,38 @@ class TestEvaluate:
                      "--out", str(tmp_path / "report")])
         assert code == 1
         assert f"{bad}:2:" in capsys.readouterr().err
+
+    def test_two_malformed_logs_name_the_first_in_argument_order(self, workspace, tmp_path, capsys):
+        config, out = workspace
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(config), "--log", str(out / "train.jsonl"), "--out", str(run)]) == 0
+        late = _bad_log(out / "test.jsonl", tmp_path / "late.jsonl", 5)
+        early = _bad_log(out / "test.jsonl", tmp_path / "early.jsonl", 2)
+        for first, second, line in ((late, early, 5), (early, late, 2)):
+            capsys.readouterr()
+            code = main(["evaluate", "--params", str(run / "params.json"), "--log", str(first),
+                         "--log", str(second), "--out", str(tmp_path / "report")])
+            err = capsys.readouterr().err
+            assert code == 1
+            assert f"{first}:{line}:" in err and str(second) not in err
+
+    def test_report_true_reward_matches_per_instance_oracle(self, workspace, tmp_path):
+        config, out = workspace
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(config), "--log", str(out / "train.jsonl"), "--out", str(run)]) == 0
+        assert main(["evaluate", "--params", str(run / "params.json"), "--log", str(out / "validation.jsonl"),
+                     "--log", str(out / "test.jsonl"), "--truth", str(out / "truth.json"),
+                     "--out", str(tmp_path / "report")]) == 0
+        params, _ = read_params(run / "params.json")
+        truth, logger = read_truth(out / "truth.json")
+        rows = (tmp_path / "report" / "report.csv").read_text().splitlines()
+        header = rows[0].split(",")
+        for row, name in zip(rows[1:], ("validation", "test")):
+            values = dict(zip(header, row.split(",")))
+            instances = [t.instance for t in read_log(out / f"{name}.jsonl").tuples]
+            for column, policy in (("true_reward", params), ("logger_true_reward", logger.params)):
+                want = oracles.evaluate_truth(policy, instances, truth)
+                assert float(values[column]) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestOverflow:
@@ -529,139 +565,67 @@ class TestBadLogs:
         assert code == 1
         assert "log is empty" in self.error(capsys, bad)
 
-
-class TestConcurrentIO:
-    """generate-log writes, and train and evaluate read, their log files in
-    forked processes; the results and the errors are those of the serial code."""
-
-    @pytest.fixture(autouse=True)
-    def fork_any_size(self, monkeypatch):
-        """The test logs are far below the size at which commands fork."""
-        monkeypatch.setattr(cli, "CONCURRENT_MIN_BYTES", 0)
-
-    def test_generate_log_files_equal_serial_writes(self, workspace, tmp_path):
-        config_path, out = workspace
-        config = load_config(config_path)
-        instances, truth, logger = generate_task(config.task)
-        log = roll_log(instances, truth, logger, rng=config.task.seed)
-        serial = tmp_path / "serial"
-        serial.mkdir()
-        for name, part in zip(("train", "validation", "test"), split(log, config.splits, config.split_seed)):
-            serialize.write_log(serial / f"{name}.jsonl", part)
-        serialize.write_truth(serial / "truth.json", truth, logger)
-        for name in ("train.jsonl", "validation.jsonl", "test.jsonl", "truth.json"):
-            assert (out / name).read_bytes() == (serial / name).read_bytes()
-
-    def test_two_malformed_logs_name_the_first_in_argument_order(self, workspace, tmp_path, capsys):
-        config, out = workspace
+    @pytest.mark.parametrize("kind, source", [("cdr", "good"), ("cdc", "deterministic")])
+    def test_evaluate_names_a_one_tuple_log_for_an_estimated_control(self, logs, tmp_path, capsys,
+                                                                     kind, source):
+        config, base = logs
         run = tmp_path / "run"
-        assert main(["train", "--config", str(config), "--log", str(out / "train.jsonl"), "--out", str(run)]) == 0
-        late = _bad_log(out / "test.jsonl", tmp_path / "late.jsonl", 5)
-        early = _bad_log(out / "test.jsonl", tmp_path / "early.jsonl", 2)
-        for first, second, line in ((late, early, 5), (early, late, 2)):
-            capsys.readouterr()
-            code = main(["evaluate", "--params", str(run / "params.json"), "--log", str(first),
-                         "--log", str(second), "--out", str(tmp_path / "report")])
-            err = capsys.readouterr().err
-            assert code == 1
-            assert f"{first}:{line}:" in err and str(second) not in err
-
-    def test_child_that_dies_gives_a_named_error(self, workspace, tmp_path, monkeypatch, capfd):
-        config, out = workspace
-        parent = os.getpid()
-        real_read_log = serialize.read_log
-
-        def read_log_or_die(path):
-            if os.getpid() != parent:
-                os._exit(3)
-            return real_read_log(path)
-
-        monkeypatch.setattr(serialize, "read_log", read_log_or_die)
-        capfd.readouterr()
-        code = main(["train", "--config", str(config), "--log", str(out / "train.jsonl"),
-                     "--out", str(tmp_path / "run")])
-        err = capfd.readouterr().err
+        assert main(["train", "--config", str(config), "--log", str(base / "good" / "train.jsonl"),
+                     "--out", str(run)]) == 0
+        bad = tmp_path / "one.jsonl"
+        bad.write_bytes(b"".join((base / source / "test.jsonl").read_bytes().splitlines(keepends=True)[:2]))
+        capsys.readouterr()
+        code = main(["evaluate", "--params", str(run / "params.json"), "--model",
+                     str(run / "reward_model.json"), "--estimator", kind, "--log", str(bad),
+                     "--out", str(tmp_path / "report")])
         assert code == 1
-        assert err.startswith("cflearn: error: worker process") and "exited with code 3" in err
-        assert "Traceback" not in err
+        assert "at least 2 tuples" in self.error(capsys, bad)
 
-    def test_failures_are_raised_in_call_order(self):
-        def fail(message):
-            raise ValueError(message)
 
-        assert cli._concurrently(lambda: 1, lambda: 2, lambda: None, child_bytes=0) == [1, 2, None]
-        with pytest.raises(ValueError, match="^first$"):
-            cli._concurrently(lambda: 1, lambda: fail("first"), lambda: fail("second"), child_bytes=0)
-        with pytest.raises(ValueError, match="^parent$"):
-            cli._concurrently(lambda: fail("parent"), lambda: fail("child"), child_bytes=0)
+class TestUndecodableInput:
+    """Input that is not JSON (an invalid UTF-8 byte, a NaN literal, a number
+    beyond a double) and an integer that orjson reads as a float.  Each exits
+    1 naming the file and the line, never a traceback."""
 
-    def test_calls_run_in_order_here_without_fork(self, monkeypatch):
-        def fail(message):
-            raise ValueError(message)
+    EDITS = {
+        "invalid-utf8": (rb'"id":"', b'"id":"\xff'),
+        "nan": (rb'"reward":[^,}]+', b'"reward":NaN'),
+        "overflow": (rb'"features":\[\[[^,\]]+', b'"features":[[1e400'),
+        "chosen-2**64": (rb'"chosen":\d+', b'"chosen":18446744073709551616'),
+    }
 
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        ran = []
-        results = cli._concurrently(*[partial(ran.append, i) for i in range(3)], os.getpid, child_bytes=0)
-        assert results == [None, None, None, os.getpid()] and ran == [0, 1, 2]
-        with pytest.raises(ValueError, match="^first$"):
-            cli._concurrently(os.getpid, lambda: fail("first"), lambda: fail("second"), child_bytes=0)
+    @staticmethod
+    def assert_error(capsys, prefix: str) -> None:
+        err = capsys.readouterr().err
+        assert err.startswith(f"cflearn: error: {prefix}") and "Traceback" not in err
 
-    def test_small_files_are_handled_here(self, monkeypatch):
-        monkeypatch.setattr(cli, "CONCURRENT_MIN_BYTES", 1000)
-        assert cli._concurrently(os.getpid, os.getpid, child_bytes=999) == [os.getpid()] * 2
-        parent, child = cli._concurrently(os.getpid, os.getpid, child_bytes=1000)
-        assert parent == os.getpid() and child != parent
+    @pytest.mark.parametrize("edit", list(EDITS))
+    def test_log_line(self, workspace, tmp_path, capsys, edit):
+        _, out = workspace
+        pattern, replacement = self.EDITS[edit]
+        lines = (out / "test.jsonl").read_bytes().splitlines(keepends=True)
+        lines[2], count = re.subn(pattern, replacement, lines[2], count=1)
+        assert count == 1
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b"".join(lines))
+        (tmp_path / "params.json").write_text(json.dumps({"weights": [0.0] * 5, "alpha": 1.0, "kind": "dpm-r"}))
+        capsys.readouterr()
+        code = main(["evaluate", "--params", str(tmp_path / "params.json"), "--log", str(bad),
+                     "--out", str(tmp_path / "report")])
+        assert code == 1
+        self.assert_error(capsys, f"{bad}:3: bad log record")
 
-    def test_generate_log_without_fork_writes_the_same_files(self, workspace, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("value, message", [(b'"\xff"', "not valid UTF-8"), (b"NaN", "not valid JSON")],
+                             ids=["invalid-utf8", "nan"])
+    def test_truth_file(self, workspace, tmp_path, capsys, value, message):
         config, out = workspace
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        serial = tmp_path / "serial"
-        assert main(["generate-log", "--config", str(config), "--out", str(serial)]) == 0
-        for name in ("train.jsonl", "validation.jsonl", "test.jsonl", "truth.json"):
-            assert (serial / name).read_bytes() == (out / name).read_bytes()
-
-    @pytest.mark.parametrize("mode", [Mode.DETERMINISTIC, Mode.STOCHASTIC])
-    def test_log_read_in_a_child_is_bit_equal_and_read_only(self, tmp_path, rng, mode):
-        tuples = [
-            LoggedTuple(
-                Instance(f"m{t}", rng.standard_normal((2 + t % 4, 3))),
-                chosen=1,
-                reward=float(rng.uniform()),
-                propensity=float(rng.uniform(0.1, 1.0)) if mode is Mode.STOCHASTIC else None,
-            )
-            for t in range(25)
-        ]
-        path = tmp_path / "mixed.jsonl"
-        serialize.write_log(path, Log(tuples, mode))
-        _, child = cli._concurrently(lambda: None, lambda: read_log(path), child_bytes=0)
-        serial = read_log(path)
-        assert child.mode is serial.mode
-        assert child.ids.tolist() == serial.ids.tolist()
-        for name in ("features", "k", "chosen", "rewards", "propensities"):
-            got, want = getattr(child, name), getattr(serial, name)
-            if want is None:
-                assert got is None
-                continue
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
-        for name in ("ids", "features", "k", "chosen", "rewards", "propensities"):
-            column = getattr(child, name)
-            assert column is None or not column.flags.writeable
-
-    def test_report_true_reward_matches_per_instance_oracle(self, workspace, tmp_path):
-        config, out = workspace
-        run = tmp_path / "run"
-        assert main(["train", "--config", str(config), "--log", str(out / "train.jsonl"), "--out", str(run)]) == 0
-        assert main(["evaluate", "--params", str(run / "params.json"), "--log", str(out / "validation.jsonl"),
-                     "--log", str(out / "test.jsonl"), "--truth", str(out / "truth.json"),
-                     "--out", str(tmp_path / "report")]) == 0
-        params, _ = read_params(run / "params.json")
-        truth, logger = read_truth(out / "truth.json")
-        rows = (tmp_path / "report" / "report.csv").read_text().splitlines()
-        header = rows[0].split(",")
-        for row, name in zip(rows[1:], ("validation", "test")):
-            values = dict(zip(header, row.split(",")))
-            instances = [t.instance for t in read_log(out / f"{name}.jsonl").tuples]
-            for column, policy in (("true_reward", params), ("logger_true_reward", logger.params)):
-                want = oracles.evaluate_truth(policy, instances, truth)
-                assert float(values[column]) == pytest.approx(want, rel=1e-12, abs=0.0)
+        lines = (out / "truth.json").read_bytes().splitlines(keepends=True)
+        assert lines[1].strip() == b'"reward_weights": ['
+        lines[3] = b"    " + value + b",\n"
+        bad = tmp_path / "truth.json"
+        bad.write_bytes(b"".join(lines))
+        capsys.readouterr()
+        code = main(["train", "--config", str(config), "--log", str(out / "train.jsonl"),
+                     "--truth", str(bad), "--out", str(tmp_path / "run")])
+        assert code == 1
+        self.assert_error(capsys, f"{bad}:4: {message}")

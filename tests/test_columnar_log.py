@@ -2,11 +2,14 @@
 
 On logs whose instances all have the same k, rolling, splitting, writing,
 every objective pass and the degeneracy probes must reproduce the tuple
-code paths in ``oracles`` bit for bit.  Logs with mixed k are padded, so
+code paths in ``oracles`` bit for bit; a written log must hold the values
+of the stdlib-json file the oracle writes.  Logs with mixed k are padded, so
 their sums run in another order: they must agree to rtol 1e-12.
 """
 
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +54,35 @@ def assert_columns_equal(got: Log, want: Log) -> None:
     else:
         assert got.propensities.tobytes() == want.propensities.tobytes()
     assert got.features.tobytes() == want.features.tobytes()
+
+
+def _bits(value):
+    """A parsed JSON value with every float as its exact hex digits and every
+    object as its items in order."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, list):
+        return [_bits(v) for v in value]
+    if isinstance(value, dict):
+        return [(key, _bits(v)) for key, v in value.items()]
+    return value
+
+
+def assert_log_file_matches_oracle(got: Path, want: Path) -> None:
+    """``got`` (by write_log) against ``want`` (by the oracle's stdlib json):
+    stdlib json parses both to the same keys and bit-equal floats, read_log
+    gives bit-equal columns, and write_log of the oracle file's log gives
+    ``got``'s bytes again."""
+    got_lines = got.read_bytes().splitlines()
+    want_lines = want.read_bytes().splitlines()
+    assert len(got_lines) == len(want_lines)
+    for got_line, want_line in zip(got_lines, want_lines):
+        assert _bits(json.loads(got_line)) == _bits(json.loads(want_line))
+    back = read_log(want)
+    assert_columns_equal(read_log(got), back)
+    again = got.with_name(f"{got.stem}-again.jsonl")
+    write_log(again, back)
+    assert again.read_bytes() == got.read_bytes()
 
 
 def task(mode: Mode, seed: int = 4, n: int = 60, k: int = 6, d: int = 5):
@@ -140,8 +172,9 @@ class TestUniformKExact:
         for name, part in zip(("train", "validation", "test"), oracles.split(log, (0.6, 0.2, 0.2), 5)):
             oracles.write_log(want / f"{name}.jsonl", part)
         write_truth(want / "truth.json", truth, logger)
-        for name in ("train.jsonl", "validation.jsonl", "test.jsonl", "truth.json"):
-            assert (tmp_path / "got" / name).read_bytes() == (want / name).read_bytes(), name
+        for name in ("train.jsonl", "validation.jsonl", "test.jsonl"):
+            assert_log_file_matches_oracle(tmp_path / "got" / name, want / name)
+        assert (tmp_path / "got" / "truth.json").read_bytes() == (want / "truth.json").read_bytes()
 
 
 class TestProbeFailures:
@@ -196,7 +229,7 @@ class TestMixedK:
         assert_columns_equal(part, oracles.split(want, (0.6, 0.2, 0.2), seed=2)[0])
         write_log(tmp_path / "got.jsonl", part)
         oracles.write_log(tmp_path / "want.jsonl", part)
-        assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+        assert_log_file_matches_oracle(tmp_path / "got.jsonl", tmp_path / "want.jsonl")
         back = read_log(tmp_path / "got.jsonl")
         assert_columns_equal(back, part)
 

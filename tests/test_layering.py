@@ -8,9 +8,6 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cflearn"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
-# the one import allowed inside a function: commands that never fork skip its cost
-LOCAL_IMPORTS = {("cli", "_concurrently", "multiprocessing")}
-
 
 def imported(node: ast.AST) -> list[str]:
     """Module names an import statement binds, package-relative ones as ``cflearn.x``."""
@@ -36,7 +33,7 @@ def test_no_import_inside_a_function(path):
             for node in ast.walk(func):
                 if isinstance(node, (ast.Import, ast.ImportFrom)):
                     found |= {(path.stem, func.name, name) for name in imported(node)}
-    assert found <= LOCAL_IMPORTS
+    assert found == set()
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
@@ -50,3 +47,10 @@ def test_no_type_checking_guard(path):
 )
 def test_lower_layer_does_not_import_a_higher_one(module, forbidden):
     assert forbidden not in module_imports(PACKAGE / f"{module}.py")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_json_goes_through_serialize_alone(path):
+    imports = module_imports(path)
+    assert not imports & {"json", "pickle", "multiprocessing"}
+    assert ("orjson" in imports) == (path.stem == "serialize")
