@@ -11,93 +11,49 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, fields, replace
 from pathlib import Path
-
-import yaml
 
 from . import serialize
 from .degeneracy import ProbeResult, probe_theorem1, probe_theorem2
-from .domain import Log, Mode, PolicyParams, _integer, _real
+from .domain import Log, Mode, PolicyParams
 from .errors import CflearnError, ConfigurationError
 from .estimators import EstimatorKind, check_log, evaluate_policy
-from .gradients import FD_TOLERANCE, run_grad_check
+from .gradients import FD_TOLERANCE, GradCheckResult, run_grad_check
 from .reward import RewardModel
 from .simulator import GroundTruth, LoggingPolicy, TaskSpec, generate_task, roll_log, split
-from .training import TrainConfig, _expected_reward, train
+from .training import _expected_reward, train
 
 USAGE_ERROR = 1
 CHECK_FAILURE = 2
 
 
-@dataclass
-class ExperimentConfig:
-    task: TaskSpec
-    train: TrainConfig
-    splits: tuple[float, float, float] = (0.5, 0.25, 0.25)
-    split_seed: int = 0
-    output_dir: str = "out"
-
-
-def _build_dataclass(cls, data, context: str):
-    if not isinstance(data, dict):
-        raise ValueError(f"{context}: must be a mapping, got {data!r}")
-    allowed = {f.name for f in fields(cls)}
-    unknown = set(data) - allowed
-    if unknown:
-        raise ValueError(f"{context}: unknown keys {sorted(unknown)}")
+@contextmanager
+def _naming(prefix):
+    """Prefix a package error or a ValueError raised inside with the file(s) it concerns."""
     try:
-        return cls(**data)
-    except TypeError as err:  # a required key is missing
-        raise ValueError(f"{context}: {err}") from err
+        yield
+    except (CflearnError, ValueError) as err:
+        raise type(err)(f"{prefix}: {err}") from err
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
-    data = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {}
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: config must be a mapping")
-    unknown = set(data) - {"task", "train", "splits", "split_seed", "output_dir"}
-    if unknown:
-        raise ValueError(f"{path}: unknown top-level keys {sorted(unknown)}")
-    train_data = data.get("train") or {}
-    if not isinstance(train_data, dict) or "kind" not in train_data:
-        raise ValueError(f"{path}: train.kind is required")
-    splits = data.get("splits", (0.5, 0.25, 0.25))
-    if not isinstance(splits, (list, tuple)) or len(splits) != 3:
-        raise ValueError(f"{path}: splits must be a list of 3 fractions, got {splits!r}")
-    for value in splits:
-        _real("splits", value)
-    split_seed = data.get("split_seed", 0)
-    _integer("split_seed", split_seed)
-    return ExperimentConfig(
-        task=_build_dataclass(TaskSpec, data.get("task") or {}, "task"),
-        train=_build_dataclass(TrainConfig, train_data, "train"),
-        splits=tuple(splits),
-        split_seed=split_seed,
-        output_dir=str(data.get("output_dir", "out")),
-    )
-
-
-def _out_dir(args, config: ExperimentConfig | None) -> Path:
-    if args.out is not None:
-        out = Path(args.out)
-    elif config is not None:
-        out = Path(config.output_dir)
-    else:
-        out = Path("out")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _out_dir(out, default=None) -> Path:
+    """The directory ``out``, or ``default`` when ``--out`` was not given; made if missing."""
+    path = Path(default if out is None else out)
+    path.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 def cmd_generate_log(args) -> int:
-    config = load_config(args.config)
+    config = serialize.read_config(args.config)
     task = config.task
     if args.seed is not None:
         task = replace(task, seed=args.seed)
-    out = _out_dir(args, config)
-    instances, truth, logger = generate_task(task)
-    log = roll_log(instances, truth, logger, rng=task.seed)
-    train_log, validation_log, test_log = split(log, config.splits, config.split_seed)
+    with _naming(args.config):  # e.g. a size numpy cannot allocate
+        instances, truth, logger = generate_task(task)
+        log = roll_log(instances, truth, logger, rng=task.seed)
+        train_log, validation_log, test_log = split(log, config.splits, config.split_seed)
+    out = _out_dir(args.out, config.output_dir)
     for name, part in (("train", train_log), ("validation", validation_log), ("test", test_log)):
         serialize.write_log(out / f"{name}.jsonl", part)
     serialize.write_truth(out / "truth.json", truth, logger)
@@ -106,15 +62,6 @@ def cmd_generate_log(args) -> int:
         f"({log.mode.value}) to {out}"
     )
     return 0
-
-
-@contextmanager
-def _naming(prefix):
-    """Prefix a package error raised inside with the file(s) it concerns."""
-    try:
-        yield
-    except CflearnError as err:
-        raise type(err)(f"{prefix}: {err}") from err
 
 
 def _truth_rewards(truth: GroundTruth, truth_path, log: Log, log_path):
@@ -126,13 +73,12 @@ def _truth_rewards(truth: GroundTruth, truth_path, log: Log, log_path):
 
 
 def cmd_train(args) -> int:
-    config = load_config(args.config)
+    config = serialize.read_config(args.config)
     train_cfg = config.train
     if args.estimator is not None:
         train_cfg = replace(train_cfg, kind=EstimatorKind(args.estimator))
     if args.seed is not None:
         train_cfg = replace(train_cfg, seed=args.seed)
-    out = _out_dir(args, config)
 
     validation_path = args.validation or str(Path(args.log).with_name("validation.jsonl"))
     train_log = serialize.read_log(args.log)
@@ -151,6 +97,7 @@ def cmd_train(args) -> int:
         _truth_rewards(truth, args.truth, train_log, args.log)  # fail naming both files
 
     params, trace = train(train_cfg, train_log, validation_log, truth=truth)
+    out = _out_dir(args.out, config.output_dir)
     extra = {
         "kind": train_cfg.kind.value,
         "best_epoch": trace.best_epoch,
@@ -211,10 +158,9 @@ REPORT_COLUMNS = [
 
 def cmd_evaluate(args) -> int:
     params, meta = serialize.read_params(args.params)
-    kind_name = args.estimator or meta.get("kind")
-    if kind_name is None:
-        raise ValueError("no estimator kind: pass --estimator or use params.json from `train`")
-    kind = EstimatorKind(kind_name)
+    if args.estimator is not None:
+        meta["kind"] = args.estimator
+    kind = serialize._get(meta, "kind", EstimatorKind, args.params)
     model = serialize.read_reward_model(args.model) if args.model else None
     if kind.uses_reward_model and model is None:
         raise ValueError(f"estimator {kind.value} needs --model reward_model.json")
@@ -231,8 +177,7 @@ def cmd_evaluate(args) -> int:
         _evaluate_row(path, kind, params, log, model, log_rewards, logger)
         for path, log, log_rewards in zip(args.log, logs, rewards)
     ]
-    out = Path(args.out) if args.out is not None else Path(args.params).parent
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out, Path(args.params).parent)
     serialize.write_csv(out / "report.csv", REPORT_COLUMNS, rows)
     for row in rows:
         detail = f"value={row[2]!r}"
@@ -244,32 +189,21 @@ def cmd_evaluate(args) -> int:
 
 def cmd_grad_check(args) -> int:
     results = run_grad_check(
-        seed=args.seed if args.seed is not None else 0,
-        count=args.count,
-        n_max=args.max_n,
-        k_max=args.max_k,
-        d_max=args.max_d,
+        seed=args.seed, count=args.count, n_max=args.max_n, k_max=args.max_k, d_max=args.max_d
     )
-    rows = []
-    failed = False
     for res in results:
         status = "ok" if res.failures == 0 else "FAIL"
-        failed = failed or res.failures > 0
         print(
             f"{res.family}: {res.problems} problems, max rel error {res.max_rel_error:.3e} "
             f"({status}; {res.singular} singular excluded, {res.constant_cases} constant cases)"
         )
-        rows.append(
-            [res.family, res.problems, res.max_rel_error, res.failures, res.singular, res.constant_cases]
-        )
     if args.out is not None:
-        out = _out_dir(args, None)
         serialize.write_csv(
-            out / "grad_check.csv",
-            ["family", "problems", "max_rel_error", "failures", "singular", "constant_cases"],
-            rows,
+            _out_dir(args.out) / "grad_check.csv",
+            [f.name for f in fields(GradCheckResult)],
+            [astuple(res) for res in results],
         )
-    if failed:
+    if any(res.failures for res in results):
         print(f"gradient check FAILED at tolerance {FD_TOLERANCE}", file=sys.stderr)
         return CHECK_FAILURE
     return 0
@@ -277,24 +211,12 @@ def cmd_grad_check(args) -> int:
 
 def probe_tasks(seed: int, count: int) -> list[tuple[str, TaskSpec]]:
     """Seeded probe task specs, ``count`` per logging mode."""
-    specs = []
-    for mode in (Mode.DETERMINISTIC, Mode.STOCHASTIC):
-        for i in range(count):
-            specs.append(
-                (
-                    f"{mode.value}-{i:03d}",
-                    TaskSpec(
-                        num_instances=12,
-                        k=4,
-                        d=6,
-                        seed=seed + i,
-                        reward_noise=0.0,
-                        logger_quality=0.5,
-                        logging_mode=mode,
-                    ),
-                )
-            )
-    return specs
+    return [
+        (f"{mode.value}-{i:03d}",
+         TaskSpec(num_instances=12, k=4, d=6, seed=seed + i, logger_quality=0.5, logging_mode=mode))
+        for mode in (Mode.DETERMINISTIC, Mode.STOCHASTIC)
+        for i in range(count)
+    ]
 
 
 def run_probe_suite(seed: int, count: int, trials: int = 200) -> list[tuple[str, ProbeResult]]:
@@ -309,8 +231,7 @@ def run_probe_suite(seed: int, count: int, trials: int = 200) -> list[tuple[str,
 
 
 def cmd_degeneracy_probe(args) -> int:
-    seed = args.seed if args.seed is not None else 0
-    results = run_probe_suite(seed, args.count)
+    results = run_probe_suite(args.seed, args.count)
     violations = sum(1 for _, r in results if not r.holds and not r.skipped)
     skipped = sum(1 for _, r in results if r.skipped)
     rows = [
@@ -325,9 +246,8 @@ def cmd_degeneracy_probe(args) -> int:
         for label, res in results
     ]
     if args.out is not None:
-        out = _out_dir(args, None)
         serialize.write_csv(
-            out / "probes.csv",
+            _out_dir(args.out) / "probes.csv",
             ["log", "theorem", "status", "reference_value", "worst_challenger", "note"],
             rows,
         )
@@ -379,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.set_defaults(func=cmd_evaluate)
 
     gc = sub.add_parser("grad-check", help="finite-difference check of all gradient families")
-    gc.add_argument("--seed", type=int, default=None)
+    gc.add_argument("--seed", type=int, default=0)
     gc.add_argument("--count", type=int, default=100)
     gc.add_argument("--max-n", type=int, default=10)
     gc.add_argument("--max-k", type=int, default=5)
@@ -388,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     gc.set_defaults(func=cmd_grad_check)
 
     dp = sub.add_parser("degeneracy-probe", help="run the degenerate-maximizer probes")
-    dp.add_argument("--seed", type=int, default=None)
+    dp.add_argument("--seed", type=int, default=0)
     dp.add_argument("--count", type=int, default=100, help="logs per logging mode")
     dp.add_argument("--out", default=None)
     dp.set_defaults(func=cmd_degeneracy_probe)
@@ -401,7 +321,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CflearnError, ValueError, OSError, yaml.YAMLError) as err:
+    except (CflearnError, ValueError, OSError) as err:
         print(f"cflearn: error: {err}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -11,7 +11,9 @@ softmax (Gibbs) distribution over each candidate set with scores
 
 from __future__ import annotations
 
+import math
 import numbers
+from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
 
@@ -27,16 +29,31 @@ class Mode(Enum):
     STOCHASTIC = "stochastic"
 
 
-def _real(key: str, value) -> None:
-    """Reject a config value that is not a finite real number, naming its key."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not np.isfinite(value):
-        raise ValueError(f"{key} must be a finite number, got {value!r}")
+def _real(key: str, value):
+    """``value`` if it is a real number with a finite float value; raises ValueError naming the key."""
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        with suppress(OverflowError):  # an integer beyond the float range
+            if math.isfinite(value):
+                return value
+    raise ValueError(f"{key} must be a finite number, got {value!r}")
 
 
-def _integer(key: str, value) -> None:
-    """Reject a config value that is not an integer, naming its key."""
+def _integer(key: str, value, minimum: int | None = None) -> int:
+    """``value`` if it is an integer of at least ``minimum``; raises ValueError naming the key."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{key} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{key} must be at least {minimum}, got {value}")
+    return value
+
+
+def _member(key: str, enum: type[Enum], value) -> Enum:
+    """``value`` as a member of ``enum``; raises ValueError naming the key."""
+    try:
+        return enum(value)
+    except ValueError:
+        choices = ", ".join(member.value for member in enum)
+        raise ValueError(f"{key} must be one of {choices}; got {value!r}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,7 +262,7 @@ class PolicyParams:
             raise ConfigurationError(f"weights must be a vector, got shape {w.shape}")
         if not np.all(np.isfinite(w)):
             raise ConfigurationError("weights contain non-finite values")
-        if not (np.isfinite(self.alpha) and self.alpha > 0.0):
+        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
             raise ConfigurationError(f"alpha must be a positive real, got {self.alpha}")
         object.__setattr__(self, "weights", w)
 

@@ -1,28 +1,34 @@
-"""Bit-exact file formats for logs, policies, models, traces, and reports.
+"""Bit-exact file formats for logs, policies, models, traces, and reports,
+and the reader of the YAML experiment config.
 
 Logs are line-delimited JSON: a one-line header carrying the mode, then one
 self-describing record per tuple with its embedded candidate feature matrix.
 orjson is the one JSON codec.  It writes compact UTF-8 with every float as
 its shortest round-trip decimal (Ryu), so any JSON reader gets back every
 value bit for bit, and identical inputs always produce byte-identical files.
-Every file is read as bytes, so no input escapes as a bare decode error.
+
+This module is the one input boundary of the CLI.  Every file, the config
+included, is read as bytes, so no input escapes as a bare decode error.  An
+input that does not decode or parse fails naming ``file:line``; a missing
+key or a bad value fails naming the file and the key.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import astuple, fields
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import get_args, get_type_hints
 
 import numpy as np
 import orjson
+import yaml
 
-from .domain import Instance, Log, LoggedTuple, Mode, PolicyParams
+from .domain import Instance, Log, LoggedTuple, Mode, PolicyParams, _integer
 from .errors import CflearnError, ConfigurationError, LogConsistencyError
 from .reward import RewardModel
-from .simulator import GroundTruth, LoggingPolicy
-from .training import EpochRecord, TrainTrace
+from .simulator import GroundTruth, LoggingPolicy, TaskSpec, _fractions
+from .training import EpochRecord, TrainConfig, TrainTrace
 
 
 def _floats(values) -> list[float]:
@@ -128,17 +134,35 @@ def read_log(path: str | Path) -> Log:
     return Log._from_columns(mode, ids, features, k, chosen, rewards, propensities)
 
 
+def _text(path: str | Path, data: bytes) -> str:
+    """``data`` decoded as UTF-8; raises ConfigurationError naming the line of a bad byte."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as bad:
+        line = data.count(b"\n", 0, bad.start) + 1
+        raise ConfigurationError(f"{path}:{line}: not valid UTF-8: {bad.reason}") from bad
+
+
 def _load_json(path: str | Path):
     data = Path(path).read_bytes()
     try:
         return orjson.loads(data)
     except orjson.JSONDecodeError as err:
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as bad:  # orjson places these at line 1
-            line = data.count(b"\n", 0, bad.start) + 1
-            raise ConfigurationError(f"{path}:{line}: not valid UTF-8: {bad.reason}") from bad
+        _text(path, data)  # orjson places a bad byte at line 1
         raise ConfigurationError(f"{path}:{err.lineno}: not valid JSON: {err.msg}") from err
+
+
+def _load_yaml(path: str | Path):
+    text = _text(path, Path(path).read_bytes())
+    try:
+        return yaml.safe_load(text)
+    except yaml.MarkedYAMLError as err:
+        mark = err.problem_mark or err.context_mark
+        reason = err.problem or err.context
+        raise ConfigurationError(f"{path}:{mark.line + 1}: not valid YAML: {reason}") from err
+    except yaml.YAMLError as err:  # the reader's: a character YAML does not allow
+        line = text.count("\n", 0, err.position) + 1
+        raise ConfigurationError(f"{path}:{line}: not valid YAML: {err.reason}") from err
 
 
 def _get(payload, key: str, convert, path: str | Path, where: str = ""):
@@ -165,6 +189,45 @@ def _params(payload, path: str | Path, where: str = "") -> PolicyParams:
     try:
         return PolicyParams(weights, alpha=alpha)
     except ConfigurationError as err:
+        raise ConfigurationError(f"{path}: {err}") from err
+
+
+def _keys(cls, data) -> dict:
+    """``data`` if it maps field names of the dataclass ``cls``; raises TypeError or ValueError."""
+    if not isinstance(data, dict):
+        raise TypeError(f"expected a mapping, got {data!r}")
+    unknown = set(data) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown keys {sorted(unknown, key=str)}")
+    return data
+
+
+@dataclass
+class ExperimentConfig:
+    task: TaskSpec
+    train: TrainConfig
+    splits: tuple[float, float, float] = (0.5, 0.25, 0.25)
+    split_seed: int = 0
+    output_dir: Path = Path("out")
+
+
+_CONFIG_KEYS = {  # each config key's converter; the defaults are ExperimentConfig's
+    "task": lambda data: TaskSpec(**_keys(TaskSpec, data)),
+    "train": lambda data: TrainConfig(**_keys(TrainConfig, data)),
+    "splits": _fractions,
+    "split_seed": lambda value: _integer("split_seed", value, 0),
+    "output_dir": Path,
+}
+
+
+def read_config(path: str | Path) -> ExperimentConfig:
+    """Read a YAML experiment config.  Every error is a ConfigurationError
+    naming the file, and the line or the key."""
+    data = _load_yaml(path)
+    try:
+        keys = _keys(ExperimentConfig, data)
+        return ExperimentConfig(**{key: _get(data, key, _CONFIG_KEYS[key], path) for key in keys})
+    except (TypeError, ValueError) as err:  # not a mapping, an unknown or a missing key
         raise ConfigurationError(f"{path}: {err}") from err
 
 

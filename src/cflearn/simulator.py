@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Instance, Log, Mode, PolicyParams, _integer, _probs, _real, _stack_candidates
+from .domain import Instance, Log, Mode, PolicyParams, _integer, _member, _probs, _real, _stack_candidates
 from .errors import ConfigurationError
 
 REWARD_QUANTUM = 1e-6
@@ -38,19 +38,13 @@ class TaskSpec:
     logger_alpha: float = 1.0
 
     def __post_init__(self) -> None:
-        for key in ("num_instances", "k", "d", "seed"):
-            _integer(key, getattr(self, key))
+        for key, minimum in (("num_instances", 1), ("k", 2), ("d", 1), ("seed", 0)):
+            _integer(key, getattr(self, key), minimum)
+        if self.num_instances * self.k * self.d > np.iinfo(np.intp).max:
+            raise ValueError("num_instances * k * d exceeds the largest array numpy can index")
         for key in ("reward_noise", "logger_quality", "logger_alpha"):
             _real(key, getattr(self, key))
-        if isinstance(self.logging_mode, str):
-            object.__setattr__(self, "logging_mode", Mode(self.logging_mode))
-        if not isinstance(self.logging_mode, Mode):
-            raise ValueError(f"logging_mode must be a Mode, got {self.logging_mode!r}")
-        if self.num_instances < 1 or self.k < 2 or self.d < 1:
-            raise ValueError(
-                f"need num_instances >= 1, k >= 2, d >= 1; got "
-                f"({self.num_instances}, {self.k}, {self.d})"
-            )
+        object.__setattr__(self, "logging_mode", _member("logging_mode", Mode, self.logging_mode))
         if self.reward_noise < 0:
             raise ValueError(f"reward_noise must be non-negative, got {self.reward_noise}")
         if not 0.0 <= self.logger_quality <= 1.0:
@@ -201,6 +195,14 @@ def roll_log(
     return Log._from_columns(mode, ids, features, k, chosen.astype(np.intp), rewards, propensities)
 
 
+def _fractions(fractions) -> tuple[float, float, float]:
+    """``fractions`` as a tuple, if it holds 3 finite non-negative values summing to 1."""
+    values = tuple(_real("fractions", value) for value in fractions)
+    if len(values) != 3 or min(values) < 0 or abs(sum(values) - 1.0) > 1e-9:
+        raise ValueError(f"fractions must be 3 non-negative values summing to 1, got {fractions}")
+    return values
+
+
 def split(
     log: Log, fractions: tuple[float, float, float], seed: int
 ) -> tuple[Log, Log, Log]:
@@ -213,9 +215,7 @@ def split(
     n = len(log)
     if n == 0:
         raise ValueError("cannot split an empty log")
-    fracs = np.asarray(fractions, dtype=float)
-    if fracs.size != 3 or np.any(fracs < 0) or abs(fracs.sum() - 1.0) > 1e-9:
-        raise ValueError(f"fractions must be 3 non-negative values summing to 1, got {fractions}")
+    fracs = np.asarray(_fractions(fractions), dtype=float)
     boundaries = np.round(np.cumsum(fracs) * n).astype(int)
     boundaries[-1] = n
     perm = np.random.default_rng(seed).permutation(n)

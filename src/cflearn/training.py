@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import Instance, Log, PolicyParams, _integer, _probs, _real, _stack_candidates
+from .domain import Instance, Log, PolicyParams, _integer, _member, _probs, _real, _stack_candidates
 from .errors import ConfigurationError, DegenerateSupportError, ScoreOverflowError
 from .estimators import EstimatorKind, check_log, value_and_grad
 from .reward import RewardModel, fit_reward_model
@@ -46,20 +46,13 @@ class TrainConfig:
     alpha: float = 1.0
 
     def __post_init__(self) -> None:
-        if isinstance(self.kind, str):
-            self.kind = EstimatorKind(self.kind)
-        if not isinstance(self.kind, EstimatorKind):
-            raise ValueError(f"kind must be an estimator kind, got {self.kind!r}")
+        self.kind = _member("kind", EstimatorKind, self.kind)
         for key in ("learning_rate", "ridge_lambda", "init_sigma", "alpha"):
             _real(key, getattr(self, key))
         for key in ("epochs", "seed", "early_stop_patience"):
-            _integer(key, getattr(self, key))
+            _integer(key, getattr(self, key), 0)
         if self.learning_rate < 0:
             raise ValueError(f"learning_rate must be non-negative, got {self.learning_rate}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be a non-negative integer, got {self.epochs!r}")
-        if self.early_stop_patience < 0:
-            raise ValueError(f"early_stop_patience must be non-negative, got {self.early_stop_patience}")
         if self.batch_size != "full" and (
             isinstance(self.batch_size, bool)
             or not isinstance(self.batch_size, int)

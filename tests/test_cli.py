@@ -1,17 +1,22 @@
 """End-to-end CLI behavior: commands, guards, exit codes, reproducibility."""
 
+import contextlib
+import io
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracles
-from cflearn import Instance, Log, LoggedTuple, Mode, serialize
-from cflearn.cli import load_config, main
-from cflearn.serialize import read_log, read_params, read_truth, write_reward_model
+from cflearn import Instance, Log, LoggedTuple, Mode, PolicyParams, serialize
+from cflearn.cli import main
+from cflearn.serialize import read_config, read_log, read_params, read_truth, write_reward_model
 from cflearn.simulator import generate_task, roll_log, split
 
 
@@ -86,7 +91,7 @@ class TestGenerateLog:
 
     def test_generate_log_files_equal_serial_writes(self, workspace, tmp_path):
         config_path, out = workspace
-        config = load_config(config_path)
+        config = read_config(config_path)
         instances, truth, logger = generate_task(config.task)
         log = roll_log(instances, truth, logger, rng=config.task.seed)
         serial = tmp_path / "serial"
@@ -392,6 +397,22 @@ class TestChecks:
         assert "0 violated" in capsys.readouterr().out
 
 
+def _edited_config(edit):
+    """A bad input case: the tests' config with its bytes edited."""
+    def build(tmp_path):
+        config = write_config(tmp_path / "config.yaml")
+        config.write_bytes(edit(config.read_bytes()))
+        return config, ["generate-log", "--config", str(config)]
+    return build
+
+
+def _params_kind(tmp_path):
+    """A bad input case: a params.json whose estimator kind is not one."""
+    params = tmp_path / "params.json"
+    serialize.write_params(params, PolicyParams(np.zeros(5)), {"kind": "nope"})
+    return params, ["evaluate", "--params", str(params), "--log", str(tmp_path / "test.jsonl")]
+
+
 class TestUsageErrors:
     def test_unknown_command_exits_one(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -409,13 +430,97 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         "override, key",
         [({"train.learning_rate": "fast"}, "learning_rate"), ({"splits": 5}, "splits"),
-         ({"task.k": "4"}, "k"), ({"split_seed": [1]}, "split_seed"), ({"task": {"k": 4}}, "num_instances")],
+         ({"task.k": "4"}, "k"), ({"split_seed": [1]}, "split_seed"), ({"task": {"k": 4}}, "num_instances"),
+         # the config's lines: 1 output_dir, 2 split_seed, 11 task.logging_mode, 19 train.kind
+         pytest.param(_edited_config(lambda b: b.replace(b"dpm-r", b"dpm-\xff")), "config.yaml:19: not valid UTF-8",
+                      id="invalid-utf8"),
+         pytest.param(_edited_config(lambda b: b.replace(b"split_seed: 2", b"split_seed: 2: 3")),
+                      "config.yaml:2: not valid YAML", id="yaml-syntax"),
+         pytest.param({"train.kind": "nope"}, "kind", id="kind"),
+         pytest.param({"task.logging_mode": "nope"}, "logging_mode", id="logging_mode"),
+         pytest.param({"splits": [0.5, 0.5, 0.5]}, "splits", id="splits-sum"),
+         pytest.param({"train.learning_rate": -1}, "learning_rate", id="negative-learning_rate"),
+         pytest.param({"task.num_instances": 0}, "num_instances", id="zero-num_instances"),
+         pytest.param({"split_seed": 1.5}, "split_seed", id="fractional-split_seed"),
+         pytest.param({"train": {"kind": "dpm", "bogus": 1}}, "bogus", id="unknown-train-key"),
+         pytest.param({"task.seed": -1}, "seed", id="negative-seed"),
+         pytest.param({"task.num_instances": 2**64}, "num_instances", id="huge-num_instances"),
+         # indexable, but 8 bytes a value overflow numpy's array size: only the file can be named
+         pytest.param({"task.num_instances": 2**58}, "", id="unallocatable-num_instances"),
+         pytest.param({"output_dir": [1]}, "output_dir", id="list-output_dir"),
+         pytest.param(_params_kind, "kind", id="params-kind")],
     )
-    def test_bad_config_value_exits_one_naming_the_key(self, tmp_path, capsys, override, key):
-        config = write_config(tmp_path / "config.yaml", **override)
-        assert main(["generate-log", "--config", str(config)]) == 1
+    def test_bad_config_value_exits_one_naming_the_key(self, tmp_path, monkeypatch, capsys, override, key):
+        monkeypatch.chdir(tmp_path)  # a relative output_dir lands here
+        if callable(override):
+            path, argv = override(tmp_path)
+        else:
+            path = write_config(tmp_path / "config.yaml", **override)
+            argv = ["generate-log", "--config", str(path)]
+        assert main(argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith("cflearn: error:") and key in err
+        assert err.startswith(f"cflearn: error: {path}:")
+        assert key in err and err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "out").exists()  # the config's output_dir is made only on success
+
+
+# values that replace one value of the config: wrong types, non-finite or
+# unrepresentable numbers, and zero or negative sizes
+BAD_VALUES = [".nan", "1.0e400", "1.0e+400", str(2**64), "-1", "0", "text", "[1]", "{a: 1}", "null", "true", ""]
+
+
+@st.composite
+def config_mutations(draw, valid: bytes) -> bytes:
+    """``valid`` with one byte-level, line-level or value-level mutation."""
+    lines = valid.splitlines(keepends=True)
+    at = draw(st.integers(0, len(valid) - 1), label="byte")
+    row = draw(st.integers(0, len(lines) - 1), label="line")
+    key, sep, _ = lines[row].partition(b":")
+    mutations = {
+        "truncate": lambda: valid[:at],
+        "flip": lambda: valid[:at] + bytes([valid[at] ^ 1 << draw(st.integers(0, 7))]) + valid[at + 1:],
+        "insert": lambda: valid[:at] + bytes([draw(st.integers(0, 255))]) + valid[at:],
+        "0xff": lambda: valid[:at] + b"\xff" + valid[at + 1:],
+        "bom": lambda: b"\xef\xbb\xbf" + valid,
+        "drop key": lambda: b"".join(lines[:row] + lines[row + 1:]),
+        "rename key": lambda: b"".join(lines[:row] + [key + b"_" + sep + lines[row][len(key) + 1:]] + lines[row + 1:]),
+        "value": lambda: b"".join(
+            lines[:row] + [(key + b": " if sep else b"- ") + draw(st.sampled_from(BAD_VALUES)).encode() + b"\n"]
+            + lines[row + 1:]
+        ),
+    }
+    return mutations[draw(st.sampled_from(sorted(mutations)), label="mutation")]()
+
+
+def _task_sizes(config: bytes) -> list[int]:
+    """The config's n, k and d, each 0 unless it parses as an integer numpy can index."""
+    try:
+        task = yaml.safe_load(config.decode("utf-8"))["task"]
+        sizes = [task[key] for key in ("num_instances", "k", "d")]
+    except (ValueError, TypeError, KeyError, yaml.YAMLError):
+        return [0, 0, 0]
+    return [size if type(size) is int and 0 < size < 2**63 else 0 for size in sizes]
+
+
+@settings(max_examples=120)
+@given(st.data())
+def test_mutated_config_exits_zero_or_one_naming_the_config(tmp_path_factory, data):
+    base = tmp_path_factory.mktemp("config")
+    config = write_config(base / "config.yaml", output_dir="unused")  # the same bytes in every example
+    valid = config.read_bytes()
+    mutated = data.draw(config_mutations(valid), label="mutated")
+    # no size grows to a larger valid value, so no example builds more than the tests' task
+    assume(all(new <= old for new, old in zip(_task_sizes(mutated), _task_sizes(valid))))
+    config.write_bytes(mutated)
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["generate-log", "--config", str(config), "--out", str(base / "out")])
+    assert code in (0, 1)
+    if code == 1:
+        assert err.getvalue().startswith(f"cflearn: error: {config}:") and err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""
 
 
 class TestBadPayloads:

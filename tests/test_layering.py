@@ -1,6 +1,8 @@
 """The package's import layering: domain -> reward -> estimators -> the rest."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -54,3 +56,18 @@ def test_json_goes_through_serialize_alone(path):
     imports = module_imports(path)
     assert not imports & {"json", "pickle", "multiprocessing"}
     assert ("orjson" in imports) == (path.stem == "serialize")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_yaml_goes_through_serialize_alone(path):
+    assert ("yaml" in module_imports(path)) == (path.stem == "serialize")
+
+
+def test_import_cflearn_loads_no_codec():
+    """The codecs load with the CLI's input boundary, so the library's start-up does not pay for them."""
+    code = "import sys, cflearn; print(sorted({'orjson', 'yaml'} & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-c", code], cwd=PACKAGE.parent, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
