@@ -36,6 +36,7 @@ from .errors import (
 )
 from .estimators import (
     EstimatorKind,
+    LogTerms,
     ObjectivePass,
     diagnostics,
     estimate_c_hat,

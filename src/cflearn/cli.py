@@ -168,7 +168,16 @@ def cmd_evaluate(args) -> int:
     if not args.log:
         raise ValueError("pass at least one --log file")
     logs = [serialize.read_log(path) for path in args.log]
-    # every log is checked against the truth before any is evaluated
+    # every input file is checked against every log, its dimension and then the
+    # truth's coverage, before any log is evaluated
+    logger_params = None if logger is None else logger.params
+    for path, source in ((args.params, params), (args.model, model), (args.truth, logger_params)):
+        for log_path, log in zip(args.log, logs):
+            if source is not None and len(log) and source.dim != log.dim:
+                raise ConfigurationError(
+                    f"{path}: weight dimension {source.dim} does not match the feature "
+                    f"dimension {log.dim} of {log_path}"
+                )
     rewards = [
         None if truth is None else _truth_rewards(truth, args.truth, log, path)
         for path, log in zip(args.log, logs)

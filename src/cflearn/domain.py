@@ -116,15 +116,26 @@ class LoggedTuple:
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
-    """Row-wise softmax over the last axis, shifted by each row's maximum."""
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    np.exp(shifted, out=shifted)
-    return shifted / shifted.sum(axis=-1, keepdims=True)
+    """Softmax over the candidates of candidate-major (k, n) scores, in place;
+    returns the (n, k) transposed view.
+
+    Each step runs along contiguous rows of n values.  numpy sums axis 0 of
+    a (k, n) array one candidate row after another, except at n = 1, where it
+    sees one contiguous run and sums pairwise; that case is summed in
+    sequence too, so an instance's probabilities are the same alone or in a
+    batch.
+    """
+    scores -= scores.max(axis=0)
+    np.exp(scores, out=scores)
+    total = scores.sum(axis=0) if scores.shape[1] != 1 else np.add.accumulate(scores)[-1]
+    scores /= total
+    return scores.T
 
 
 def _probs(params: "PolicyParams", features: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Softmax probabilities (n, k_max) over a padded candidate tensor; 0 past
-    each row's k."""
+    each row's k.  The array is candidate-major: its memory is that of a
+    C-contiguous (k_max, n) array."""
     n, k_max, d = features.shape
     if params.dim != d:
         raise ConfigurationError(
@@ -132,13 +143,15 @@ def _probs(params: "PolicyParams", features: np.ndarray, k: np.ndarray) -> np.nd
         )
     # padded candidates score exactly 0, so checking every score checks the real ones
     with np.errstate(over="ignore", invalid="ignore"):
-        scores = params.alpha * (features.reshape(n * k_max, d) @ params.weights).reshape(n, k_max)
+        raw = features.reshape(n * k_max, d) @ params.weights
+        raw *= params.alpha
+    scores = np.ascontiguousarray(raw.reshape(n, k_max).T)
     if not np.isfinite(scores).all():
         raise ScoreOverflowError(
             "policy scores overflowed: alpha * weights . features is not finite"
         )
     if n and k.min() < k_max:
-        scores[np.arange(k_max) >= k[:, None]] = -np.inf
+        scores[np.arange(k_max)[:, None] >= k] = -np.inf
     return _softmax(scores)
 
 
@@ -241,7 +254,8 @@ class Log:
         )
 
     def probs(self, params: "PolicyParams") -> np.ndarray:
-        """Softmax probabilities of shape (n, k_max); 0 at padded candidates."""
+        """Softmax probabilities of shape (n, k_max), candidate-major; 0 at
+        padded candidates."""
         return _probs(params, self.features, self.k)
 
     def at_chosen(self, values: np.ndarray) -> np.ndarray:

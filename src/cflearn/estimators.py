@@ -109,13 +109,12 @@ def check_log(kind: EstimatorKind, log: Log) -> None:
     )
 
 
-def _rho(log: Log, probs: np.ndarray) -> np.ndarray:
-    """Per-tuple importance weights from the (n, k_max) policy probabilities:
-    pi/mu on stochastic logs, pi otherwise."""
-    chosen = log.at_chosen(probs)
+def _rho(log: Log, pi_chosen: np.ndarray) -> np.ndarray:
+    """Per-tuple importance weights from the policy probabilities of the
+    logged choices: pi/mu on stochastic logs, pi otherwise."""
     if log.mode is Mode.STOCHASTIC:
-        return chosen / log.propensities
-    return chosen
+        return pi_chosen / log.propensities
+    return pi_chosen
 
 
 ZERO_WEIGHTS = "all importance weights are zero; the self-normalized value is undefined"
@@ -180,26 +179,62 @@ class ObjectivePass:
             raise DegenerateSupportError(ZERO_WEIGHTS)
 
 
+@dataclass(frozen=True, eq=False)
+class LogTerms:
+    """The terms of a log that every pass over it reads and no policy
+    changes, computed once per log rather than once per pass.  They belong
+    to one log and one reward model.
+
+    ``w`` holds the two rows of W that each pass with a gradient rewrites;
+    row B stays zero for kinds without a reward model.
+    """
+
+    cells: np.ndarray                # (n,) flat index of each chosen cell in an (n, k_max) array
+    picks: np.ndarray                # (n,) the same in a candidate-major (k_max, n) array
+    dmax: np.ndarray                 # (n,) mask of the tuples with the maximal logged reward
+    preds: np.ndarray | None         # (n, k_max) model predictions, candidate-major
+    preds_chosen: np.ndarray | None  # (n,) predictions at the chosen cells
+    w: np.ndarray                    # (2, n, k_max) rows A and B of W
+
+    @classmethod
+    def of(cls, log: Log, model: RewardModel | None = None, preds: np.ndarray | None = None):
+        """The terms of ``log``, with ``model``'s predictions over its
+        candidates, or with ``preds`` when the caller already holds them."""
+        n, k, _ = log.features.shape
+        if preds is None and model is not None:
+            preds = model.predict_features(log.features)
+        rows = np.arange(n)
+        picks = log.chosen * n + rows
+        return cls(
+            cells=rows * k + log.chosen,
+            picks=picks,
+            dmax=dmax_mask(log.rewards),
+            preds=preds,
+            preds_chosen=None if preds is None else np.take(preds.T, picks),
+            w=np.zeros((2, n, k)),
+        )
+
+
 def value_and_grad(
     kind: EstimatorKind,
     params: PolicyParams,
     log: Log,
     model: RewardModel | None = None,
     *,
-    predictions: np.ndarray | None = None,
+    terms: LogTerms | None = None,
     rows: np.ndarray | None = None,
     grad: bool = True,
 ) -> ObjectivePass:
     """One softmax pass over ``log``: value pieces, gradient rows, c_hat
     inputs and weight diagnostics of ``kind`` at ``params``.
 
-    ``predictions`` are the model's (n, k_max) predictions over the log's
-    candidates; they do not depend on the policy, so a caller making many
-    passes predicts once and passes them in.  ``rows`` averages the gradient
-    over those log positions only, while the weights stay normalized over
-    the whole log.  ``grad=False`` skips the gradient.  Only the kind's
-    family matters here; the log's mode decides whether propensities divide
-    the weights.
+    ``terms`` are the log's :class:`LogTerms` for ``model`` (made here when
+    not given); they do not depend on the policy, so a caller making many
+    passes over a log makes them once and passes them in.  ``rows`` averages
+    the gradient over those log positions only, while the weights stay
+    normalized over the whole log.  ``grad=False`` skips the gradient.  Only
+    the kind's family matters here; the log's mode decides whether
+    propensities divide the weights.
     """
     n = len(log)
     if n == 0:
@@ -209,26 +244,28 @@ def value_and_grad(
         raise ValueError(f"estimator {kind.value} needs a reward model")
     if rows is not None and len(rows) == 0:
         raise ValueError("rows is empty: the gradient needs at least one log position")
+    if terms is None:
+        terms = LogTerms.of(log, model if controlled else None)
 
     probs = log.probs(params)
-    rho = _rho(log, probs)
+    rho = _rho(log, np.take(probs.T, terms.picks))
     rewards = log.rewards
     rho_bar = mass = ess = x = y = None
     if kind.reweighted or rho.sum() > 0.0:
         rho_bar = _normalize(rho)
-        mass = float(rho_bar[dmax_mask(rewards)].sum() / n)
+        mass = float(rho_bar[terms.dmax].sum() / n)
         ess = float(n * n / (rho_bar @ rho_bar))
     b = 0.0
     if kind.reweighted:
         x = rewards * rho_bar
-        a = float(x.mean())
+        a = float(x.sum() / n)  # the mean, without np.mean's call overhead
     else:
-        a = float((rewards * rho).mean())
+        a = float((rewards * rho).sum() / n)
     if controlled:
-        preds = model.predict_features(log.features) if predictions is None else predictions
-        y = log.at_chosen(preds) * rho_bar
-        direct = (probs * preds).sum(axis=1)  # D_t
-        b = float((direct - y).mean())
+        preds = terms.preds.T  # (k_max, n), like probs.T
+        y = terms.preds_chosen * rho_bar
+        direct = (probs.T * preds).sum(axis=0)  # D_t
+        b = float((direct - y).sum() / n)
 
     grads = None
     if grad:
@@ -240,18 +277,24 @@ def value_and_grad(
             coeff_a = u * x - (u @ x / n) * rho_bar
         else:
             coeff_a = u * rewards * rho
-        _, k, d = log.features.shape
-        score = -probs  # e_{y_t} - pi_t
-        score[np.arange(n), log.chosen] += 1.0
-        # row B stays zero without a model: every reweighted kind runs the
-        # same (2, n k) product, so the c = 0 reduction is bit-exact
-        w = np.zeros((2, n, k))
-        np.multiply(coeff_a[:, None], score, out=w[0])
+        # each row is pi times a per-cell coefficient, plus the tuple's
+        # coefficient of e_{y_t} at its chosen cell
+        w = terms.w
+        np.multiply(probs, -coeff_a[:, None], out=w[0])
+        w[0].reshape(-1)[terms.cells] += coeff_a
         if controlled:
             coeff_b = (u @ y / n) * rho_bar - u * y
-            w[1] = coeff_b[:, None] * score + (u[:, None] * probs) * (preds - direct[:, None])
+            per_cell = preds * u  # u_t dhat(x_t, y) - (u_t D_t + coeff_b_t)
+            per_cell -= u * direct + coeff_b
+            np.multiply(probs, per_cell.T, out=w[1])
+            w[1].reshape(-1)[terms.cells] += coeff_b
+        elif terms.preds is not None:  # terms last used by a controlled kind
+            w[1] = 0.0
+        # row B stays zero without a model: every reweighted kind runs the
+        # same (2, n k) product, so the c = 0 reduction is bit-exact
+        d = log.dim
         grads = np.zeros((2, d))
-        grads += w.reshape(2, n * k) @ log.features.reshape(n * k, d)
+        grads += w.reshape(2, -1) @ log.features.reshape(-1, d)
         grads *= params.alpha
     return ObjectivePass(
         kind=kind, probs=probs, rho=rho, rho_bar=rho_bar, x=x, y=y, a=a, b=b, grads=grads,
@@ -288,7 +331,7 @@ def value_reweighted(params: PolicyParams, log: Log) -> float:
     """
     if len(log) == 0:
         raise ValueError("log is empty")
-    rho_bar = _normalize(_rho(log, log.probs(params)))
+    rho_bar = _normalize(_rho(log, log.at_chosen(log.probs(params))))
     return float((log.rewards * rho_bar).mean())
 
 

@@ -34,7 +34,9 @@ class RewardModel:
 
     def predict_features(self, features: np.ndarray) -> np.ndarray:
         """Clipped predictions for feature arrays of shape (..., d); raises
-        :class:`ScoreOverflowError` when one leaves the float range."""
+        :class:`ScoreOverflowError` when one leaves the float range.  The
+        (n, k) predictions over a candidate tensor are candidate-major, laid
+        out like the policy probabilities."""
         features = np.asarray(features, dtype=float)
         if features.shape[-1] != self.dim:
             raise ConfigurationError(
@@ -42,7 +44,10 @@ class RewardModel:
                 f"with last axis {features.shape[-1]}"
             )
         with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-            predictions = features @ self.weights + self.intercept
+            predictions = features @ self.weights
+            if predictions.ndim == 2:
+                predictions = np.ascontiguousarray(predictions.T).T
+            predictions = predictions + self.intercept
         if not np.isfinite(predictions).all():
             raise ScoreOverflowError(
                 "reward model predictions overflowed: weights . features + intercept is not finite"

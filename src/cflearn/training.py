@@ -16,7 +16,7 @@ import numpy as np
 
 from .domain import Instance, Log, PolicyParams, _integer, _member, _probs, _real, _stack_candidates
 from .errors import ConfigurationError, DegenerateSupportError, ScoreOverflowError
-from .estimators import EstimatorKind, check_log, value_and_grad
+from .estimators import EstimatorKind, LogTerms, check_log, value_and_grad
 from .reward import RewardModel, fit_reward_model
 from .simulator import GroundTruth
 
@@ -162,12 +162,12 @@ def train(
         else truth.reward_matrix(train_log.ids, train_log.k, train_log.features.shape[1])
     )
 
-    model = preds = validation_preds = None
+    model = None
     if kind.uses_reward_model:
-        # predictions do not depend on the policy: one per log for the whole run
         model = fit_reward_model(train_log, config.ridge_lambda)
-        preds = model.predict_features(train_log.features)
-        validation_preds = model.predict_features(validation_log.features)
+    # the terms do not depend on the policy: one set per log for the whole run
+    terms = LogTerms.of(train_log, model)
+    validation_terms = LogTerms.of(validation_log, model)
 
     rng = np.random.default_rng(config.seed)
     trace = TrainTrace(reward_model=model)
@@ -181,7 +181,7 @@ def train(
     for epoch in range(1, config.epochs + 1):
         try:
             if current is None:
-                current = value_and_grad(kind, params, train_log, model, predictions=preds)
+                current = value_and_grad(kind, params, train_log, model, terms=terms)
             if kind.estimates_control and (epoch == 1 or config.c_refresh == "epoch"):
                 c_hat = current.estimate_c_hat().c_hat
             batches = _batches(rng, n, batch_size)
@@ -190,18 +190,18 @@ def train(
             else:
                 for idx in batches:  # normalized within the batch or over the full log
                     if config.normalize == "batch":
-                        batch_preds = None if preds is None else preds[idx]
-                        batch = value_and_grad(
-                            kind, params, train_log.subset(idx), model, predictions=batch_preds
-                        )
+                        sub = train_log.subset(idx)
+                        sub_preds = None if model is None else terms.preds[idx]
+                        sub_terms = LogTerms.of(sub, preds=sub_preds)
+                        batch = value_and_grad(kind, params, sub, model, terms=sub_terms)
                     else:
-                        batch = value_and_grad(kind, params, train_log, model, predictions=preds, rows=idx)
+                        batch = value_and_grad(kind, params, train_log, model, terms=terms, rows=idx)
                     params = _step(params, config.learning_rate, batch.grad(c_hat))
 
             # this pass also supplies the next epoch's c_hat and full-batch step
-            current = value_and_grad(kind, params, train_log, model, predictions=preds)
+            current = value_and_grad(kind, params, train_log, model, terms=terms)
             validation = value_and_grad(
-                kind, params, validation_log, model, predictions=validation_preds, grad=False
+                kind, params, validation_log, model, terms=validation_terms, grad=False
             )
             current.check_support()
         except DegenerateSupportError as err:

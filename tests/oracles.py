@@ -31,6 +31,7 @@ from cflearn import (
     policy_probs,
 )
 from cflearn import degeneracy
+from cflearn.domain import _probs
 
 
 def rho(params: PolicyParams, tup: LoggedTuple, mode: Mode) -> float:
@@ -359,7 +360,10 @@ def probe_theorem2(log: Log, seed: int = 0, trials: int = 200) -> ProbeResult:
 
 def grouped_pass(kind: EstimatorKind, params: PolicyParams, log: Log, model=None, rows=None):
     """The fused pass as it ran over a log packed into one dense group per
-    candidate-set size k, with per-tuple results scattered back to log order.
+    candidate-set size k, with per-tuple results scattered back to log order,
+    in the summation order of the candidate-major pass: each group's softmax
+    through ``domain._probs``, and W built as pi times a per-cell coefficient
+    plus each tuple's coefficient at its chosen cell.
     Returns (a, b, grads, c_hat inputs x and y, mass_on_dmax, ess)."""
     tuples = log.tuples
     n = len(tuples)
@@ -379,13 +383,7 @@ def grouped_pass(kind: EstimatorKind, params: PolicyParams, log: Log, model=None
             out[idx] = values[np.arange(chosen.size), chosen]
         return out
 
-    probs = []
-    for _, feats, _ in groups:
-        m, k, d = feats.shape
-        scores = params.alpha * (feats.reshape(m * k, d) @ params.weights).reshape(m, k)
-        shifted = scores - scores.max(axis=-1, keepdims=True)
-        np.exp(shifted, out=shifted)
-        probs.append(shifted / shifted.sum(axis=-1, keepdims=True))
+    probs = [_probs(params, feats, np.full(len(idx), feats.shape[1])) for idx, feats, _ in groups]
     rewards = np.array([t.reward for t in tuples], dtype=float)
     rho = at_chosen(probs)
     if log.mode is Mode.STOCHASTIC:
@@ -405,7 +403,7 @@ def grouped_pass(kind: EstimatorKind, params: PolicyParams, log: Log, model=None
         y = at_chosen(preds) * rho_bar
         direct = np.empty(n)
         for (idx, _, _), pg, dg in zip(groups, probs, preds):
-            direct[idx] = (pg * dg).sum(axis=1)
+            direct[idx] = (pg.T * dg.T).sum(axis=0)
         b = float((direct - y).mean())
 
     u = np.full(n, 1.0 / n)
@@ -421,14 +419,16 @@ def grouped_pass(kind: EstimatorKind, params: PolicyParams, log: Log, model=None
     grads = np.zeros((2, log.dim))
     for pos, ((idx, feats, chosen), pg) in enumerate(zip(groups, probs)):
         m, k, d = feats.shape
-        score = -pg
-        score[np.arange(m), chosen] += 1.0
+        # W = pi times a per-cell coefficient, plus the tuple's coefficient at its chosen cell
+        cells = np.arange(m) * k + chosen
         w = np.zeros((2, m, k))
-        np.multiply(coeff_a[idx, None], score, out=w[0])
+        np.multiply(pg, -coeff_a[idx, None], out=w[0])
+        w[0].reshape(-1)[cells] += coeff_a[idx]
         if kind.uses_reward_model:
-            w[1] = coeff_b[idx, None] * score + (u[idx, None] * pg) * (
-                preds[pos] - direct[idx, None]
-            )
+            per_cell = preds[pos].T * u[idx]
+            per_cell -= u[idx] * direct[idx] + coeff_b[idx]
+            np.multiply(pg, per_cell.T, out=w[1])
+            w[1].reshape(-1)[cells] += coeff_b[idx]
         grads += w.reshape(2, m * k) @ feats.reshape(m * k, d)
     grads *= params.alpha
     return a, b, grads, x, y, mass, ess

@@ -14,7 +14,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["montecarlo", "pipeline"])
+@pytest.mark.parametrize("workload", ["montecarlo", "pipeline", "protocol"])
 def test_workload_runs_correct_with_no_failures(workload):
     done = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",

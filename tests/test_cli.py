@@ -576,6 +576,25 @@ class TestBadPayloads:
         assert f"{bad}:" in err and key in err
 
 
+    @pytest.mark.parametrize("name", ["params", "model", "truth"])
+    def test_wrong_dimension_exits_one_naming_the_file(self, trained, tmp_path, capsys, name):
+        out, run = trained
+        source = {"params": run / "params.json", "model": run / "reward_model.json",
+                  "truth": out / "truth.json"}[name]
+
+        def cut(payload):  # two weights against the logs' five features
+            holder = payload["logging_policy"] if name == "truth" else payload
+            holder["weights"] = holder["weights"][:2]
+
+        bad = self.edited(source, tmp_path / f"bad-{name}.json", cut)
+        capsys.readouterr()
+        assert self.evaluate(out, run, tmp_path, **{name: bad}) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"cflearn: error: {bad}: weight dimension 2 ")
+        assert str(out / "test.jsonl") in err
+        assert not (tmp_path / "report" / "report.csv").exists()
+
+
 class TestTruthCoverage:
     """A truth file that lacks an instance of the log, or gives it too few
     rewards, fails before anything is evaluated: exit 1 naming the truth

@@ -93,10 +93,11 @@ def task(mode: Mode, seed: int = 4, n: int = 60, k: int = 6, d: int = 5):
     return generate_task(spec)
 
 
-def ragged_task(rng: np.random.Generator, n: int, d: int, mode: Mode):
-    """Instances with 2, 3 or 5 candidates, a hand-made truth and logger."""
+def ragged_task(rng: np.random.Generator, n: int, d: int, mode: Mode, sizes=(2, 3, 5)):
+    """Instances with 2, 3 or 5 candidates (or ``sizes``, in turn), a
+    hand-made truth and logger."""
     instances = [
-        Instance(f"m{t}", rng.standard_normal(((2, 3, 5)[t % 3], d))) for t in range(n)
+        Instance(f"m{t}", rng.standard_normal((sizes[t % len(sizes)], d))) for t in range(n)
     ]
     truth = GroundTruth(
         reward_weights=np.zeros(d),
@@ -254,6 +255,26 @@ class TestMixedK:
         for row, inst in enumerate(instances):
             np.testing.assert_allclose(probs[row, : inst.k], policy_probs(logger.params, inst), rtol=1e-12)
             assert not probs[row, inst.k :].any()
+
+
+class TestWideCandidateSets:
+    """At k = 20 the row sums run past numpy's 8-element pairwise block, so an
+    instance alone and the same instance in a batch must sum its candidates
+    in the same order."""
+
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("ragged", [False, True], ids=["uniform", "ragged"])
+    def test_batch_rows_equal_single_instances(self, rng, mode, ragged):
+        if ragged:
+            instances, truth, logger = ragged_task(rng, 30, 6, mode, sizes=(9, 14, 20))
+        else:
+            instances, truth, logger = task(mode, n=30, k=20, d=6)
+        log = roll_log(instances, truth, logger, rng=5)
+        assert_columns_equal(log, oracles.roll_log(instances, truth, logger, rng=5))
+        params = PolicyParams(rng.standard_normal(6), alpha=1.7)
+        probs = log.probs(params)
+        for row, inst in enumerate(instances):
+            assert probs[row, : inst.k].tobytes() == policy_probs(params, inst).tobytes()
 
 
 class TestFrozen:

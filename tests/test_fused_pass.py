@@ -10,6 +10,7 @@ from cflearn import (
     GroundTruth,
     Instance,
     Log,
+    LogTerms,
     LoggedTuple,
     Mode,
     PolicyParams,
@@ -92,11 +93,24 @@ class TestRaggedOracle:
         model = RewardModel(rng.standard_normal(3) / 2, intercept=0.3, ridge_lambda=0.0)
         preds = model.predict_features(log.features)
         idx = np.array([8, 0, 3, 5])
+        part = log.subset(idx)
         got = value_and_grad(
-            EstimatorKind.DR, params, log.subset(idx), model, predictions=preds[idx]
+            EstimatorKind.DR, params, part, model, terms=LogTerms.of(part, preds=preds[idx])
         ).grad(1.0)
         sub = Log(tuple(log.tuples[i] for i in idx), log.mode)
         np.testing.assert_allclose(got, oracles.gradient(EstimatorKind.DR, params, sub, model), **TOL)
+
+
+    def test_terms_shared_across_kinds(self, rng):
+        # the gradient rows written by a controlled pass do not leak into a plain one
+        log = ragged_log(rng, 9, 3, Mode.DETERMINISTIC)
+        params = PolicyParams(rng.standard_normal(3))
+        model = RewardModel(rng.standard_normal(3) / 2, intercept=0.3, ridge_lambda=0.0)
+        terms = LogTerms.of(log, model)
+        for kind in (EstimatorKind.DC, EstimatorKind.DPM_R, EstimatorKind.CDC, EstimatorKind.DPM):
+            got = value_and_grad(kind, params, log, model, terms=terms)
+            want = value_and_grad(kind, params, log, model)
+            assert got.grads.tobytes() == want.grads.tobytes()
 
 
 class TestTrainerOracle:
