@@ -265,19 +265,24 @@ class Log:
 
 @dataclass(frozen=True, eq=False)
 class PolicyParams:
-    """Weight vector and smoothing scale of the softmax policy."""
+    """Weight vector and smoothing scale of the softmax policy.
+
+    ``weights`` is a read-only copy of the array given, so a policy, like a
+    :class:`Log`, never changes once made.
+    """
 
     weights: np.ndarray
     alpha: float = 1.0
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float)
+        w = np.array(self.weights, dtype=float)
         if w.ndim != 1:
             raise ConfigurationError(f"weights must be a vector, got shape {w.shape}")
         if not np.all(np.isfinite(w)):
             raise ConfigurationError("weights contain non-finite values")
         if not (math.isfinite(self.alpha) and self.alpha > 0.0):
             raise ConfigurationError(f"alpha must be a positive real, got {self.alpha}")
+        w.flags.writeable = False
         object.__setattr__(self, "weights", w)
 
     @property

@@ -36,13 +36,16 @@ mean, which makes A the exact derivative of the self-normalized value; the
 finite-difference harness in :mod:`cflearn.gradients` confirms every
 family.  Both rows of W are contracted against the (n k, d) feature matrix
 in one matrix product.  Every value and diagnostic here comes from that
-pass, except :func:`value_reweighted`.
+pass, except :func:`value_reweighted`.  :func:`evaluate_policy` keeps each
+log's latest pass, so every kind evaluated on one log at one policy and
+one reward model reads one softmax and one prediction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -139,7 +142,8 @@ class ObjectivePass:
     ``b`` and the second gradient row are zero for kinds without a reward
     model, so ``value_at(c)`` and ``grad(c)`` serve every kind.  ``rho_bar``
     and the diagnostics are None when every weight is zero, which only
-    plain kinds tolerate.
+    plain kinds tolerate.  The passes :func:`evaluate_policy` returns share
+    one log's arrays across kinds, and those arrays are read-only.
     """
 
     kind: EstimatorKind
@@ -186,15 +190,16 @@ class LogTerms:
     to one log and one reward model.
 
     ``w`` holds the two rows of W that each pass with a gradient rewrites;
-    row B stays zero for kinds without a reward model.
+    row B stays zero for kinds without a reward model.  ``w`` and ``cells``
+    are made by the first such pass, so value-only passes allocate neither.
     """
 
-    cells: np.ndarray                # (n,) flat index of each chosen cell in an (n, k_max) array
-    picks: np.ndarray                # (n,) the same in a candidate-major (k_max, n) array
+    chosen: np.ndarray               # (n,) index of each logged choice
+    k_max: int
+    picks: np.ndarray                # (n,) flat index of each chosen cell in a candidate-major (k_max, n) array
     dmax: np.ndarray                 # (n,) mask of the tuples with the maximal logged reward
     preds: np.ndarray | None         # (n, k_max) model predictions, candidate-major
     preds_chosen: np.ndarray | None  # (n,) predictions at the chosen cells
-    w: np.ndarray                    # (2, n, k_max) rows A and B of W
 
     @classmethod
     def of(cls, log: Log, model: RewardModel | None = None, preds: np.ndarray | None = None):
@@ -203,16 +208,50 @@ class LogTerms:
         n, k, _ = log.features.shape
         if preds is None and model is not None:
             preds = model.predict_features(log.features)
-        rows = np.arange(n)
-        picks = log.chosen * n + rows
+        picks = log.chosen * n + np.arange(n)
         return cls(
-            cells=rows * k + log.chosen,
+            chosen=log.chosen,
+            k_max=k,
             picks=picks,
             dmax=dmax_mask(log.rewards),
             preds=preds,
             preds_chosen=None if preds is None else np.take(preds.T, picks),
-            w=np.zeros((2, n, k)),
         )
+
+    @cached_property
+    def cells(self) -> np.ndarray:
+        """(n,) flat index of each chosen cell in an (n, k_max) array."""
+        return np.arange(self.chosen.size) * self.k_max + self.chosen
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        """(2, n, k_max) rows A and B of W."""
+        return np.zeros((2, self.chosen.size, self.k_max))
+
+
+def _weights(log: Log, terms: LogTerms, probs: np.ndarray, normalize: bool):
+    """``(rho, rho_bar, mass_on_dmax, effective_sample_size)`` at the policy
+    probabilities ``probs``; the last three are None unless ``normalize`` is
+    set or some weight is positive."""
+    rho = _rho(log, np.take(probs.T, terms.picks))
+    if not (normalize or rho.sum() > 0.0):
+        return rho, None, None, None
+    n = rho.size
+    rho_bar = _normalize(rho)
+    return rho, rho_bar, float(rho_bar[terms.dmax].sum() / n), float(n * n / (rho_bar @ rho_bar))
+
+
+def _mean(values: np.ndarray) -> float:
+    """The mean, without np.mean's call overhead."""
+    return float(values.sum() / values.size)
+
+
+def _control(terms: LogTerms, probs: np.ndarray, rho_bar: np.ndarray):
+    """``(Y, D, b)`` of the controlled value: Y_t = dhat_t rho_bar_t,
+    D_t = sum_y dhat(x_t, y) pi_w(y | x_t) and b = mean(D - Y)."""
+    y = terms.preds_chosen * rho_bar
+    direct = (probs.T * terms.preds.T).sum(axis=0)
+    return y, direct, _mean(direct - y)
 
 
 def value_and_grad(
@@ -248,24 +287,16 @@ def value_and_grad(
         terms = LogTerms.of(log, model if controlled else None)
 
     probs = log.probs(params)
-    rho = _rho(log, np.take(probs.T, terms.picks))
-    rewards = log.rewards
-    rho_bar = mass = ess = x = y = None
-    if kind.reweighted or rho.sum() > 0.0:
-        rho_bar = _normalize(rho)
-        mass = float(rho_bar[terms.dmax].sum() / n)
-        ess = float(n * n / (rho_bar @ rho_bar))
+    rho, rho_bar, mass, ess = _weights(log, terms, probs, kind.reweighted)
+    x = y = None
     b = 0.0
     if kind.reweighted:
-        x = rewards * rho_bar
-        a = float(x.sum() / n)  # the mean, without np.mean's call overhead
+        x = log.rewards * rho_bar
+        a = _mean(x)
     else:
-        a = float((rewards * rho).sum() / n)
+        a = _mean(log.rewards * rho)
     if controlled:
-        preds = terms.preds.T  # (k_max, n), like probs.T
-        y = terms.preds_chosen * rho_bar
-        direct = (probs.T * preds).sum(axis=0)  # D_t
-        b = float((direct - y).sum() / n)
+        y, direct, b = _control(terms, probs, rho_bar)
 
     grads = None
     if grad:
@@ -276,7 +307,7 @@ def value_and_grad(
         if kind.reweighted:
             coeff_a = u * x - (u @ x / n) * rho_bar
         else:
-            coeff_a = u * rewards * rho
+            coeff_a = u * log.rewards * rho
         # each row is pi times a per-cell coefficient, plus the tuple's
         # coefficient of e_{y_t} at its chosen cell
         w = terms.w
@@ -284,7 +315,7 @@ def value_and_grad(
         w[0].reshape(-1)[terms.cells] += coeff_a
         if controlled:
             coeff_b = (u @ y / n) * rho_bar - u * y
-            per_cell = preds * u  # u_t dhat(x_t, y) - (u_t D_t + coeff_b_t)
+            per_cell = terms.preds.T * u  # u_t dhat(x_t, y) - (u_t D_t + coeff_b_t)
             per_cell -= u * direct + coeff_b
             np.multiply(probs, per_cell.T, out=w[1])
             w[1].reshape(-1)[terms.cells] += coeff_b
@@ -380,6 +411,67 @@ def objective_value(
     return evaluate_policy(kind, params, log, reward_model).value
 
 
+# The attribute under which a Log keeps its latest evaluation pass.
+_SHARED_PASS = "_shared_pass"
+
+
+class _SharedPass:
+    """A log's latest evaluation pass, from which :func:`evaluate_policy`
+    reads every kind at the same ``params`` and ``model`` objects.
+
+    The policy terms (``probs``, rho, rho_bar, X, the two values of a and
+    the diagnostics) belong to ``params``.  ``terms`` carry the predictions
+    of ``model``, and Y and b belong to ``model`` at ``params``; they are
+    made only when a kind that uses the reward model asks for them.  Both
+    objects are matched by identity, which is sound because they are
+    immutable and held here.  The arrays handed out are read-only.
+    """
+
+    __slots__ = ("terms", "model", "params", "probs", "rho", "rho_bar", "x",
+                 "a", "plain_a", "mass", "ess", "y", "b")
+
+    def __init__(self) -> None:
+        self.terms = self.model = self.params = self.y = None
+
+    def update(self, log: Log, params: PolicyParams, model: RewardModel | None) -> None:
+        """Bring the pass to ``params`` and, unless it is None, ``model``.
+        Each step computes before it assigns, so an error leaves every part
+        of the pass matching the objects it records."""
+        if model is not None and model is not self.model:
+            self.terms = LogTerms.of(log, model)
+            self.model, self.y = model, None
+        elif self.terms is None:
+            self.terms = LogTerms.of(log)
+        if params is not self.params:
+            probs = log.probs(params)
+            rho, rho_bar, mass, ess = _weights(log, self.terms, probs, normalize=True)
+            x = log.rewards * rho_bar
+            _read_only(probs, rho, rho_bar, x)
+            self.params, self.probs, self.rho, self.rho_bar, self.x = params, probs, rho, rho_bar, x
+            self.a, self.plain_a = _mean(x), _mean(log.rewards * rho)
+            self.mass, self.ess, self.y = mass, ess, None
+        if model is not None and self.y is None:
+            y, _, b = _control(self.terms, self.probs, self.rho_bar)
+            _read_only(y)
+            self.y, self.b = y, b
+
+    def pass_of(self, kind: EstimatorKind) -> ObjectivePass:
+        """The pass of ``kind``, equal to ``value_and_grad(kind, ...,
+        grad=False)`` at the same params and model."""
+        controlled = kind.uses_reward_model
+        return ObjectivePass(
+            kind=kind, probs=self.probs, rho=self.rho, rho_bar=self.rho_bar,
+            x=self.x if kind.reweighted else None, y=self.y if controlled else None,
+            a=self.a if kind.reweighted else self.plain_a, b=self.b if controlled else 0.0,
+            grads=None, mass_on_dmax=self.mass, effective_sample_size=self.ess,
+        )
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    for array in arrays:
+        array.flags.writeable = False
+
+
 def evaluate_policy(
     kind: EstimatorKind,
     params: PolicyParams,
@@ -388,13 +480,28 @@ def evaluate_policy(
 ) -> ObjectivePass:
     """The pass of ``kind`` at ``params``, with mode compatibility enforced;
     a log on which every weight is zero raises DegenerateSupportError, for
-    plain kinds too."""
+    plain kinds too.
+
+    The log keeps its latest pass, so evaluating several kinds on one log at
+    the same ``params`` and ``reward_model`` objects runs one softmax and
+    one reward-model prediction; the prediction only for kinds that use the
+    model.  Each result equals a fresh ``value_and_grad(kind, ...,
+    grad=False)`` bit for bit, and its arrays are read-only.
+    """
     check_log(kind, log)
     if kind.estimates_control and len(log) < 2:
         raise LogConsistencyError(
             f"estimator {kind.value} estimates its control scalar on the log, "
             "which needs at least 2 tuples"
         )
-    result = value_and_grad(kind, params, log, reward_model, grad=False)
-    result.check_support()
-    return result
+    model = None
+    if kind.uses_reward_model:
+        if reward_model is None:
+            raise ValueError(f"estimator {kind.value} needs a reward model")
+        model = reward_model
+    shared = vars(log).get(_SHARED_PASS)
+    if shared is None:
+        shared = _SharedPass()
+        object.__setattr__(log, _SHARED_PASS, shared)
+    shared.update(log, params, model)
+    return shared.pass_of(kind)

@@ -19,14 +19,20 @@ from .errors import ConfigurationError, FittingError, ScoreOverflowError
 
 @dataclass(frozen=True, eq=False)
 class RewardModel:
-    """Linear reward regressor; predictions are clipped to [0, 1] at use."""
+    """Linear reward regressor; predictions are clipped to [0, 1] at use.
+
+    ``weights`` is a read-only copy of the array given, so a model never
+    changes once made.
+    """
 
     weights: np.ndarray
     intercept: float
     ridge_lambda: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
+        weights = np.array(self.weights, dtype=float)
+        weights.flags.writeable = False
+        object.__setattr__(self, "weights", weights)
 
     @property
     def dim(self) -> int:
@@ -108,8 +114,8 @@ def control_scalar(x: np.ndarray, y: np.ndarray) -> ControlScalar:
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1 or x.size < 2:
         raise ValueError("control scalar needs two paired samples of length >= 2")
-    xc = x - x.mean()
-    yc = y - y.mean()
+    xc = x - x.sum() / x.size  # the mean, without np.mean's call overhead
+    yc = y - y.sum() / y.size
     cov = float(xc @ yc / (x.size - 1))
     var = float(yc @ yc / (x.size - 1))
     if var < VAR_FLOOR:

@@ -264,12 +264,17 @@ class TestKindDispatch:
             evaluate_policy(EstimatorKind.DPM, params, sto)
 
     def test_zero_weights_raise_for_plain_kinds_too(self):
-        # every logged choice saturates to probability exactly 0
-        log = Log(tuple(saturated_tuple(f"z{i}", 0.5, on=False) for i in range(3)), Mode.DETERMINISTIC)
-        assert value_ips_dpm(unit_params(), log) == 0.0
-        for kind in (EstimatorKind.DPM, EstimatorKind.DPM_R):
-            with pytest.raises(DegenerateSupportError, match="all importance weights are zero"):
-                evaluate_policy(kind, unit_params(), log)
+        # every logged choice saturates to probability exactly 0; each kind
+        # raises, asked first or after the others on the same log
+        model = RewardModel(np.array([0.2]), intercept=0.1, ridge_lambda=0.0)
+        for mode, propensity in ((Mode.DETERMINISTIC, None), (Mode.STOCHASTIC, 0.5)):
+            tuples = tuple(saturated_tuple(f"z{i}", 0.5, on=False, propensity=propensity) for i in range(3))
+            log = Log(tuples, mode)
+            assert value_ips_dpm(unit_params(), log) == 0.0
+            kinds = [kind for kind in EstimatorKind if kind.required_mode is mode]
+            for kind in kinds + kinds[::-1]:
+                with pytest.raises(DegenerateSupportError, match="all importance weights are zero"):
+                    evaluate_policy(kind, unit_params(), log, model)
 
     def test_report_fields(self, rng):
         log = random_log(rng, 6, 3, 2, Mode.STOCHASTIC)

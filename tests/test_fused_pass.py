@@ -1,11 +1,14 @@
-"""The fused objective pass against per-instance oracles, and its cost per epoch."""
+"""The fused objective pass against per-instance oracles, and its cost per
+epoch and per evaluated log."""
 
 from dataclasses import replace
+from itertools import permutations
 
 import numpy as np
 import pytest
 
 from cflearn import (
+    ConfigurationError,
     EstimatorKind,
     GroundTruth,
     Instance,
@@ -194,6 +197,121 @@ class TestPassCount:
         config = TrainConfig(kind=EstimatorKind.CDC, learning_rate=0.2, epochs=6)
         train(config, kind_log(rng, EstimatorKind.CDC, n=8), kind_log(rng, EstimatorKind.CDC, n=4))
         assert len(predicted) == 2  # the train log and the validation log
+
+
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    def test_one_pass_per_log_serves_every_kind(self, rng, mode, monkeypatch):
+        from cflearn import domain
+
+        softmaxes, predicted = [], []
+        softmax, predict = domain._softmax, RewardModel.predict_features
+
+        def counted_softmax(scores):
+            softmaxes.append(scores.shape)
+            return softmax(scores)
+
+        def counted_predict(self, features):
+            predicted.append(np.shape(features))
+            return predict(self, features)
+
+        monkeypatch.setattr(domain, "_softmax", counted_softmax)
+        monkeypatch.setattr(RewardModel, "predict_features", counted_predict)
+        kinds = mode_kinds(mode)
+        params = PolicyParams(rng.standard_normal(4))
+        model = RewardModel(rng.standard_normal(4) / 2, intercept=0.3, ridge_lambda=0.0)
+        logs = [random_log(rng, 9, 3, 4, mode) for _ in range(3)]
+        for log in logs:
+            for kind in kinds:
+                evaluate_policy(kind, params, log, model)
+        assert (len(softmaxes), len(predicted)) == (len(logs), len(logs))
+
+        # the plain and self-normalized kinds alone predict nothing
+        softmaxes.clear()
+        predicted.clear()
+        log = random_log(rng, 9, 3, 4, mode)
+        for kind in kinds[:2]:
+            evaluate_policy(kind, params, log, model)
+        assert (len(softmaxes), len(predicted)) == (1, 0)
+
+        # a new params object with equal weights, or another model object, makes a new pass
+        evaluate_policy(kinds[2], PolicyParams(params.weights, params.alpha), log, model)
+        assert (len(softmaxes), len(predicted)) == (2, 1)
+        evaluate_policy(kinds[3], params, log, replace(model))
+        assert (len(softmaxes), len(predicted)) == (3, 2)
+
+
+def mode_kinds(mode: Mode) -> list[EstimatorKind]:
+    """The plain, self-normalized, DC/DR and cDC/cDR kinds of one log mode."""
+    return [kind for kind in EstimatorKind if kind.required_mode is mode]
+
+
+def assert_same_pass(got, want) -> None:
+    """Every field of two value passes equal bit for bit."""
+    assert got.kind is want.kind
+    assert (got.value, got.a, got.b) == (want.value, want.a, want.b)
+    assert (got.mass_on_dmax, got.effective_sample_size) == (want.mass_on_dmax, want.effective_sample_size)
+    for name in ("probs", "rho", "rho_bar", "x", "y"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+class TestSharedPass:
+    @pytest.mark.parametrize("ragged", [False, True], ids=["uniform-k", "ragged-k"])
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    def test_every_call_order_equals_fresh_passes(self, rng, mode, ragged):
+        params = PolicyParams(rng.standard_normal(3), alpha=1.2)
+        model = RewardModel(rng.standard_normal(3) / 2, intercept=0.3, ridge_lambda=0.0)
+        make = ragged_log if ragged else lambda rng, n, d, mode: random_log(rng, n, 4, d, mode)
+        for order in permutations(mode_kinds(mode)):
+            log = make(rng, 10, 3, mode)
+            for kind in order:
+                got = evaluate_policy(kind, params, log, model)
+                assert_same_pass(got, value_and_grad(kind, params, log, model, grad=False))
+
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    def test_switching_params_and_models_equals_fresh_passes(self, rng, mode):
+        log = ragged_log(rng, 10, 3, mode)
+        policies = [PolicyParams(rng.standard_normal(3)) for _ in range(2)]
+        models = [RewardModel(rng.standard_normal(3) / 2, intercept=0.3, ridge_lambda=0.0) for _ in range(2)]
+        kinds = mode_kinds(mode)
+        for step in range(12):
+            kind, params, model = kinds[step % 4], policies[step % 3 % 2], models[step // 4 % 2]
+            got = evaluate_policy(kind, params, log, model)
+            assert_same_pass(got, value_and_grad(kind, params, log, model, grad=False))
+
+    def test_plain_kinds_ignore_a_model_of_the_wrong_dimension(self, rng):
+        log = random_log(rng, 8, 3, 4, Mode.STOCHASTIC)
+        params = PolicyParams(rng.standard_normal(4))
+        wrong = RewardModel(np.ones(2), intercept=0.0, ridge_lambda=0.0)
+        model = RewardModel(rng.standard_normal(4) / 2, intercept=0.3, ridge_lambda=0.0)
+        for kind in (EstimatorKind.IPS, EstimatorKind.IPS_R):
+            want = value_and_grad(kind, params, log, grad=False).value
+            assert evaluate_policy(kind, params, log, wrong).value == want
+        with pytest.raises(ConfigurationError, match="reward model dimension 2"):
+            evaluate_policy(EstimatorKind.DR, params, log, wrong)
+        # the failed prediction leaves the pass as it was
+        got = evaluate_policy(EstimatorKind.DR, params, log, model)
+        assert_same_pass(got, value_and_grad(EstimatorKind.DR, params, log, model, grad=False))
+
+    def test_weights_and_shared_arrays_are_read_only(self, rng):
+        weights = rng.standard_normal(3)
+        params = PolicyParams(weights)
+        model = RewardModel(weights, intercept=0.3, ridge_lambda=0.0)
+        weights[0] = 7.0  # the caller's array stays theirs, and writable
+        assert params.weights[0] != 7.0 and model.weights[0] != 7.0
+        for array in (params.weights, model.weights):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+        log = random_log(rng, 6, 3, 3, Mode.STOCHASTIC)
+        for kind in mode_kinds(Mode.STOCHASTIC):
+            result = evaluate_policy(kind, params, log, model)
+            for name in ("probs", "rho", "rho_bar", "x", "y"):
+                array = getattr(result, name)
+                if array is not None:
+                    with pytest.raises(ValueError, match="read-only"):
+                        array[0] = 1.0
 
 
 class TestEffectiveSampleSize:
