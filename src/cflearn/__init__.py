@@ -36,7 +36,6 @@ from .errors import (
 )
 from .estimators import (
     EstimatorKind,
-    LogTerms,
     ObjectivePass,
     diagnostics,
     estimate_c_hat,

@@ -36,16 +36,15 @@ mean, which makes A the exact derivative of the self-normalized value; the
 finite-difference harness in :mod:`cflearn.gradients` confirms every
 family.  Both rows of W are contracted against the (n k, d) feature matrix
 in one matrix product.  Every value and diagnostic here comes from that
-pass, except :func:`value_reweighted`.  :func:`evaluate_policy` keeps each
-log's latest pass, so every kind evaluated on one log at one policy and
-one reward model reads one softmax and one prediction.
+pass, except :func:`value_reweighted`.  Each log keeps its latest pass, so
+every kind run on one log at one policy and one reward model reads one
+softmax and one prediction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -135,6 +134,11 @@ def dmax_mask(rewards: np.ndarray) -> np.ndarray:
     return rewards == rewards.max()
 
 
+def _mean(values: np.ndarray) -> float:
+    """The mean, without np.mean's call overhead."""
+    return float(values.sum() / values.size)
+
+
 @dataclass(frozen=True, eq=False)
 class ObjectivePass:
     """What one softmax pass over a log yields at fixed policy weights.
@@ -142,8 +146,8 @@ class ObjectivePass:
     ``b`` and the second gradient row are zero for kinds without a reward
     model, so ``value_at(c)`` and ``grad(c)`` serve every kind.  ``rho_bar``
     and the diagnostics are None when every weight is zero, which only
-    plain kinds tolerate.  The passes :func:`evaluate_policy` returns share
-    one log's arrays across kinds, and those arrays are read-only.
+    plain kinds tolerate.  Passes over one log at one policy share their
+    arrays across kinds, and those arrays are read-only.
     """
 
     kind: EstimatorKind
@@ -183,75 +187,141 @@ class ObjectivePass:
             raise DegenerateSupportError(ZERO_WEIGHTS)
 
 
-@dataclass(frozen=True, eq=False)
-class LogTerms:
-    """The terms of a log that every pass over it reads and no policy
-    changes, computed once per log rather than once per pass.  They belong
-    to one log and one reward model.
+# The attribute under which a Log keeps the state of its passes.
+_STATE = "_pass_state"
 
-    ``w`` holds the two rows of W that each pass with a gradient rewrites;
-    row B stays zero for kinds without a reward model.  ``w`` and ``cells``
-    are made by the first such pass, so value-only passes allocate neither.
+
+class _LogPass:
+    """The state of the passes over one log, kept on the log, from which
+    :func:`value_and_grad` reads every part a previous pass already made.
+
+    The terms no policy changes (each chosen cell's index and the d_max
+    mask) are made with the state, and the W buffer by the first pass with a
+    gradient.  The model part (the predictions over the candidates and at
+    the chosen cells) belongs to ``model``; the policy part (``probs``, rho,
+    rho_bar, X, the plain and self-normalized a and the diagnostics) to
+    ``params``; Y, D and b to both.  Both objects are matched by identity,
+    which is sound because they are immutable and held here.  Each part is
+    computed before it is assigned, so an error leaves every part matching
+    the objects it records.  The arrays handed out are read-only.
     """
 
-    chosen: np.ndarray               # (n,) index of each logged choice
-    k_max: int
-    picks: np.ndarray                # (n,) flat index of each chosen cell in a candidate-major (k_max, n) array
-    dmax: np.ndarray                 # (n,) mask of the tuples with the maximal logged reward
-    preds: np.ndarray | None         # (n, k_max) model predictions, candidate-major
-    preds_chosen: np.ndarray | None  # (n,) predictions at the chosen cells
+    __slots__ = ("picks", "dmax", "cells", "w", "row_b", "model", "preds", "preds_chosen",
+                 "params", "probs", "rho", "rho_bar", "x", "a", "plain_a", "mass", "ess",
+                 "y", "direct", "b")
 
-    @classmethod
-    def of(cls, log: Log, model: RewardModel | None = None, preds: np.ndarray | None = None):
-        """The terms of ``log``, with ``model``'s predictions over its
-        candidates, or with ``preds`` when the caller already holds them."""
-        n, k, _ = log.features.shape
-        if preds is None and model is not None:
+    def __init__(self, log: Log) -> None:
+        n = len(log)
+        self.picks = log.chosen * n + np.arange(n)  # flat chosen cells of a (k_max, n) array
+        self.dmax = dmax_mask(log.rewards)
+        self.w = self.model = self.params = self.y = None
+        self.row_b = False  # whether row B of W holds a controlled pass's values
+
+    def predict(self, log: Log, model: RewardModel, preds: np.ndarray | None = None) -> None:
+        """Bring the model part to ``model``, from ``preds`` when the caller
+        already holds its predictions over the log's candidates."""
+        if model is self.model:
+            return
+        if preds is None:
             preds = model.predict_features(log.features)
-        picks = log.chosen * n + np.arange(n)
-        return cls(
-            chosen=log.chosen,
-            k_max=k,
-            picks=picks,
-            dmax=dmax_mask(log.rewards),
-            preds=preds,
-            preds_chosen=None if preds is None else np.take(preds.T, picks),
-        )
+        chosen = np.take(preds.T, self.picks)
+        _read_only(preds, chosen)
+        self.model, self.preds, self.preds_chosen, self.y = model, preds, chosen, None
 
-    @cached_property
-    def cells(self) -> np.ndarray:
-        """(n,) flat index of each chosen cell in an (n, k_max) array."""
-        return np.arange(self.chosen.size) * self.k_max + self.chosen
+    def update(self, log: Log, params: PolicyParams, model: RewardModel | None) -> None:
+        """Bring the pass to ``params`` and, unless it is None, ``model``.
+        rho_bar, X, a and the diagnostics stay None when every weight is
+        zero, and then so do Y, D and b."""
+        if model is not None:
+            self.predict(log, model)
+        if params is not self.params:
+            probs = log.probs(params)
+            rho = _rho(log, np.take(probs.T, self.picks))
+            rho_bar = x = a = mass = ess = None
+            if rho.sum() > 0.0:
+                n = rho.size
+                rho_bar = _normalize(rho)
+                x = log.rewards * rho_bar
+                a = _mean(x)
+                mass = float(rho_bar[self.dmax].sum() / n)
+                ess = float(n * n / (rho_bar @ rho_bar))
+            _read_only(probs, rho, rho_bar, x)
+            self.params, self.probs, self.rho, self.rho_bar, self.x = params, probs, rho, rho_bar, x
+            self.a, self.plain_a, self.mass, self.ess = a, _mean(log.rewards * rho), mass, ess
+            self.y = None
+        if model is not None and self.y is None and self.rho_bar is not None:
+            # Y_t = dhat_t rho_bar_t, D_t = sum_y dhat(x_t, y) pi_w(y | x_t), b = mean(D - Y)
+            y = self.preds_chosen * self.rho_bar
+            direct = (self.probs.T * self.preds.T).sum(axis=0)
+            _read_only(y)
+            self.y, self.direct, self.b = y, direct, _mean(direct - y)
 
-    @cached_property
-    def w(self) -> np.ndarray:
-        """(2, n, k_max) rows A and B of W."""
-        return np.zeros((2, self.chosen.size, self.k_max))
+    def grads(self, kind: EstimatorKind, log: Log, alpha: float, rows: np.ndarray | None) -> np.ndarray:
+        """Gradient rows A and B of ``kind`` at the current pass, averaged
+        over ``rows`` (every position when None)."""
+        n, k_max, d = log.features.shape
+        if self.w is None:
+            self.w = np.zeros((2, n, k_max))
+            self.cells = np.arange(n) * k_max + log.chosen  # flat chosen cells of an (n, k_max) array
+        u = np.full(n, 1.0 / n)
+        if rows is not None:
+            u = np.zeros(n)
+            u[rows] = 1.0 / len(rows)
+        if kind.reweighted:
+            coeff_a = u * self.x - (u @ self.x / n) * self.rho_bar
+        else:
+            coeff_a = u * log.rewards * self.rho
+        # each row is pi times a per-cell coefficient, plus the tuple's
+        # coefficient of e_{y_t} at its chosen cell
+        w, probs = self.w, self.probs
+        np.multiply(probs, -coeff_a[:, None], out=w[0])
+        w[0].reshape(-1)[self.cells] += coeff_a
+        if kind.uses_reward_model:
+            coeff_b = (u @ self.y / n) * self.rho_bar - u * self.y
+            per_cell = self.preds.T * u  # u_t dhat(x_t, y) - (u_t D_t + coeff_b_t)
+            per_cell -= u * self.direct + coeff_b
+            np.multiply(probs, per_cell.T, out=w[1])
+            w[1].reshape(-1)[self.cells] += coeff_b
+        elif self.row_b:
+            w[1] = 0.0
+        self.row_b = kind.uses_reward_model
+        # row B stays zero without a model: every reweighted kind runs the
+        # same (2, n k) product, so the c = 0 reduction is bit-exact
+        grads = np.zeros((2, d))
+        grads += w.reshape(2, -1) @ log.features.reshape(-1, d)
+        grads *= alpha
+        return grads
 
 
-def _weights(log: Log, terms: LogTerms, probs: np.ndarray, normalize: bool):
-    """``(rho, rho_bar, mass_on_dmax, effective_sample_size)`` at the policy
-    probabilities ``probs``; the last three are None unless ``normalize`` is
-    set or some weight is positive."""
-    rho = _rho(log, np.take(probs.T, terms.picks))
-    if not (normalize or rho.sum() > 0.0):
-        return rho, None, None, None
-    n = rho.size
-    rho_bar = _normalize(rho)
-    return rho, rho_bar, float(rho_bar[terms.dmax].sum() / n), float(n * n / (rho_bar @ rho_bar))
+def _read_only(*arrays: np.ndarray | None) -> None:
+    for array in arrays:
+        if array is not None:
+            array.flags.writeable = False
 
 
-def _mean(values: np.ndarray) -> float:
-    """The mean, without np.mean's call overhead."""
-    return float(values.sum() / values.size)
+def _state(log: Log) -> _LogPass:
+    """The pass state ``log`` keeps, made on first use."""
+    state = vars(log).get(_STATE)
+    if state is None:
+        state = _LogPass(log)
+        object.__setattr__(log, _STATE, state)
+    return state
 
 
-def _control(terms: LogTerms, probs: np.ndarray, rho_bar: np.ndarray):
-    """``(Y, D, b)`` of the controlled value: Y_t = dhat_t rho_bar_t,
-    D_t = sum_y dhat(x_t, y) pi_w(y | x_t) and b = mean(D - Y)."""
-    y = terms.preds_chosen * rho_bar
-    direct = (probs.T * terms.preds.T).sum(axis=0)
-    return y, direct, _mean(direct - y)
+def _predict(log: Log, model: RewardModel) -> np.ndarray:
+    """``model``'s predictions over the candidates of ``log``, which keeps them."""
+    state = _state(log)
+    state.predict(log, model)
+    return state.preds
+
+
+def _subset(log: Log, index: np.ndarray, model: RewardModel | None) -> Log:
+    """``log.subset(index)``, which takes its rows of ``log``'s predictions
+    by ``model`` rather than predicting on its own."""
+    sub = log.subset(index)
+    if model is not None:
+        _state(sub).predict(sub, model, _predict(log, model)[index])
+    return sub
 
 
 def value_and_grad(
@@ -260,76 +330,37 @@ def value_and_grad(
     log: Log,
     model: RewardModel | None = None,
     *,
-    terms: LogTerms | None = None,
     rows: np.ndarray | None = None,
     grad: bool = True,
 ) -> ObjectivePass:
     """One softmax pass over ``log``: value pieces, gradient rows, c_hat
     inputs and weight diagnostics of ``kind`` at ``params``.
 
-    ``terms`` are the log's :class:`LogTerms` for ``model`` (made here when
-    not given); they do not depend on the policy, so a caller making many
-    passes over a log makes them once and passes them in.  ``rows`` averages
-    the gradient over those log positions only, while the weights stay
-    normalized over the whole log.  ``grad=False`` skips the gradient.  Only
-    the kind's family matters here; the log's mode decides whether
+    The log keeps its latest pass, so a pass at the same ``params`` and
+    ``model`` objects as the one before reuses its softmax, its predictions
+    and its values, and computes only the gradient.  ``rows`` averages the
+    gradient over those log positions only, while the weights stay
+    normalized over the whole log.  ``grad=False`` skips the gradient.
+    Only the kind's family matters here; the log's mode decides whether
     propensities divide the weights.
     """
-    n = len(log)
-    if n == 0:
+    if len(log) == 0:
         raise ValueError("log is empty")
     controlled = kind.uses_reward_model
     if controlled and model is None:
         raise ValueError(f"estimator {kind.value} needs a reward model")
     if rows is not None and len(rows) == 0:
         raise ValueError("rows is empty: the gradient needs at least one log position")
-    if terms is None:
-        terms = LogTerms.of(log, model if controlled else None)
-
-    probs = log.probs(params)
-    rho, rho_bar, mass, ess = _weights(log, terms, probs, kind.reweighted)
-    x = y = None
-    b = 0.0
-    if kind.reweighted:
-        x = log.rewards * rho_bar
-        a = _mean(x)
-    else:
-        a = _mean(log.rewards * rho)
-    if controlled:
-        y, direct, b = _control(terms, probs, rho_bar)
-
-    grads = None
-    if grad:
-        u = np.full(n, 1.0 / n)
-        if rows is not None:
-            u = np.zeros(n)
-            u[rows] = 1.0 / len(rows)
-        if kind.reweighted:
-            coeff_a = u * x - (u @ x / n) * rho_bar
-        else:
-            coeff_a = u * log.rewards * rho
-        # each row is pi times a per-cell coefficient, plus the tuple's
-        # coefficient of e_{y_t} at its chosen cell
-        w = terms.w
-        np.multiply(probs, -coeff_a[:, None], out=w[0])
-        w[0].reshape(-1)[terms.cells] += coeff_a
-        if controlled:
-            coeff_b = (u @ y / n) * rho_bar - u * y
-            per_cell = terms.preds.T * u  # u_t dhat(x_t, y) - (u_t D_t + coeff_b_t)
-            per_cell -= u * direct + coeff_b
-            np.multiply(probs, per_cell.T, out=w[1])
-            w[1].reshape(-1)[terms.cells] += coeff_b
-        elif terms.preds is not None:  # terms last used by a controlled kind
-            w[1] = 0.0
-        # row B stays zero without a model: every reweighted kind runs the
-        # same (2, n k) product, so the c = 0 reduction is bit-exact
-        d = log.dim
-        grads = np.zeros((2, d))
-        grads += w.reshape(2, -1) @ log.features.reshape(-1, d)
-        grads *= params.alpha
+    state = _state(log)
+    state.update(log, params, model if controlled else None)
+    if kind.reweighted and state.rho_bar is None:
+        raise DegenerateSupportError(ZERO_WEIGHTS)
     return ObjectivePass(
-        kind=kind, probs=probs, rho=rho, rho_bar=rho_bar, x=x, y=y, a=a, b=b, grads=grads,
-        mass_on_dmax=mass, effective_sample_size=ess,
+        kind=kind, probs=state.probs, rho=state.rho, rho_bar=state.rho_bar,
+        x=state.x if kind.reweighted else None, y=state.y if controlled else None,
+        a=state.a if kind.reweighted else state.plain_a, b=state.b if controlled else 0.0,
+        grads=state.grads(kind, log, params.alpha, rows) if grad else None,
+        mass_on_dmax=state.mass, effective_sample_size=state.ess,
     )
 
 
@@ -411,67 +442,6 @@ def objective_value(
     return evaluate_policy(kind, params, log, reward_model).value
 
 
-# The attribute under which a Log keeps its latest evaluation pass.
-_SHARED_PASS = "_shared_pass"
-
-
-class _SharedPass:
-    """A log's latest evaluation pass, from which :func:`evaluate_policy`
-    reads every kind at the same ``params`` and ``model`` objects.
-
-    The policy terms (``probs``, rho, rho_bar, X, the two values of a and
-    the diagnostics) belong to ``params``.  ``terms`` carry the predictions
-    of ``model``, and Y and b belong to ``model`` at ``params``; they are
-    made only when a kind that uses the reward model asks for them.  Both
-    objects are matched by identity, which is sound because they are
-    immutable and held here.  The arrays handed out are read-only.
-    """
-
-    __slots__ = ("terms", "model", "params", "probs", "rho", "rho_bar", "x",
-                 "a", "plain_a", "mass", "ess", "y", "b")
-
-    def __init__(self) -> None:
-        self.terms = self.model = self.params = self.y = None
-
-    def update(self, log: Log, params: PolicyParams, model: RewardModel | None) -> None:
-        """Bring the pass to ``params`` and, unless it is None, ``model``.
-        Each step computes before it assigns, so an error leaves every part
-        of the pass matching the objects it records."""
-        if model is not None and model is not self.model:
-            self.terms = LogTerms.of(log, model)
-            self.model, self.y = model, None
-        elif self.terms is None:
-            self.terms = LogTerms.of(log)
-        if params is not self.params:
-            probs = log.probs(params)
-            rho, rho_bar, mass, ess = _weights(log, self.terms, probs, normalize=True)
-            x = log.rewards * rho_bar
-            _read_only(probs, rho, rho_bar, x)
-            self.params, self.probs, self.rho, self.rho_bar, self.x = params, probs, rho, rho_bar, x
-            self.a, self.plain_a = _mean(x), _mean(log.rewards * rho)
-            self.mass, self.ess, self.y = mass, ess, None
-        if model is not None and self.y is None:
-            y, _, b = _control(self.terms, self.probs, self.rho_bar)
-            _read_only(y)
-            self.y, self.b = y, b
-
-    def pass_of(self, kind: EstimatorKind) -> ObjectivePass:
-        """The pass of ``kind``, equal to ``value_and_grad(kind, ...,
-        grad=False)`` at the same params and model."""
-        controlled = kind.uses_reward_model
-        return ObjectivePass(
-            kind=kind, probs=self.probs, rho=self.rho, rho_bar=self.rho_bar,
-            x=self.x if kind.reweighted else None, y=self.y if controlled else None,
-            a=self.a if kind.reweighted else self.plain_a, b=self.b if controlled else 0.0,
-            grads=None, mass_on_dmax=self.mass, effective_sample_size=self.ess,
-        )
-
-
-def _read_only(*arrays: np.ndarray) -> None:
-    for array in arrays:
-        array.flags.writeable = False
-
-
 def evaluate_policy(
     kind: EstimatorKind,
     params: PolicyParams,
@@ -482,11 +452,10 @@ def evaluate_policy(
     a log on which every weight is zero raises DegenerateSupportError, for
     plain kinds too.
 
-    The log keeps its latest pass, so evaluating several kinds on one log at
-    the same ``params`` and ``reward_model`` objects runs one softmax and
-    one reward-model prediction; the prediction only for kinds that use the
-    model.  Each result equals a fresh ``value_and_grad(kind, ...,
-    grad=False)`` bit for bit, and its arrays are read-only.
+    It is the pass ``value_and_grad(kind, ..., grad=False)`` returns, so
+    evaluating several kinds on one log at the same ``params`` and
+    ``reward_model`` objects runs one softmax and one reward-model
+    prediction; the prediction only for kinds that use the model.
     """
     check_log(kind, log)
     if kind.estimates_control and len(log) < 2:
@@ -494,14 +463,6 @@ def evaluate_policy(
             f"estimator {kind.value} estimates its control scalar on the log, "
             "which needs at least 2 tuples"
         )
-    model = None
-    if kind.uses_reward_model:
-        if reward_model is None:
-            raise ValueError(f"estimator {kind.value} needs a reward model")
-        model = reward_model
-    shared = vars(log).get(_SHARED_PASS)
-    if shared is None:
-        shared = _SharedPass()
-        object.__setattr__(log, _SHARED_PASS, shared)
-    shared.update(log, params, model)
-    return shared.pass_of(kind)
+    result = value_and_grad(kind, params, log, reward_model, grad=False)
+    result.check_support()
+    return result

@@ -24,11 +24,17 @@ import numpy as np
 import orjson
 import yaml
 
-from .domain import Instance, Log, LoggedTuple, Mode, PolicyParams, _integer
+from .domain import Instance, Log, LoggedTuple, Mode, PolicyParams, _integer, _real
 from .errors import CflearnError, ConfigurationError, LogConsistencyError
 from .reward import RewardModel
 from .simulator import GroundTruth, LoggingPolicy, TaskSpec, _fractions
 from .training import EpochRecord, TrainConfig, TrainTrace
+
+
+def _number(key: str, value) -> float:
+    """``value`` as a float if it is a finite real number, not a bool or a
+    string; raises ValueError naming ``key``."""
+    return float(_real(key, value))
 
 
 def _floats(values) -> list[float]:
@@ -77,8 +83,8 @@ def _log_record(record, mode: Mode) -> LoggedTuple:
     return LoggedTuple(
         instance=instance,
         chosen=chosen,
-        reward=float(record["reward"]),
-        propensity=None if propensity is None else float(propensity),
+        reward=_number("reward", record["reward"]),
+        propensity=None if propensity is None else _number("propensity", propensity),
     )
 
 
@@ -185,7 +191,7 @@ def _vector(values) -> np.ndarray:
 
 def _params(payload, path: str | Path, where: str = "") -> PolicyParams:
     weights = _get(payload, "weights", _vector, path, where)
-    alpha = _get(payload, "alpha", float, path, where)
+    alpha = _get(payload, "alpha", lambda value: _number("alpha", value), path, where)
     try:
         return PolicyParams(weights, alpha=alpha)
     except ConfigurationError as err:
@@ -286,8 +292,8 @@ def read_reward_model(path: str | Path) -> RewardModel:
     payload = _load_json(path)
     return RewardModel(
         weights=_get(payload, "weights", _vector, path),
-        intercept=_get(payload, "intercept", float, path),
-        ridge_lambda=_get(payload, "ridge_lambda", float, path),
+        intercept=_get(payload, "intercept", lambda value: _number("intercept", value), path),
+        ridge_lambda=_get(payload, "ridge_lambda", lambda value: _number("ridge_lambda", value), path),
     )
 
 
@@ -325,5 +331,5 @@ def write_csv(path: str | Path, columns: list[str], rows: list[list]) -> None:
         writer.writerow(columns)
         for row in rows:
             writer.writerow(
-                ["" if v is None else repr(v) if isinstance(v, float) else v for v in row]
+                ["" if v is None else repr(float(v)) if isinstance(v, float) else v for v in row]
             )

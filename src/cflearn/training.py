@@ -16,7 +16,7 @@ import numpy as np
 
 from .domain import Instance, Log, PolicyParams, _integer, _member, _probs, _real, _stack_candidates
 from .errors import ConfigurationError, DegenerateSupportError, ScoreOverflowError
-from .estimators import EstimatorKind, LogTerms, check_log, value_and_grad
+from .estimators import EstimatorKind, _predict, _subset, check_log, value_and_grad
 from .reward import RewardModel, fit_reward_model
 from .simulator import GroundTruth
 
@@ -165,9 +165,8 @@ def train(
     model = None
     if kind.uses_reward_model:
         model = fit_reward_model(train_log, config.ridge_lambda)
-    # the terms do not depend on the policy: one set per log for the whole run
-    terms = LogTerms.of(train_log, model)
-    validation_terms = LogTerms.of(validation_log, model)
+        for log in (train_log, validation_log):  # before epoch 1: an overflow is an error, not a halt
+            _predict(log, model)
 
     rng = np.random.default_rng(config.seed)
     trace = TrainTrace(reward_model=model)
@@ -181,7 +180,7 @@ def train(
     for epoch in range(1, config.epochs + 1):
         try:
             if current is None:
-                current = value_and_grad(kind, params, train_log, model, terms=terms)
+                current = value_and_grad(kind, params, train_log, model)
             if kind.estimates_control and (epoch == 1 or config.c_refresh == "epoch"):
                 c_hat = current.estimate_c_hat().c_hat
             batches = _batches(rng, n, batch_size)
@@ -190,19 +189,15 @@ def train(
             else:
                 for idx in batches:  # normalized within the batch or over the full log
                     if config.normalize == "batch":
-                        sub = train_log.subset(idx)
-                        sub_preds = None if model is None else terms.preds[idx]
-                        sub_terms = LogTerms.of(sub, preds=sub_preds)
-                        batch = value_and_grad(kind, params, sub, model, terms=sub_terms)
+                        sub = _subset(train_log, idx, model)
+                        batch = value_and_grad(kind, params, sub, model)
                     else:
-                        batch = value_and_grad(kind, params, train_log, model, terms=terms, rows=idx)
+                        batch = value_and_grad(kind, params, train_log, model, rows=idx)
                     params = _step(params, config.learning_rate, batch.grad(c_hat))
 
             # this pass also supplies the next epoch's c_hat and full-batch step
-            current = value_and_grad(kind, params, train_log, model, terms=terms)
-            validation = value_and_grad(
-                kind, params, validation_log, model, terms=validation_terms, grad=False
-            )
+            current = value_and_grad(kind, params, train_log, model)
+            validation = value_and_grad(kind, params, validation_log, model, grad=False)
             current.check_support()
         except DegenerateSupportError as err:
             trace.halted = f"epoch {epoch}: {err}"

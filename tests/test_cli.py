@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: commands, guards, exit codes, reproducibility."""
 
 import contextlib
+import csv
 import io
 import json
 import re
@@ -375,7 +376,9 @@ class TestChecks:
         out = tmp_path / "gc"
         code = main(["grad-check", "--seed", "0", "--count", "10", "--out", str(out)])
         assert code == 0
-        assert (out / "grad_check.csv").exists()
+        with open(out / "grad_check.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert rows and all(float(row["max_rel_error"]) >= 0.0 for row in rows)
         assert "max rel error" in capsys.readouterr().out
 
     def test_grad_check_failure_exit_code(self, monkeypatch):
@@ -564,6 +567,13 @@ class TestBadPayloads:
         ("truth", "logging_policy", lambda p: p.pop("logging_policy")),
         ("truth", "logging_policy.alpha", lambda p: p["logging_policy"].pop("alpha")),
         ("truth", "mode", lambda p: p["logging_policy"].update(mode="sometimes")),
+        pytest.param("params", "alpha", lambda p: p.update(alpha=True), id="params-alpha-bool"),
+        pytest.param("model", "intercept", lambda p: p.update(intercept="nan"), id="model-intercept-nan"),
+        pytest.param("model", "intercept", lambda p: p.update(intercept="0.25"), id="model-intercept-string"),
+        pytest.param("model", "ridge_lambda", lambda p: p.update(ridge_lambda=False),
+                     id="model-ridge_lambda-bool"),
+        pytest.param("truth", "logging_policy.alpha", lambda p: p["logging_policy"].update(alpha="1"),
+                     id="truth-alpha-string"),
     ])
     def test_bad_payload_exits_one_naming_file_and_key(self, trained, tmp_path, capsys, name, key, edit):
         out, run = trained

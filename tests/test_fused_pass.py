@@ -13,7 +13,6 @@ from cflearn import (
     GroundTruth,
     Instance,
     Log,
-    LogTerms,
     LoggedTuple,
     Mode,
     PolicyParams,
@@ -21,6 +20,7 @@ from cflearn import (
     TrainConfig,
     diagnostics,
     estimate_c_hat,
+    estimators,
     evaluate_policy,
     objective_value,
     train,
@@ -89,17 +89,19 @@ class TestRaggedOracle:
             want = oracles.terms(kind, params, log, model, 0.6)[1][rows].mean(axis=0)
             np.testing.assert_allclose(got, want, **TOL)
 
-    def test_subset_keeps_cached_predictions(self, rng):
+    def test_subset_keeps_cached_predictions(self, rng, monkeypatch):
         # predictions made once over the whole log serve any subset of its rows
         log = ragged_log(rng, 9, 3, Mode.STOCHASTIC)
         params = PolicyParams(rng.standard_normal(3))
         model = RewardModel(rng.standard_normal(3) / 2, intercept=0.3, ridge_lambda=0.0)
-        preds = model.predict_features(log.features)
+        predicted = []
+        predict = RewardModel.predict_features
+        monkeypatch.setattr(RewardModel, "predict_features",
+                            lambda self, features: predicted.append(1) or predict(self, features))
         idx = np.array([8, 0, 3, 5])
-        part = log.subset(idx)
-        got = value_and_grad(
-            EstimatorKind.DR, params, part, model, terms=LogTerms.of(part, preds=preds[idx])
-        ).grad(1.0)
+        part = estimators._subset(log, idx, model)
+        got = value_and_grad(EstimatorKind.DR, params, part, model).grad(1.0)
+        assert len(predicted) == 1  # over the whole log, none over the part
         sub = Log(tuple(log.tuples[i] for i in idx), log.mode)
         np.testing.assert_allclose(got, oracles.gradient(EstimatorKind.DR, params, sub, model), **TOL)
 
@@ -109,10 +111,9 @@ class TestRaggedOracle:
         log = ragged_log(rng, 9, 3, Mode.DETERMINISTIC)
         params = PolicyParams(rng.standard_normal(3))
         model = RewardModel(rng.standard_normal(3) / 2, intercept=0.3, ridge_lambda=0.0)
-        terms = LogTerms.of(log, model)
         for kind in (EstimatorKind.DC, EstimatorKind.DPM_R, EstimatorKind.CDC, EstimatorKind.DPM):
-            got = value_and_grad(kind, params, log, model, terms=terms)
-            want = value_and_grad(kind, params, log, model)
+            got = value_and_grad(kind, params, log, model)
+            want = value_and_grad(kind, params, log.subset(np.arange(len(log))), model)  # a fresh pass
             assert got.grads.tobytes() == want.grads.tobytes()
 
 
@@ -197,6 +198,34 @@ class TestPassCount:
         config = TrainConfig(kind=EstimatorKind.CDC, learning_rate=0.2, epochs=6)
         train(config, kind_log(rng, EstimatorKind.CDC, n=8), kind_log(rng, EstimatorKind.CDC, n=4))
         assert len(predicted) == 2  # the train log and the validation log
+
+    @pytest.mark.parametrize("normalize", ["batch", "full"])
+    def test_reward_model_predicted_once_per_log_in_minibatches(self, rng, monkeypatch, normalize):
+        predicted = []
+        original = RewardModel.predict_features
+
+        def counted(self, features):
+            predicted.append(np.shape(features))
+            return original(self, features)
+
+        monkeypatch.setattr(RewardModel, "predict_features", counted)
+        config = TrainConfig(kind=EstimatorKind.CDR, learning_rate=0.2, epochs=3, batch_size=3,
+                             normalize=normalize)
+        train_log, val_log = kind_log(rng, EstimatorKind.CDR, n=8), kind_log(rng, EstimatorKind.CDR, n=4)
+        train(config, train_log, val_log)
+        # each batch's sub-log takes its rows of the train log's predictions
+        assert predicted == [train_log.features.shape, val_log.features.shape]
+
+    def test_log_terms_built_once_per_log(self, rng, monkeypatch):
+        built = []
+        mask = estimators.dmax_mask
+        monkeypatch.setattr(estimators, "dmax_mask", lambda rewards: built.append(1) or mask(rewards))
+        params = PolicyParams(rng.standard_normal(4))
+        model = RewardModel(rng.standard_normal(4) / 2, intercept=0.3, ridge_lambda=0.0)
+        log = random_log(rng, 9, 3, 4, Mode.STOCHASTIC)
+        for kind in mode_kinds(Mode.STOCHASTIC):  # ips, ips-r, dr, cdr: the model joins third
+            evaluate_policy(kind, params, log, model)
+        assert len(built) == 1
 
 
     @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)

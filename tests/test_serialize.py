@@ -111,6 +111,9 @@ class TestMalformedLog:
             '{"id": "x", "features": [[1.0], [2.0]], "chosen": 0, "reward": 0.5}',
             '{"id": "x", "features": [[1.0], [2.0]], "chosen": 0, "reward": 2.0, "propensity": 0.5}',
             '{"id": 7, "features": [[1.0], [2.0]], "chosen": 0, "reward": 0.5, "propensity": 0.5}',
+            '{"id": "x", "features": [[1.0], [2.0]], "chosen": 0, "reward": "0.47", "propensity": 0.5}',
+            '{"id": "x", "features": [[1.0], [2.0]], "chosen": 0, "reward": true, "propensity": 0.5}',
+            '{"id": "x", "features": [[1.0], [2.0]], "chosen": 0, "reward": 0.5, "propensity": true}',
         ],
     )
     def test_bad_record_names_its_line(self, tmp_path, rng, line):

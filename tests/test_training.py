@@ -189,6 +189,22 @@ class TestGuards:
         assert trace.records == []
         np.testing.assert_array_equal(params.weights, np.zeros(4))
 
+    def test_reward_prediction_overflow_raises_before_epoch_one(self, rng, monkeypatch):
+        # an input on which the model overflows is an error, not a halt
+        from cflearn import RewardModel, ScoreOverflowError, training
+
+        monkeypatch.setattr(training, "fit_reward_model",
+                            lambda log, ridge: RewardModel(np.full(log.dim, 1e300), 0.0, ridge))
+        train_log = random_log(rng, 8, 3, 4, Mode.STOCHASTIC)
+        val_log = Log(
+            tuple(LoggedTuple(Instance(t.instance.id, 1e9 * t.instance.candidates),
+                              t.chosen, t.reward, t.propensity)
+                  for t in random_log(rng, 4, 3, 4, Mode.STOCHASTIC).tuples),
+            Mode.STOCHASTIC,
+        )
+        with pytest.raises(ScoreOverflowError, match="reward model predictions overflowed"):
+            train(TrainConfig(kind=EstimatorKind.DR, epochs=2), train_log, val_log)
+
     def test_invalid_config_values(self):
         with pytest.raises(ValueError):
             TrainConfig(kind=EstimatorKind.DPM, learning_rate=-0.1)
