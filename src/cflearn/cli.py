@@ -11,13 +11,13 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
-from dataclasses import astuple, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import serialize
 from .degeneracy import ProbeResult, probe_theorem1, probe_theorem2
 from .domain import Log, Mode, PolicyParams
-from .errors import CflearnError, ConfigurationError
+from .errors import CflearnError, ConfigurationError, FittingError
 from .estimators import EstimatorKind, check_log, evaluate_policy
 from .gradients import FD_TOLERANCE, GradCheckResult, run_grad_check
 from .reward import RewardModel
@@ -29,11 +29,11 @@ CHECK_FAILURE = 2
 
 
 @contextmanager
-def _naming(prefix):
-    """Prefix a package error or a ValueError raised inside with the file(s) it concerns."""
+def _naming(prefix, errors=(CflearnError, ValueError)):
+    """Prefix an error of the types ``errors`` raised inside with the file(s) it concerns."""
     try:
         yield
-    except (CflearnError, ValueError) as err:
+    except errors as err:
         raise type(err)(f"{prefix}: {err}") from err
 
 
@@ -96,7 +96,10 @@ def cmd_train(args) -> int:
         truth = serialize.read_truth(args.truth)[0]
         _truth_rewards(truth, args.truth, train_log, args.log)  # fail naming both files
 
-    params, trace = train(train_cfg, train_log, validation_log, truth=truth)
+    # both logs passed the checks above, so a ConfigurationError (its size) or a FittingError
+    # (its reward fit) is the train log's; a reward-prediction overflow may be either log's
+    with _naming(args.log, (ConfigurationError, FittingError)):
+        params, trace = train(train_cfg, train_log, validation_log, truth=truth)
     out = _out_dir(args.out, config.output_dir)
     extra = {
         "kind": train_cfg.kind.value,
@@ -112,6 +115,20 @@ def cmd_train(args) -> int:
     return 0
 
 
+@dataclass(frozen=True)
+class ReportRow:
+    """One row of report.csv; the true rewards are None without a truth."""
+
+    split: str
+    estimator: str
+    value: float
+    effective_sample_size: float
+    mass_on_dmax: float
+    true_reward: float | None
+    logger_true_reward: float | None
+    improvement: float | None
+
+
 def _evaluate_row(
     path: str,
     kind: EstimatorKind,
@@ -120,11 +137,10 @@ def _evaluate_row(
     model: RewardModel | None,
     rewards,
     logger: LoggingPolicy | None,
-) -> list:
-    """The report row of the log read from ``path``: the estimate, its
-    diagnostics and, given the log's true ``rewards``, the true rewards of the
-    policy, from the estimate's own pass, and of the logger.  An error names
-    the file."""
+) -> ReportRow:
+    """The report row of the log read from ``path``, given the log's true
+    ``rewards`` or None; the policy's true reward comes from the estimate's
+    own pass.  An error names the file."""
     with _naming(path):
         result = evaluate_policy(kind, params, log, model)
         true_reward = logger_reward = improvement = None
@@ -132,28 +148,8 @@ def _evaluate_row(
             true_reward = _expected_reward(result.probs, rewards)
             logger_reward = _expected_reward(log.probs(logger.params), rewards)
             improvement = true_reward - logger_reward
-        return [
-            Path(path).stem,
-            kind.value,
-            result.value,
-            result.effective_sample_size,
-            result.mass_on_dmax,
-            true_reward,
-            logger_reward,
-            improvement,
-        ]
-
-
-REPORT_COLUMNS = [
-    "split",
-    "estimator",
-    "value",
-    "effective_sample_size",
-    "mass_on_dmax",
-    "true_reward",
-    "logger_true_reward",
-    "improvement",
-]
+        return ReportRow(Path(path).stem, kind.value, result.value, result.effective_sample_size,
+                         result.mass_on_dmax, true_reward, logger_reward, improvement)
 
 
 def cmd_evaluate(args) -> int:
@@ -187,12 +183,10 @@ def cmd_evaluate(args) -> int:
         for path, log, log_rewards in zip(args.log, logs, rewards)
     ]
     out = _out_dir(args.out, Path(args.params).parent)
-    serialize.write_csv(out / "report.csv", REPORT_COLUMNS, rows)
+    serialize.write_csv(out / "report.csv", ReportRow, rows)
     for row in rows:
-        detail = f"value={row[2]!r}"
-        if row[7] is not None:
-            detail += f" improvement={row[7]!r}"
-        print(f"{row[0]}: {detail}")
+        improvement = "" if row.improvement is None else f" improvement={row.improvement!r}"
+        print(f"{row.split}: value={row.value!r}{improvement}")
     return 0
 
 
@@ -207,11 +201,7 @@ def cmd_grad_check(args) -> int:
             f"({status}; {res.singular} singular excluded, {res.constant_cases} constant cases)"
         )
     if args.out is not None:
-        serialize.write_csv(
-            _out_dir(args.out) / "grad_check.csv",
-            [f.name for f in fields(GradCheckResult)],
-            [astuple(res) for res in results],
-        )
+        serialize.write_csv(_out_dir(args.out) / "grad_check.csv", GradCheckResult, results)
     if any(res.failures for res in results):
         print(f"gradient check FAILED at tolerance {FD_TOLERANCE}", file=sys.stderr)
         return CHECK_FAILURE
@@ -239,27 +229,29 @@ def run_probe_suite(seed: int, count: int, trials: int = 200) -> list[tuple[str,
     return results
 
 
+@dataclass(frozen=True)
+class ProbeRow:
+    """One row of probes.csv."""
+
+    log: str
+    theorem: str
+    status: str
+    reference_value: float | None
+    worst_challenger: float | None
+    note: str
+
+
 def cmd_degeneracy_probe(args) -> int:
     results = run_probe_suite(args.seed, args.count)
     violations = sum(1 for _, r in results if not r.holds and not r.skipped)
     skipped = sum(1 for _, r in results if r.skipped)
-    rows = [
-        [
-            label,
-            res.theorem,
-            "skipped" if res.skipped else ("passed" if res.holds else "violated"),
-            res.reference_value,
-            res.worst_challenger,
-            res.reason or res.witness,
-        ]
-        for label, res in results
-    ]
     if args.out is not None:
-        serialize.write_csv(
-            _out_dir(args.out) / "probes.csv",
-            ["log", "theorem", "status", "reference_value", "worst_challenger", "note"],
-            rows,
-        )
+        rows = [
+            ProbeRow(label, res.theorem, "skipped" if res.skipped else ("passed" if res.holds else "violated"),
+                     res.reference_value, res.worst_challenger, res.reason or res.witness)
+            for label, res in results
+        ]
+        serialize.write_csv(_out_dir(args.out) / "probes.csv", ProbeRow, rows)
     print(
         f"{len(results)} probes on {2 * args.count} logs: "
         f"{len(results) - violations - skipped} passed, {violations} violated, {skipped} skipped"

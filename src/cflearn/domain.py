@@ -267,8 +267,9 @@ class Log:
 class PolicyParams:
     """Weight vector and smoothing scale of the softmax policy.
 
-    ``weights`` is a read-only copy of the array given, so a policy, like a
-    :class:`Log`, never changes once made.
+    ``weights`` is a read-only copy of the array given and ``alpha`` a
+    float, so a policy, like a :class:`Log`, never changes once made, and
+    its fields are its file format.
     """
 
     weights: np.ndarray
@@ -284,6 +285,7 @@ class PolicyParams:
             raise ConfigurationError(f"alpha must be a positive real, got {self.alpha}")
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "alpha", float(self.alpha))
 
     @property
     def dim(self) -> int:

@@ -21,8 +21,9 @@ from .errors import ConfigurationError, FittingError, ScoreOverflowError
 class RewardModel:
     """Linear reward regressor; predictions are clipped to [0, 1] at use.
 
-    ``weights`` is a read-only copy of the array given, so a model never
-    changes once made.
+    ``weights`` is a read-only copy of the array given and the scalars are
+    floats, so a model never changes once made, and its fields are its file
+    format.
     """
 
     weights: np.ndarray
@@ -33,6 +34,8 @@ class RewardModel:
         weights = np.array(self.weights, dtype=float)
         weights.flags.writeable = False
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "intercept", float(self.intercept))
+        object.__setattr__(self, "ridge_lambda", float(self.ridge_lambda))
 
     @property
     def dim(self) -> int:

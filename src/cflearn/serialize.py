@@ -7,6 +7,11 @@ orjson is the one JSON codec.  It writes compact UTF-8 with every float as
 its shortest round-trip decimal (Ryu), so any JSON reader gets back every
 value bit for bit, and identical inputs always produce byte-identical files.
 
+Every other JSON and CSV file holds the fields of records (the README lists
+which), so each key or column is named once, by a dataclass field; a field
+that holds a record is written as that record's fields.  A reader converts
+each value by its field's declared type.
+
 This module is the one input boundary of the CLI.  Every file, the config
 included, is read as bytes, so no input escapes as a bare decode error.  An
 input that does not decode or parse fails naming ``file:line``; a missing
@@ -16,7 +21,8 @@ key or a bad value fails naming the file and the key.
 from __future__ import annotations
 
 import csv
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
+from functools import partial
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -24,7 +30,7 @@ import numpy as np
 import orjson
 import yaml
 
-from .domain import Instance, Log, LoggedTuple, Mode, PolicyParams, _integer, _real
+from .domain import Instance, Log, LoggedTuple, Mode, PolicyParams, _integer, _member, _real
 from .errors import CflearnError, ConfigurationError, LogConsistencyError
 from .reward import RewardModel
 from .simulator import GroundTruth, LoggingPolicy, TaskSpec, _fractions
@@ -37,12 +43,38 @@ def _number(key: str, value) -> float:
     return float(_real(key, value))
 
 
-def _floats(values) -> list[float]:
-    return [float(v) for v in np.asarray(values, dtype=float).ravel()]
+def _vector(key: str, values) -> np.ndarray:
+    """``values`` as a float vector if it is a list of JSON numbers, not of
+    bools, strings or null; raises ValueError naming ``key``.  orjson reads
+    no number beyond the float range, so the vector is finite."""
+    if type(values) is not list or not {int, float}.issuperset(map(type, values)):
+        raise ValueError(f"{key} must be a list of numbers, got {values!r}")
+    return np.array(values, dtype=float)
+
+
+_CONVERTERS = {  # (key, JSON value) -> the value as a field of the declared type
+    np.ndarray: _vector,
+    float: _number,
+    Mode: lambda key, value: _member(key, Mode, value),
+    dict[str, np.ndarray]: lambda key, values: {
+        name: _vector(f"{key}.{name}", vector) for name, vector in dict(values).items()
+    },
+}
+
+
+def _fields(record) -> dict:
+    """The fields of the dataclass ``record`` by name, with the fields of a
+    field that holds a record in its place: the file format of a record."""
+    payload = {}
+    for f in fields(record):
+        value = getattr(record, f.name)
+        payload.update(_fields(value) if is_dataclass(value) else {f.name: value})
+    return payload
 
 
 def _write_json(path: str | Path, payload: dict) -> None:
-    Path(path).write_bytes(orjson.dumps(payload, option=orjson.OPT_INDENT_2) + b"\n")
+    options = orjson.OPT_INDENT_2 | orjson.OPT_SERIALIZE_NUMPY
+    Path(path).write_bytes(orjson.dumps(payload, option=options) + b"\n")
 
 
 def write_log(path: str | Path, log: Log) -> None:
@@ -79,7 +111,10 @@ def _log_record(record, mode: Mode) -> LoggedTuple:
     chosen = record["chosen"]
     if isinstance(chosen, bool) or not isinstance(chosen, int):
         raise TypeError(f"chosen must be an integer, got {chosen!r}")
-    instance = Instance(id=record["id"], candidates=np.array(record["features"], dtype=float))
+    features = np.array(record["features"])  # a bool among numbers reads as 0 or 1
+    if features.dtype.kind not in "iuf":
+        raise TypeError(f"features must be numbers, got an array of {features.dtype}")
+    instance = Instance(id=record["id"], candidates=features)
     return LoggedTuple(
         instance=instance,
         chosen=chosen,
@@ -182,18 +217,22 @@ def _get(payload, key: str, convert, path: str | Path, where: str = ""):
         raise ConfigurationError(f"{path}: bad value for {name}: {err}") from err
 
 
-def _vector(values) -> np.ndarray:
-    vector = np.array(values, dtype=float)
-    if vector.ndim != 1:
-        raise ValueError(f"expected a list of numbers, got shape {vector.shape}")
-    return vector
-
-
-def _params(payload, path: str | Path, where: str = "") -> PolicyParams:
-    weights = _get(payload, "weights", _vector, path, where)
-    alpha = _get(payload, "alpha", lambda value: _number("alpha", value), path, where)
+def _record(cls, payload, path: str | Path, where: str = ""):
+    """A ``cls`` from the keys of ``payload`` that its fields name, each
+    value converted to its field's declared type; a field that holds a
+    record takes that record's keys from ``payload`` too.  Raises
+    ConfigurationError naming the file, and the key where one is at fault."""
+    hints = get_type_hints(cls)
+    values = {}
+    for f in fields(cls):
+        hint = hints[f.name]
+        if is_dataclass(hint):
+            values[f.name] = _record(hint, payload, path, where)
+        else:
+            convert = partial(_CONVERTERS[hint], f.name)
+            values[f.name] = _get(payload, f.name, convert, path, where)
     try:
-        return PolicyParams(weights, alpha=alpha)
+        return cls(**values)
     except ConfigurationError as err:
         raise ConfigurationError(f"{path}: {err}") from err
 
@@ -238,67 +277,47 @@ def read_config(path: str | Path) -> ExperimentConfig:
 
 
 def write_truth(path: str | Path, truth: GroundTruth, logging_policy: LoggingPolicy) -> None:
-    payload = {
-        "reward_weights": _floats(truth.reward_weights),
-        "rewards": {key: _floats(vals) for key, vals in truth.rewards.items()},
-        "logging_policy": {
-            "weights": _floats(logging_policy.params.weights),
-            "alpha": float(logging_policy.params.alpha),
-            "mode": logging_policy.mode.value,
-        },
-    }
-    _write_json(path, payload)
+    _write_json(path, {**_fields(truth), "logging_policy": _fields(logging_policy)})
 
 
 def read_truth(path: str | Path) -> tuple[GroundTruth, LoggingPolicy]:
     payload = _load_json(path)
-    rewards = _get(payload, "rewards", dict, path)
     logger = _get(payload, "logging_policy", dict, path)
-    truth = GroundTruth(
-        reward_weights=_get(payload, "reward_weights", _vector, path),
-        rewards={key: _get(rewards, key, _vector, path, "rewards") for key in rewards},
-    )
-    policy = LoggingPolicy(
-        params=_params(logger, path, "logging_policy"),
-        mode=_get(logger, "mode", Mode, path, "logging_policy"),
-    )
-    return truth, policy
+    return _record(GroundTruth, payload, path), _record(LoggingPolicy, logger, path, "logging_policy")
 
 
 def write_params(path: str | Path, params: PolicyParams, extra: dict | None = None) -> None:
-    payload = {"weights": _floats(params.weights), "alpha": float(params.alpha)}
-    if extra:
-        payload.update(extra)
-    _write_json(path, payload)
+    _write_json(path, {**_fields(params), **(extra or {})})
 
 
 def read_params(path: str | Path) -> tuple[PolicyParams, dict]:
+    """The policy and the file's other keys."""
     payload = _load_json(path)
-    params = _params(payload, path)
-    del payload["weights"], payload["alpha"]
+    params = _record(PolicyParams, payload, path)
+    for name in _fields(params):
+        del payload[name]
     return params, payload
 
 
 def write_reward_model(path: str | Path, model: RewardModel) -> None:
-    payload = {
-        "weights": _floats(model.weights),
-        "intercept": float(model.intercept),
-        "ridge_lambda": float(model.ridge_lambda),
-    }
-    _write_json(path, payload)
+    _write_json(path, _fields(model))
 
 
 def read_reward_model(path: str | Path) -> RewardModel:
-    payload = _load_json(path)
-    return RewardModel(
-        weights=_get(payload, "weights", _vector, path),
-        intercept=_get(payload, "intercept", lambda value: _number("intercept", value), path),
-        ridge_lambda=_get(payload, "ridge_lambda", lambda value: _number("ridge_lambda", value), path),
-    )
+    return _record(RewardModel, _load_json(path), path)
 
 
-TRACE_COLUMNS = [f.name for f in fields(EpochRecord)]
-_TRACE_TYPES = [get_type_hints(EpochRecord)[name] for name in TRACE_COLUMNS]
+def write_csv(path: str | Path, cls: type, records) -> None:
+    """A header of the field names of the dataclass ``cls``, then one row per
+    record; a float is written as its shortest round-trip decimal and None as
+    an empty cell."""
+    names = [f.name for f in fields(cls)]
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(names)
+        for record in records:
+            values = (getattr(record, name) for name in names)
+            writer.writerow(["" if v is None else repr(float(v)) if isinstance(v, float) else v for v in values])
 
 
 def _trace_cell(hint, cell: str):
@@ -309,27 +328,14 @@ def _trace_cell(hint, cell: str):
 
 
 def write_trace(path: str | Path, trace: TrainTrace) -> None:
-    write_csv(path, TRACE_COLUMNS, [astuple(rec) for rec in trace.records])
+    write_csv(path, EpochRecord, trace.records)
 
 
 def read_trace(path: str | Path) -> TrainTrace:
-    trace = TrainTrace()
+    hints = get_type_hints(EpochRecord)
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         header = next(reader)
-        if header != TRACE_COLUMNS:
+        if header != list(hints):
             raise ValueError(f"{path}: unexpected trace columns {header}")
-        for row in reader:
-            trace.records.append(EpochRecord(*map(_trace_cell, _TRACE_TYPES, row)))
-    return trace
-
-
-def write_csv(path: str | Path, columns: list[str], rows: list[list]) -> None:
-    """Generic report writer; floats are written as shortest round-trip decimals."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow(
-                ["" if v is None else repr(float(v)) if isinstance(v, float) else v for v in row]
-            )
+        return TrainTrace(records=[EpochRecord(*map(_trace_cell, hints.values(), row)) for row in reader])

@@ -55,10 +55,16 @@ class TaskSpec:
 
 @dataclass(frozen=True, eq=False)
 class GroundTruth:
-    """Hidden reward weights and the true reward of every candidate."""
+    """Hidden reward weights and the true reward of every candidate, held as
+    contiguous float arrays, the form its file is written from."""
 
     reward_weights: np.ndarray
     rewards: dict[str, np.ndarray]  # instance id -> (k,) true rewards
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "reward_weights", np.ascontiguousarray(self.reward_weights, dtype=float))
+        rewards = {key: np.ascontiguousarray(values, dtype=float) for key, values in self.rewards.items()}
+        object.__setattr__(self, "rewards", rewards)
 
     def __call__(self, instance: Instance) -> np.ndarray:
         return self.rewards[instance.id]
@@ -75,7 +81,6 @@ class GroundTruth:
             values = self.rewards.get(ident)
             if values is None:
                 raise ConfigurationError(f"instance {ident!r} has no true rewards")
-            values = np.asarray(values, dtype=float)
             if values.shape != (count,):
                 raise ConfigurationError(
                     f"instance {ident!r} has {values.size} true rewards for {count} candidates"

@@ -328,7 +328,7 @@ class TestOverflow:
     def scaled_log(source: Path, target: Path, scale: float) -> Path:
         log = read_log(source)
         rows = tuple(
-            LoggedTuple(Instance(t.instance.id, scale * t.instance.candidates), t.chosen, t.reward)
+            LoggedTuple(Instance(t.instance.id, scale * t.instance.candidates), t.chosen, t.reward, t.propensity)
             for t in log.tuples
         )
         serialize.write_log(target, Log(rows, log.mode))
@@ -472,13 +472,32 @@ class TestUsageErrors:
 BAD_VALUES = [".nan", "1.0e400", "1.0e+400", str(2**64), "-1", "0", "text", "[1]", "{a: 1}", "null", "true", ""]
 
 
+# the same for a JSON file: non-numbers, numbers in strings, bools, and
+# numbers that are not finite, not a double, or zero or negative
+BAD_JSON_VALUES = ["NaN", "1e400", str(2**64), "-1", "0", '"text"', '"nan"', '"0.25"', "[1]", '{"a": 1}', "null",
+                   "true", ""]
+
+
+def _yaml_value(line: bytes, value: bytes) -> bytes:
+    key, sep, _ = line.partition(b":")
+    return (key + b": " if sep else b"- ") + value + b"\n"
+
+
+def _json_value(line: bytes, value: bytes) -> bytes:
+    """An indented JSON line with its value replaced, its key and its comma kept."""
+    key, sep, _ = line.partition(b":")
+    head = key + b": " if sep else line[: len(line) - len(line.lstrip())]
+    return head + value + (b",\n" if line.rstrip().endswith(b",") else b"\n")
+
+
 @st.composite
-def config_mutations(draw, valid: bytes) -> bytes:
+def config_mutations(draw, valid: bytes, values=BAD_VALUES, value_line=_yaml_value) -> bytes:
     """``valid`` with one byte-level, line-level or value-level mutation."""
     lines = valid.splitlines(keepends=True)
     at = draw(st.integers(0, len(valid) - 1), label="byte")
     row = draw(st.integers(0, len(lines) - 1), label="line")
     key, sep, _ = lines[row].partition(b":")
+    renamed = key[:-1] + b'_"' if key.endswith(b'"') else key + b"_"
     mutations = {
         "truncate": lambda: valid[:at],
         "flip": lambda: valid[:at] + bytes([valid[at] ^ 1 << draw(st.integers(0, 7))]) + valid[at + 1:],
@@ -486,10 +505,9 @@ def config_mutations(draw, valid: bytes) -> bytes:
         "0xff": lambda: valid[:at] + b"\xff" + valid[at + 1:],
         "bom": lambda: b"\xef\xbb\xbf" + valid,
         "drop key": lambda: b"".join(lines[:row] + lines[row + 1:]),
-        "rename key": lambda: b"".join(lines[:row] + [key + b"_" + sep + lines[row][len(key) + 1:]] + lines[row + 1:]),
+        "rename key": lambda: b"".join(lines[:row] + [renamed + sep + lines[row][len(key) + 1:]] + lines[row + 1:]),
         "value": lambda: b"".join(
-            lines[:row] + [(key + b": " if sep else b"- ") + draw(st.sampled_from(BAD_VALUES)).encode() + b"\n"]
-            + lines[row + 1:]
+            lines[:row] + [value_line(lines[row], draw(st.sampled_from(values)).encode())] + lines[row + 1:]
         ),
     }
     return mutations[draw(st.sampled_from(sorted(mutations)), label="mutation")]()
@@ -524,6 +542,48 @@ def test_mutated_config_exits_zero_or_one_naming_the_config(tmp_path_factory, da
         assert err.getvalue().startswith(f"cflearn: error: {config}:") and err.getvalue().count("\n") == 1
     else:
         assert err.getvalue() == ""
+
+
+@pytest.fixture(scope="module")
+def dc_run(tmp_path_factory):
+    """The tests' task and a dc run on it: logs, truth.json, params.json, reward_model.json.  Every
+    instance of the truth is in one of the logs, so every reward in truth.json is read."""
+    base = tmp_path_factory.mktemp("dc")
+    config = write_config(base / "config.yaml", **{"train.kind": "dc"})
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["generate-log", "--config", str(config)]) == 0
+        assert main(["train", "--config", str(config), "--log", str(base / "out" / "train.jsonl"),
+                     "--out", str(base / "run")]) == 0
+    return base
+
+
+@pytest.mark.parametrize("name", ["params.json", "reward_model.json", "truth.json"])
+@settings(max_examples=150)
+@given(data=st.data())
+def test_mutated_json_exits_zero_or_one_naming_the_file(dc_run, name, data):
+    files = {"params.json": dc_run / "run" / "params.json",
+             "reward_model.json": dc_run / "run" / "reward_model.json", "truth.json": dc_run / "out" / "truth.json"}
+    valid = files[name].read_bytes()
+    mutated = dc_run / "mutated" / name
+    mutated.parent.mkdir(exist_ok=True)
+    mutated.write_bytes(data.draw(config_mutations(valid, BAD_JSON_VALUES, _json_value), label="mutated"))
+    files[name] = mutated
+    report = dc_run / "mutated" / "report.csv"
+    report.unlink(missing_ok=True)
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("error", RuntimeWarning)
+        logs = [arg for log in ("train", "validation", "test") for arg in ("--log", str(dc_run / "out" / f"{log}.jsonl"))]
+        code = main(["evaluate", "--params", str(files["params.json"]), "--model", str(files["reward_model.json"]),
+                     "--truth", str(files["truth.json"]), "--out", str(report.parent), *logs])
+    assert code in (0, 1)
+    if code == 1:
+        assert err.getvalue().startswith(f"cflearn: error: {mutated}") and err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""
+        with open(report, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert rows and all(np.isfinite(float(row[key])) for row in rows for key in list(row)[2:])
 
 
 class TestBadPayloads:
@@ -574,6 +634,14 @@ class TestBadPayloads:
                      id="model-ridge_lambda-bool"),
         pytest.param("truth", "logging_policy.alpha", lambda p: p["logging_policy"].update(alpha="1"),
                      id="truth-alpha-string"),
+        pytest.param("truth", "rewards.i00000", lambda p: p["rewards"]["i00000"].__setitem__(0, "nan"),
+                     id="truth-reward-nan"),
+        pytest.param("truth", "rewards.i00000", lambda p: p["rewards"]["i00000"].__setitem__(0, "0.25"),
+                     id="truth-reward-string"),
+        pytest.param("truth", "rewards.i00000", lambda p: p["rewards"]["i00000"].__setitem__(0, True),
+                     id="truth-reward-bool"),
+        pytest.param("params", "weights", lambda p: p["weights"].__setitem__(0, "0.25"), id="params-weight-string"),
+        pytest.param("model", "weights", lambda p: p["weights"].__setitem__(0, True), id="model-weight-bool"),
     ])
     def test_bad_payload_exits_one_naming_file_and_key(self, trained, tmp_path, capsys, name, key, edit):
         out, run = trained
@@ -652,6 +720,7 @@ class TestBadLogs:
     """A log the estimator cannot use fails before training or evaluation:
     exit 1 naming the file, never a traceback."""
 
+    BASE = {"task.logging_mode": "stochastic", "train.kind": "cdr"}
     VARIANTS = {
         "empty": {"splits": [1.0, 0.0, 0.0]},
         "d3": {"task.d": 3},
@@ -661,11 +730,10 @@ class TestBadLogs:
     @pytest.fixture
     def logs(self, tmp_path):
         """The tests' task logged stochastically for cdr, and one variant per defect."""
-        base = {"task.logging_mode": "stochastic", "train.kind": "cdr"}
-        config = write_config(tmp_path / "config.yaml", **base)
+        config = write_config(tmp_path / "config.yaml", **self.BASE)
         assert main(["generate-log", "--config", str(config), "--out", str(tmp_path / "good")]) == 0
         for name, overrides in self.VARIANTS.items():
-            variant = write_config(tmp_path / f"{name}.yaml", **{**base, **overrides})
+            variant = write_config(tmp_path / f"{name}.yaml", **{**self.BASE, **overrides})
             assert main(["generate-log", "--config", str(variant), "--out", str(tmp_path / name)]) == 0
         return config, tmp_path
 
@@ -686,6 +754,43 @@ class TestBadLogs:
         assert code == 1
         self.error(capsys, bad)
         assert not (tmp_path / "run" / "params.json").exists()
+
+    @pytest.mark.parametrize("defect, message", [
+        ("batch_size", "batch_size 100 exceeds log size 20"),
+        ("one-tuple", "estimates its control scalar on the train log, which needs at least 2 tuples"),
+        ("huge-features", "normal equations overflow"),
+    ])
+    def test_train_names_the_train_log(self, logs, tmp_path, capsys, defect, message):
+        config, base = logs
+        bad = base / "good" / "train.jsonl"
+        if defect == "batch_size":
+            config = write_config(tmp_path / "batch.yaml", **self.BASE, **{"train.batch_size": 100})
+        elif defect == "one-tuple":
+            bad = tmp_path / "one.jsonl"
+            bad.write_bytes(b"".join((base / "good" / "train.jsonl").read_bytes().splitlines(keepends=True)[:2]))
+        else:
+            bad = TestOverflow.scaled_log(bad, tmp_path / "huge.jsonl", 1e160)
+        capsys.readouterr()
+        code = main(["train", "--config", str(config), "--log", str(bad),
+                     "--validation", str(base / "good" / "validation.jsonl"), "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert message in self.error(capsys, bad)
+
+    def test_train_does_not_name_the_train_log_for_the_validation_log(self, logs, tmp_path, capsys, monkeypatch):
+        from cflearn import RewardModel, training
+
+        config, base = logs
+        monkeypatch.setattr(training, "fit_reward_model",
+                            lambda log, ridge: RewardModel(np.full(log.dim, 1e300), 0.0, ridge))
+        validation = TestOverflow.scaled_log(base / "good" / "validation.jsonl", tmp_path / "validation.jsonl", 1e9)
+        train_log = base / "good" / "train.jsonl"
+        capsys.readouterr()
+        code = main(["train", "--config", str(config), "--log", str(train_log), "--validation", str(validation),
+                     "--out", str(tmp_path / "run")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cflearn: error: ") and "reward model predictions overflowed" in err
+        assert str(train_log) not in err
 
     def test_evaluate_names_an_empty_log(self, logs, tmp_path, capsys):
         config, base = logs

@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 
 from cflearn import (
+    Instance,
+    Log,
     LogConsistencyError,
+    LoggedTuple,
     Mode,
     PolicyParams,
     RewardModel,
@@ -16,6 +19,8 @@ from cflearn import (
     TrainTrace,
     generate_task,
 )
+from cflearn.cli import ProbeRow, ReportRow
+from cflearn.gradients import GradCheckResult
 from cflearn.serialize import (
     read_log,
     read_params,
@@ -26,8 +31,10 @@ from cflearn.serialize import (
     write_params,
     write_reward_model,
     write_trace,
+    write_csv,
     write_truth,
 )
+from cflearn.simulator import GroundTruth, LoggingPolicy
 from cflearn.training import EpochRecord
 
 from conftest import random_log
@@ -114,6 +121,10 @@ class TestMalformedLog:
             '{"id": "x", "features": [[1.0], [2.0]], "chosen": 0, "reward": "0.47", "propensity": 0.5}',
             '{"id": "x", "features": [[1.0], [2.0]], "chosen": 0, "reward": true, "propensity": 0.5}',
             '{"id": "x", "features": [[1.0], [2.0]], "chosen": 0, "reward": 0.5, "propensity": true}',
+            '{"id": "x", "features": [["0.5", true], [2.0, 3.0]], "chosen": 0, "reward": 0.5, "propensity": 0.5}',
+            '{"id": "x", "features": [["1.0"], ["2.0"]], "chosen": 0, "reward": 0.5, "propensity": 0.5}',
+            '{"id": "x", "features": [[true], [false]], "chosen": 0, "reward": 0.5, "propensity": 0.5}',
+            '{"id": "x", "features": [[1.0], [null]], "chosen": 0, "reward": 0.5, "propensity": 0.5}',
         ],
     )
     def test_bad_record_names_its_line(self, tmp_path, rng, line):
@@ -198,3 +209,84 @@ class TestTrace:
         path = tmp_path / "trace.csv"
         write_trace(path, trace)
         assert read_trace(path).records[0].train_value == value
+
+
+class TestFormatBytes:
+    """The exact bytes of every file format, from small hand-made records;
+    integers in float fields (alpha, ridge_lambda, rewards) are written as
+    floats."""
+
+    def test_params_with_extra_keys(self, tmp_path):
+        path = tmp_path / "params.json"
+        write_params(path, PolicyParams(np.array([0.5, -0.25, 1e-7]), alpha=1),
+                     {"kind": "dpm-r", "best_epoch": 3, "stopped_early": False, "halted": None})
+        assert path.read_bytes() == (
+            b'{\n  "weights": [\n    0.5,\n    -0.25,\n    1e-7\n  ],\n  "alpha": 1.0,\n  "kind": "dpm-r",\n'
+            b'  "best_epoch": 3,\n  "stopped_early": false,\n  "halted": null\n}\n'
+        )
+
+    def test_reward_model(self, tmp_path):
+        path = tmp_path / "reward_model.json"
+        write_reward_model(path, RewardModel(np.array([0.125, -2.0]), 0.3, 0))
+        assert path.read_bytes() == (
+            b'{\n  "weights": [\n    0.125,\n    -2.0\n  ],\n  "intercept": 0.3,\n  "ridge_lambda": 0.0\n}\n'
+        )
+
+    def test_truth_with_its_logging_policy(self, tmp_path):
+        path = tmp_path / "truth.json"
+        truth = GroundTruth(np.array([0.1, -0.2]), {"a": np.array([0.5, 0.25]), "b": [1, 0, 0.75]})
+        write_truth(path, truth, LoggingPolicy(PolicyParams(np.array([0.3, -0.1]), alpha=2), Mode.STOCHASTIC))
+        assert path.read_bytes() == (
+            b'{\n  "reward_weights": [\n    0.1,\n    -0.2\n  ],\n  "rewards": {\n    "a": [\n      0.5,\n'
+            b'      0.25\n    ],\n    "b": [\n      1.0,\n      0.0,\n      0.75\n    ]\n  },\n'
+            b'  "logging_policy": {\n    "weights": [\n      0.3,\n      -0.1\n    ],\n    "alpha": 2.0,\n'
+            b'    "mode": "stochastic"\n  }\n}\n'
+        )
+
+    def test_log(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        write_log(path, Log((
+            LoggedTuple(Instance("x0", np.array([[0.5, -1.0], [0.0, 2.5e-5]])), 1, 0.25, 0.5),
+            LoggedTuple(Instance("x1", np.array([[1.0, 0.0], [0.0, 1.0], [3.0, -3.0]])), 2, 1.0, 0.125),
+        ), Mode.STOCHASTIC))
+        assert path.read_bytes() == (
+            b'{"mode":"stochastic"}\n'
+            b'{"id":"x0","features":[[0.5,-1.0],[0.0,0.000025]],"chosen":1,"reward":0.25,"propensity":0.5}\n'
+            b'{"id":"x1","features":[[1.0,0.0],[0.0,1.0],[3.0,-3.0]],"chosen":2,"reward":1.0,"propensity":0.125}\n'
+        )
+
+    def test_trace(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        write_trace(path, TrainTrace([EpochRecord(1, 0.5, 0.25, 0.1 + 0.2, 1.0, 2e-05),
+                                      EpochRecord(2, 0.625, 0.375, None, 0.75, 0.0)]))
+        assert path.read_bytes() == (
+            b"epoch,train_value,validation_value,true_reward,mass_on_dmax,grad_norm\r\n"
+            b"1,0.5,0.25,0.30000000000000004,1.0,2e-05\r\n2,0.625,0.375,,0.75,0.0\r\n"
+        )
+
+    def test_report_rows(self, tmp_path):
+        path = tmp_path / "report.csv"
+        write_csv(path, ReportRow, [ReportRow("test", "dpm-r", 0.5, 7.25, 0.125, 0.625, 0.5, 0.125),
+                                    ReportRow("validation", "dpm-r", 0.5, 3.0, 0.0, None, None, None)])
+        assert path.read_bytes() == (
+            b"split,estimator,value,effective_sample_size,mass_on_dmax,true_reward,logger_true_reward,"
+            b"improvement\r\ntest,dpm-r,0.5,7.25,0.125,0.625,0.5,0.125\r\nvalidation,dpm-r,0.5,3.0,0.0,,,\r\n"
+        )
+
+    def test_grad_check_table(self, tmp_path):
+        path = tmp_path / "grad_check.csv"
+        write_csv(path, GradCheckResult, [GradCheckResult("ips-dpm", 10, np.float64(2.121827713530422e-11), 0, 1, 0),
+                                          GradCheckResult("doubly-controlled", 4, 0.5, 3, 0, 2)])
+        assert path.read_bytes() == (
+            b"family,problems,max_rel_error,failures,singular,constant_cases\r\n"
+            b"ips-dpm,10,2.121827713530422e-11,0,1,0\r\ndoubly-controlled,4,0.5,3,0,2\r\n"
+        )
+
+    def test_probe_rows(self, tmp_path):
+        path = tmp_path / "probes.csv"
+        write_csv(path, ProbeRow, [ProbeRow("stochastic-000", "theorem1", "passed", 0.75, 0.5, ""),
+                                   ProbeRow("deterministic-001", "theorem2", "skipped", None, None, "no max-reward tuple")])
+        assert path.read_bytes() == (
+            b"log,theorem,status,reference_value,worst_challenger,note\r\nstochastic-000,theorem1,passed,0.75,0.5,"
+            b"\r\ndeterministic-001,theorem2,skipped,,,no max-reward tuple\r\n"
+        )
