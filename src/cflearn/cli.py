@@ -17,7 +17,7 @@ from pathlib import Path
 from . import serialize
 from .degeneracy import ProbeResult, probe_theorem1, probe_theorem2
 from .domain import Log, Mode, PolicyParams
-from .errors import CflearnError, ConfigurationError, FittingError
+from .errors import CflearnError, ConfigurationError, FittingError, ScoreOverflowError
 from .estimators import EstimatorKind, check_log, evaluate_policy
 from .gradients import FD_TOLERANCE, GradCheckResult, run_grad_check
 from .reward import RewardModel
@@ -97,9 +97,13 @@ def cmd_train(args) -> int:
         _truth_rewards(truth, args.truth, train_log, args.log)  # fail naming both files
 
     # both logs passed the checks above, so a ConfigurationError (its size) or a FittingError
-    # (its reward fit) is the train log's; a reward-prediction overflow may be either log's
+    # (its reward fit) is the train log's; a reward-prediction overflow says which log it is
     with _naming(args.log, (ConfigurationError, FittingError)):
-        params, trace = train(train_cfg, train_log, validation_log, truth=truth)
+        try:
+            params, trace = train(train_cfg, train_log, validation_log, truth=truth)
+        except ScoreOverflowError as err:
+            path = validation_path if err.log is validation_log else args.log
+            raise ScoreOverflowError(f"{path}: {err}") from err
     out = _out_dir(args.out, config.output_dir)
     extra = {
         "kind": train_cfg.kind.value,

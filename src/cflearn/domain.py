@@ -84,6 +84,14 @@ class Instance:
             raise ConfigurationError(f"instance {self.id!r}: non-finite feature values")
         object.__setattr__(self, "candidates", feats)
 
+    @classmethod
+    def _view(cls, ident: str, candidates: np.ndarray) -> "Instance":
+        """An instance over a (k, d) float matrix the caller has already checked."""
+        inst = object.__new__(cls)
+        object.__setattr__(inst, "id", ident)
+        object.__setattr__(inst, "candidates", candidates)
+        return inst
+
     @property
     def k(self) -> int:
         return self.candidates.shape[0]
@@ -211,10 +219,14 @@ class Log:
         )
 
     @classmethod
-    def _from_columns(cls, mode, ids, features, k, chosen, rewards, propensities) -> "Log":
-        """A log over columns the caller has already validated."""
+    def _from_columns(cls, mode, ids, features, k, chosen, rewards, propensities,
+                      tensor_pass: "_TensorPass | None" = None) -> "Log":
+        """A log over columns the caller has already validated.  A log whose
+        ``features`` and ``k`` are those of ``tensor_pass`` shares it."""
         log = object.__new__(cls)
         log._fill(mode, ids, features, k, chosen, rewards, propensities)
+        if tensor_pass is not None:
+            object.__setattr__(log, "_shared_pass", tensor_pass)
         return log
 
     def _fill(self, mode, *columns) -> None:
@@ -261,6 +273,61 @@ class Log:
     def at_chosen(self, values: np.ndarray) -> np.ndarray:
         """Per-candidate (n, k_max) values taken at each tuple's logged choice."""
         return values[np.arange(len(self)), self.chosen]
+
+    def _tensor_pass(self) -> "_TensorPass":
+        """The pass state over ``features`` the log was rolled with, which
+        every log rolled from one task shares, or else a new one of its own."""
+        return vars(self).get("_shared_pass") or _TensorPass(self.features, self.k)
+
+
+class _TensorPass:
+    """The parts of a pass that depend on a candidate tensor alone, not on
+    which candidates a log chose: a policy's softmax, a reward model's
+    predictions and their ``D_t = sum_y dhat(x_t, y) pi(y | x_t)``.
+
+    A generated task holds one, which every log rolled from it shares; any
+    other log makes its own.  The latest logging and target softmaxes are
+    kept apart, so rolling a log and evaluating one do not undo each other.
+    Each part is matched by identity to the immutable objects it was made
+    from, and kept only once made, so an error keeps nothing.  Its arrays
+    are read-only.
+    """
+
+    __slots__ = ("features", "k", "policies", "model", "preds", "direct_of", "direct")
+
+    def __init__(self, features: np.ndarray, k: np.ndarray) -> None:
+        self.features, self.k = features, k
+        self.policies = [(None, None), (None, None)]  # (params, probs): the target's, the logger's
+        self.model = self.preds = self.direct_of = self.direct = None
+
+    def probs(self, params: "PolicyParams", logging: bool = False) -> np.ndarray:
+        """The softmax of ``params``, kept as the latest target policy's or,
+        with ``logging``, the latest logging policy's."""
+        kept, probs = self.policies[logging]
+        if params is not kept:
+            probs = _probs(params, self.features, self.k)
+            probs.flags.writeable = False
+            self.policies[logging] = (params, probs)
+        return probs
+
+    def predictions(self, model, preds: np.ndarray | None = None) -> np.ndarray:
+        """``model``'s predictions over the candidates, taken from ``preds``
+        when the caller already holds them."""
+        if model is not self.model:
+            if preds is None:
+                preds = model.predict_features(self.features)
+            preds.flags.writeable = False
+            self.model, self.preds = model, preds
+        return self.preds
+
+    def direct_terms(self, probs: np.ndarray, preds: np.ndarray) -> np.ndarray:
+        """D from a softmax and predictions that this state handed out."""
+        kept = self.direct_of
+        if kept is None or kept[0] is not probs or kept[1] is not preds:
+            direct = (probs.T * preds.T).sum(axis=0)
+            direct.flags.writeable = False
+            self.direct_of, self.direct = (probs, preds), direct
+        return self.direct
 
 
 @dataclass(frozen=True, eq=False)

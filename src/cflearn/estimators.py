@@ -38,7 +38,7 @@ family.  Both rows of W are contracted against the (n k, d) feature matrix
 in one matrix product.  Every value and diagnostic here comes from that
 pass, except :func:`value_reweighted`.  Each log keeps its latest pass, so
 every kind run on one log at one policy and one reward model reads one
-softmax and one prediction.
+softmax and one prediction, and the logs rolled from one task share theirs.
 """
 
 from __future__ import annotations
@@ -195,37 +195,40 @@ class _LogPass:
     """The state of the passes over one log, kept on the log, from which
     :func:`value_and_grad` reads every part a previous pass already made.
 
+    The parts that depend only on the candidate tensor (the softmax, the
+    predictions over the candidates and D) come from the log's
+    ``domain._TensorPass``, which every log rolled from one task shares.
     The terms no policy changes (each chosen cell's index and the d_max
     mask) are made with the state, and the W buffer by the first pass with a
-    gradient.  The model part (the predictions over the candidates and at
-    the chosen cells) belongs to ``model``; the policy part (``probs``, rho,
-    rho_bar, X, the plain and self-normalized a and the diagnostics) to
-    ``params``; Y, D and b to both.  Both objects are matched by identity,
-    which is sound because they are immutable and held here.  Each part is
-    computed before it is assigned, so an error leaves every part matching
-    the objects it records.  The arrays handed out are read-only.
+    gradient.  The model part (the predictions at the chosen cells) belongs
+    to ``model``; the policy part (``probs``, rho, rho_bar, X, the plain and
+    self-normalized a and the diagnostics) to ``params``; Y, D and b to
+    both.  Both objects are matched by identity, which is sound because they
+    are immutable and held here.  Each part is computed before it is
+    assigned, so an error leaves every part matching the objects it records.
+    The arrays handed out are read-only.
     """
 
-    __slots__ = ("picks", "dmax", "cells", "w", "row_b", "model", "preds", "preds_chosen",
+    __slots__ = ("tensor", "picks", "dmax", "cells", "w", "row_b", "model", "preds", "preds_chosen",
                  "params", "probs", "rho", "rho_bar", "x", "a", "plain_a", "mass", "ess",
                  "y", "direct", "b")
 
     def __init__(self, log: Log) -> None:
         n = len(log)
+        self.tensor = log._tensor_pass()
         self.picks = log.chosen * n + np.arange(n)  # flat chosen cells of a (k_max, n) array
         self.dmax = dmax_mask(log.rewards)
         self.w = self.model = self.params = self.y = None
         self.row_b = False  # whether row B of W holds a controlled pass's values
 
-    def predict(self, log: Log, model: RewardModel, preds: np.ndarray | None = None) -> None:
+    def predict(self, model: RewardModel, preds: np.ndarray | None = None) -> None:
         """Bring the model part to ``model``, from ``preds`` when the caller
         already holds its predictions over the log's candidates."""
         if model is self.model:
             return
-        if preds is None:
-            preds = model.predict_features(log.features)
+        preds = self.tensor.predictions(model, preds)
         chosen = np.take(preds.T, self.picks)
-        _read_only(preds, chosen)
+        _read_only(chosen)
         self.model, self.preds, self.preds_chosen, self.y = model, preds, chosen, None
 
     def update(self, log: Log, params: PolicyParams, model: RewardModel | None) -> None:
@@ -233,9 +236,9 @@ class _LogPass:
         rho_bar, X, a and the diagnostics stay None when every weight is
         zero, and then so do Y, D and b."""
         if model is not None:
-            self.predict(log, model)
+            self.predict(model)
         if params is not self.params:
-            probs = log.probs(params)
+            probs = self.tensor.probs(params)
             rho = _rho(log, np.take(probs.T, self.picks))
             rho_bar = x = a = mass = ess = None
             if rho.sum() > 0.0:
@@ -245,14 +248,14 @@ class _LogPass:
                 a = _mean(x)
                 mass = float(rho_bar[self.dmax].sum() / n)
                 ess = float(n * n / (rho_bar @ rho_bar))
-            _read_only(probs, rho, rho_bar, x)
+            _read_only(rho, rho_bar, x)
             self.params, self.probs, self.rho, self.rho_bar, self.x = params, probs, rho, rho_bar, x
             self.a, self.plain_a, self.mass, self.ess = a, _mean(log.rewards * rho), mass, ess
             self.y = None
         if model is not None and self.y is None and self.rho_bar is not None:
             # Y_t = dhat_t rho_bar_t, D_t = sum_y dhat(x_t, y) pi_w(y | x_t), b = mean(D - Y)
             y = self.preds_chosen * self.rho_bar
-            direct = (self.probs.T * self.preds.T).sum(axis=0)
+            direct = self.tensor.direct_terms(self.probs, self.preds)
             _read_only(y)
             self.y, self.direct, self.b = y, direct, _mean(direct - y)
 
@@ -311,7 +314,7 @@ def _state(log: Log) -> _LogPass:
 def _predict(log: Log, model: RewardModel) -> np.ndarray:
     """``model``'s predictions over the candidates of ``log``, which keeps them."""
     state = _state(log)
-    state.predict(log, model)
+    state.predict(model)
     return state.preds
 
 
@@ -320,7 +323,7 @@ def _subset(log: Log, index: np.ndarray, model: RewardModel | None) -> Log:
     by ``model`` rather than predicting on its own."""
     sub = log.subset(index)
     if model is not None:
-        _state(sub).predict(sub, model, _predict(log, model)[index])
+        _state(sub).predict(model, _predict(log, model)[index])
     return sub
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Instance, Log, Mode, PolicyParams, _integer, _member, _probs, _real, _stack_candidates
+from .domain import Instance, Log, Mode, PolicyParams, _TensorPass, _integer, _member, _real, _stack_candidates
 from .errors import ConfigurationError
 
 REWARD_QUANTUM = 1e-6
@@ -55,19 +55,50 @@ class TaskSpec:
 
 @dataclass(frozen=True, eq=False)
 class GroundTruth:
-    """Hidden reward weights and the true reward of every candidate, held as
-    contiguous float arrays, the form its file is written from."""
+    """Hidden reward weights and the true reward of every candidate, the
+    form its file is written from.  The rewards are the rows of one
+    read-only (n, k_max) matrix, zero past each row's k, and each value of
+    ``rewards`` is a view of its row."""
 
     reward_weights: np.ndarray
     rewards: dict[str, np.ndarray]  # instance id -> (k,) true rewards
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "reward_weights", np.ascontiguousarray(self.reward_weights, dtype=float))
-        rewards = {key: np.ascontiguousarray(values, dtype=float) for key, values in self.rewards.items()}
-        object.__setattr__(self, "rewards", rewards)
+        keys = list(self.rewards)
+        rows = [np.asarray(values, dtype=float) for values in self.rewards.values()]
+        counts = [row.size for row in rows]
+        matrix = np.zeros((len(rows), max(counts, default=0)))
+        for row, values in enumerate(rows):
+            matrix[row, : values.size] = values
+        matrix.flags.writeable = False
+        object.__setattr__(self, "rewards", {key: matrix[row, :count]
+                                             for row, (key, count) in enumerate(zip(keys, counts))})
+        object.__setattr__(self, "_matrix", matrix)
+        object.__setattr__(self, "_row", dict(zip(keys, range(len(keys)))))
+        # a missing id's row, -1, reads the last count, -1, which matches no k
+        object.__setattr__(self, "_counts", np.array(counts + [-1], dtype=np.intp))
 
     def __call__(self, instance: Instance) -> np.ndarray:
         return self.rewards[instance.id]
+
+    def _rows(self, ids, k: np.ndarray) -> np.ndarray:
+        """The matrix rows of the instances ``ids``, with ``k`` candidates each.
+
+        Raises :class:`ConfigurationError` at the first instance without a
+        reward row or whose row is not k long.
+        """
+        rows = np.array([self._row.get(ident, -1) for ident in ids], dtype=np.intp)
+        bad = self._counts[rows] != k
+        if bad.any():
+            at = int(np.argmax(bad))
+            ident, count = ids[at], int(k[at])
+            if rows[at] < 0:
+                raise ConfigurationError(f"instance {ident!r} has no true rewards")
+            raise ConfigurationError(
+                f"instance {ident!r} has {self._counts[rows[at]]} true rewards for {count} candidates"
+            )
+        return rows
 
     def reward_matrix(self, ids, k: np.ndarray, k_max: int) -> np.ndarray:
         """The true rewards of the instances ``ids``, with ``k`` candidates
@@ -76,16 +107,10 @@ class GroundTruth:
         Raises :class:`ConfigurationError` at the first instance without a
         reward row or whose row is not k long.
         """
-        matrix = np.zeros((len(k), k_max))
-        for row, (ident, count) in enumerate(zip(ids, k.tolist())):
-            values = self.rewards.get(ident)
-            if values is None:
-                raise ConfigurationError(f"instance {ident!r} has no true rewards")
-            if values.shape != (count,):
-                raise ConfigurationError(
-                    f"instance {ident!r} has {values.size} true rewards for {count} candidates"
-                )
-            matrix[row, :count] = values
+        rows = self._rows(ids, k)
+        matrix = np.zeros((len(rows), k_max))
+        width = min(k_max, self._matrix.shape[1])
+        matrix[:, :width] = self._matrix[rows, :width]
         return matrix
 
 
@@ -100,15 +125,27 @@ class LoggingPolicy:
 
 class TaskInstances(tuple):
     """The instances of a generated task, in order.  Their candidate matrices
-    are the rows of one read-only (n, k, d) tensor, ``features``, which the
-    logs rolled from them share instead of copying."""
+    are the rows of one read-only (n, k, d) tensor, ``features``, checked
+    once for them all.  The logs rolled from them share that tensor, the
+    ``ids`` and ``k`` columns, and the passes over the tensor instead of
+    copying or repeating them."""
 
     features: np.ndarray
+    ids: np.ndarray
+    k: np.ndarray
 
     def __new__(cls, ids: list[str], features: np.ndarray) -> "TaskInstances":
-        features.flags.writeable = False
-        self = super().__new__(cls, (Instance(i, f) for i, f in zip(ids, features)))
+        if features.ndim != 3 or features.shape[1] < 2 or not np.isfinite(features).all():
+            raise ConfigurationError(
+                f"task candidates must be a finite (n, k, d) tensor with k >= 2, got shape {features.shape}"
+            )
+        features.flags.writeable = False  # before the views are taken, which inherit it
+        self = super().__new__(cls, map(Instance._view, ids, features))
         self.features = features
+        self.ids = np.array(ids, dtype=object)
+        self.k = np.full(len(ids), features.shape[1], dtype=np.intp)
+        self.ids.flags.writeable = self.k.flags.writeable = False
+        self._pass = _TensorPass(features, self.k)
         return self
 
 
@@ -164,7 +201,9 @@ def roll_log(
     Deterministic mode picks the argmax candidate (lowest index on ties)
     and records no propensity; stochastic mode samples a candidate by
     inverting the cumulative probabilities at one uniform draw per instance
-    and records its probability.  ``rng`` seeds the stochastic draws.
+    and records its probability.  ``rng`` seeds the stochastic draws.  The
+    logs rolled from a generated task's instances share the task's pass
+    state, so they run the logging policy's softmax once between them.
     """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
@@ -172,32 +211,34 @@ def roll_log(
     if not instances:
         return Log((), mode)
     if isinstance(instances, TaskInstances):
-        features = instances.features
-        k = np.full(len(instances), features.shape[1], dtype=np.intp)
+        ids, tensor = instances.ids, instances._pass
     else:
-        features, k = _stack_candidates([inst.candidates for inst in instances])
-    probs = _probs(logging_policy.params, features, k)
+        ids = np.array([inst.id for inst in instances], dtype=object)
+        tensor = _TensorPass(*_stack_candidates([inst.candidates for inst in instances]))
+    k = tensor.k
+    probs = tensor.probs(logging_policy.params, logging=True)
     rows = np.arange(len(instances))
     propensities = None
     if mode is Mode.DETERMINISTIC:
         chosen = np.argmax(probs, axis=1)
     else:
         u = rng.random(len(instances))
-        # the count of cumulative probabilities <= u is searchsorted(side="right")
+        # the count of cumulative probabilities <= u is searchsorted(side="right");
+        # it lands on a candidate of positive probability unless rounding
+        # carries it past the row's k: take the last such candidate instead
         chosen = (np.cumsum(probs, axis=1) <= u[:, None]).sum(axis=1)
-        # rounding can step past the last candidate or onto a zero: take the
-        # last candidate with positive probability instead
-        off = (chosen >= k) | (probs[rows, np.minimum(chosen, k - 1)] <= 0.0)
+        off = chosen >= k
         if off.any():
             last = probs.shape[1] - 1 - np.argmax(probs[:, ::-1] > 0.0, axis=1)
             chosen = np.where(off, last, chosen)
         propensities = probs[rows, chosen]
-    rewards = np.array([truth(inst)[y] for inst, y in zip(instances, chosen.tolist())], dtype=float)
+    rewards = truth._matrix[truth._rows(ids, k), chosen]
     outside = ~((rewards >= 0.0) & (rewards <= 1.0))
     if outside.any():
         raise ConfigurationError(f"reward {rewards[outside][0]} outside [0, 1]")
-    ids = np.array([inst.id for inst in instances], dtype=object)
-    return Log._from_columns(mode, ids, features, k, chosen.astype(np.intp), rewards, propensities)
+    return Log._from_columns(
+        mode, ids, tensor.features, k, chosen.astype(np.intp), rewards, propensities, tensor
+    )
 
 
 def _fractions(fractions) -> tuple[float, float, float]:

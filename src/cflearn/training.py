@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import Instance, Log, PolicyParams, _integer, _member, _probs, _real, _stack_candidates
+from .domain import Instance, Log, PolicyParams, _TensorPass, _integer, _member, _real, _stack_candidates
 from .errors import ConfigurationError, DegenerateSupportError, ScoreOverflowError
 from .estimators import EstimatorKind, _predict, _subset, check_log, value_and_grad
 from .reward import RewardModel, fit_reward_model
-from .simulator import GroundTruth
+from .simulator import GroundTruth, TaskInstances
 
 
 @dataclass
@@ -132,6 +132,8 @@ def train(
     the best parameters seen so far; ``halted`` names the epoch and the
     cause.  A ``truth`` adds each epoch's exact true reward on the train log
     to the trace, from the probabilities of that epoch's train-log pass.
+    Reward-model predictions that overflow before epoch 1 raise
+    :class:`ScoreOverflowError`, whose ``log`` is the log predicted on.
     """
     kind = config.kind
     for log in (train_log, validation_log):
@@ -166,7 +168,11 @@ def train(
     if kind.uses_reward_model:
         model = fit_reward_model(train_log, config.ridge_lambda)
         for log in (train_log, validation_log):  # before epoch 1: an overflow is an error, not a halt
-            _predict(log, model)
+            try:
+                _predict(log, model)
+            except ScoreOverflowError as err:
+                err.log = log
+                raise
 
     rng = np.random.default_rng(config.seed)
     trace = TrainTrace(reward_model=model)
@@ -246,10 +252,16 @@ def evaluate_truth(params: PolicyParams, instances: list[Instance], truth: Groun
     """Exact expected true reward of the policy by full enumeration.
 
     The instances go through one softmax pass, zero-padded to the largest k,
-    against the truth's rewards for them.
+    against the truth's rewards for them.  A generated task's instances
+    are passed over as their task's tensor, whose softmax the logs rolled
+    from the task share.
     """
     if len(instances) == 0:
         raise ValueError("evaluate_truth needs at least one instance")
-    features, k = _stack_candidates([inst.candidates for inst in instances])
-    rewards = truth.reward_matrix([inst.id for inst in instances], k, features.shape[1])
-    return _expected_reward(_probs(params, features, k), rewards)
+    if isinstance(instances, TaskInstances):
+        ids, tensor = instances.ids, instances._pass
+    else:
+        features, k = _stack_candidates([inst.candidates for inst in instances])
+        ids, tensor = [inst.id for inst in instances], _TensorPass(features, k)
+    rewards = truth.reward_matrix(ids, tensor.k, tensor.features.shape[1])
+    return _expected_reward(tensor.probs(params), rewards)

@@ -788,9 +788,25 @@ class TestBadLogs:
         code = main(["train", "--config", str(config), "--log", str(train_log), "--validation", str(validation),
                      "--out", str(tmp_path / "run")])
         assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("cflearn: error: ") and "reward model predictions overflowed" in err
+        err = self.error(capsys, validation)
+        assert "reward model predictions overflowed" in err
         assert str(train_log) not in err
+
+    def test_train_names_the_train_log_for_its_prediction_overflow(self, logs, tmp_path, capsys, monkeypatch):
+        from cflearn import RewardModel, training
+
+        config, base = logs
+        monkeypatch.setattr(training, "fit_reward_model",
+                            lambda log, ridge: RewardModel(np.full(log.dim, 1e300), 0.0, ridge))
+        train_log = TestOverflow.scaled_log(base / "good" / "train.jsonl", tmp_path / "train.jsonl", 1e9)
+        validation = base / "good" / "validation.jsonl"
+        capsys.readouterr()
+        code = main(["train", "--config", str(config), "--log", str(train_log), "--validation", str(validation),
+                     "--out", str(tmp_path / "run")])
+        assert code == 1
+        err = self.error(capsys, train_log)
+        assert "reward model predictions overflowed" in err
+        assert str(validation) not in err
 
     def test_evaluate_names_an_empty_log(self, logs, tmp_path, capsys):
         config, base = logs

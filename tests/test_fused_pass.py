@@ -6,6 +6,8 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cflearn import (
     ConfigurationError,
@@ -17,12 +19,16 @@ from cflearn import (
     Mode,
     PolicyParams,
     RewardModel,
+    ScoreOverflowError,
+    TaskSpec,
     TrainConfig,
     diagnostics,
     estimate_c_hat,
     estimators,
     evaluate_policy,
+    generate_task,
     objective_value,
+    roll_log,
     train,
     value_and_grad,
 )
@@ -268,6 +274,36 @@ class TestPassCount:
         evaluate_policy(kinds[3], params, log, replace(model))
         assert (len(softmaxes), len(predicted)) == (3, 2)
 
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    def test_logs_rolled_from_one_task_share_one_pass(self, rng, mode, monkeypatch):
+        from cflearn import domain
+
+        softmaxes, predicted = [], []
+        softmax, predict = domain._softmax, RewardModel.predict_features
+        monkeypatch.setattr(domain, "_softmax", lambda scores: softmaxes.append(1) or softmax(scores))
+        monkeypatch.setattr(RewardModel, "predict_features",
+                            lambda self, features: predicted.append(1) or predict(self, features))
+        instances, truth, logger = rolled_task(mode)
+        params = PolicyParams(rng.standard_normal(4))
+        model = RewardModel(rng.standard_normal(4) / 2, intercept=0.3, ridge_lambda=0.0)
+        for seed in range(5):
+            log = roll_log(instances, truth, logger, rng=seed)
+            for kind in mode_kinds(mode):  # ips, ips-r, dr, cdr or dpm, dpm-r, dc, cdc
+                evaluate_policy(kind, params, log, model)
+        # one softmax for the logger and one for the target, one prediction
+        assert (len(softmaxes), len(predicted)) == (2, 1)
+
+        # a log made any other way keeps a pass of its own
+        evaluate_policy(mode_kinds(mode)[3], params, log.subset(np.arange(len(log))), model)
+        assert (len(softmaxes), len(predicted)) == (3, 2)
+
+
+def rolled_task(mode: Mode, n: int = 12):
+    """A generated task of ``n`` instances with k = 3 and d = 4, logged in ``mode``."""
+    spec = TaskSpec(num_instances=n, k=3, d=4, seed=5, reward_noise=0.1, logger_quality=0.5,
+                    logging_mode=mode)
+    return generate_task(spec)
+
 
 def mode_kinds(mode: Mode) -> list[EstimatorKind]:
     """The plain, self-normalized, DC/DR and cDC/cDR kinds of one log mode."""
@@ -341,6 +377,73 @@ class TestSharedPass:
                 if array is not None:
                     with pytest.raises(ValueError, match="read-only"):
                         array[0] = 1.0
+
+
+class TestTaskPass:
+    """Logs rolled from one task share its pass over the candidate tensor;
+    every pass on them equals a fresh pass on a column copy of the log."""
+
+    @given(
+        mode=st.sampled_from(list(Mode)),
+        seed=st.integers(0, 2**16),
+        steps=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3), st.integers(0, 1),
+                                 st.integers(0, 1), st.booleans()), min_size=1, max_size=12),
+    )
+    def test_every_pass_equals_a_fresh_pass_on_a_column_copy(self, mode, seed, steps):
+        rng = np.random.default_rng(seed)
+        instances, truth, logger = rolled_task(mode)
+        logs = [roll_log(instances, truth, logger, rng=seed + i) for i in range(3)]
+        policies = [PolicyParams(rng.standard_normal(4), alpha=1.3), logger.params]
+        models = [RewardModel(rng.standard_normal(4) / 2, intercept=0.3, ridge_lambda=0.0) for _ in range(2)]
+        kinds = mode_kinds(mode)
+        for which, kind, params, model, grad in steps:
+            log, kind, params, model = logs[which], kinds[kind], policies[params], models[model]
+            copy = log.subset(np.arange(len(log)))
+            assert not np.shares_memory(copy.features, log.features)
+            got = value_and_grad(kind, params, log, model, grad=grad)
+            want = value_and_grad(kind, params, copy, model, grad=grad)
+            assert_same_pass(got, want)
+            assert (got.grads is None) == (want.grads is None)
+            if grad:
+                assert got.grads.tobytes() == want.grads.tobytes()
+
+    def test_an_overflowing_pass_raises_again_and_keeps_nothing(self, rng):
+        instances, truth, logger = rolled_task(Mode.STOCHASTIC)
+        logs = [roll_log(instances, truth, logger, rng=seed) for seed in range(2)]
+        tensor = instances._pass
+        params = PolicyParams(rng.standard_normal(4))
+        model = RewardModel(rng.standard_normal(4) / 2, intercept=0.3, ridge_lambda=0.0)
+        evaluate_policy(EstimatorKind.DR, params, logs[0], model)
+        parts = lambda: (*tensor.policies, tensor.model, tensor.preds, tensor.direct_of, tensor.direct)
+        kept = parts()
+
+        huge = PolicyParams(np.full(4, 1e308))
+        huge_model = RewardModel(np.full(4, 1e308), intercept=0.0, ridge_lambda=0.0)
+        for _ in range(2):  # the retry raises too: nothing was kept
+            for log in logs:
+                with pytest.raises(ScoreOverflowError, match="policy scores overflowed"):
+                    evaluate_policy(EstimatorKind.IPS, huge, log)
+                with pytest.raises(ScoreOverflowError, match="reward model predictions overflowed"):
+                    evaluate_policy(EstimatorKind.DR, params, log, huge_model)
+        assert all(now is then for now, then in zip(parts(), kept))
+        for log in logs:
+            fresh = log.subset(np.arange(len(log)))
+            assert_same_pass(evaluate_policy(EstimatorKind.DR, params, log, model),
+                             value_and_grad(EstimatorKind.DR, params, fresh, model, grad=False))
+
+    def test_shared_arrays_are_read_only(self, rng):
+        instances, truth, logger = rolled_task(Mode.STOCHASTIC)
+        log = roll_log(instances, truth, logger, rng=1)
+        params = PolicyParams(rng.standard_normal(4))
+        model = RewardModel(rng.standard_normal(4) / 2, intercept=0.3, ridge_lambda=0.0)
+        evaluate_policy(EstimatorKind.DR, params, log, model)
+        tensor = instances._pass
+        shared = [tensor.features, tensor.k, instances.ids, tensor.preds, tensor.direct,
+                  tensor.policies[0][1], tensor.policies[1][1], truth.rewards[log.ids[0]]]
+        assert tensor.policies[1][0] is logger.params and tensor.policies[0][0] is params
+        for array in shared:
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 1
 
 
 class TestEffectiveSampleSize:

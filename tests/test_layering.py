@@ -45,7 +45,12 @@ def test_no_type_checking_guard(path):
 
 @pytest.mark.parametrize(
     "module, forbidden",
-    [("reward", "cflearn.estimators"), ("estimators", "cflearn.gradients")],
+    [
+        ("reward", "cflearn.estimators"),
+        ("estimators", "cflearn.gradients"),
+        ("simulator", "cflearn.estimators"),
+        ("domain", "cflearn.estimators"),
+    ],
 )
 def test_lower_layer_does_not_import_a_higher_one(module, forbidden):
     assert forbidden not in module_imports(PACKAGE / f"{module}.py")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cflearn import (
+    ConfigurationError,
     Mode,
     TaskSpec,
     generate_task,
@@ -11,7 +12,7 @@ from cflearn import (
     roll_log,
     split,
 )
-from cflearn.simulator import REWARD_QUANTUM, _quantize, _sigmoid
+from cflearn.simulator import REWARD_QUANTUM, TaskInstances, _quantize, _sigmoid
 from oracles import logging_policy_truth
 
 
@@ -57,6 +58,19 @@ class TestGenerateTask:
         log = roll_log(instances, truth, policy)
         for t in log.tuples:
             assert t.chosen == int(np.argmax(truth(t.instance)))
+
+    def test_instances_are_views_of_one_checked_tensor(self):
+        instances, _, _ = generate_task(spec())
+        assert instances.ids.tolist() == [inst.id for inst in instances]
+        for row, inst in enumerate(instances):
+            assert np.shares_memory(inst.candidates, instances.features)
+            assert inst.candidates.tobytes() == instances.features[row].tobytes()
+            assert not inst.candidates.flags.writeable
+        features = np.zeros((2, 3, 2))
+        features[1, 2, 0] = np.inf
+        for bad in (features, np.zeros((2, 1, 2)), np.zeros((3, 2))):
+            with pytest.raises(ConfigurationError, match="finite \\(n, k, d\\) tensor"):
+                TaskInstances([f"i{i}" for i in range(len(bad))], bad)
 
     def test_invalid_specs_rejected(self):
         with pytest.raises(ValueError):
@@ -134,6 +148,36 @@ class TestRollLog:
         freq = counts / rolls
         stderr = np.sqrt(probs * (1 - probs) / rolls)
         assert np.all(np.abs(freq - probs) <= 3 * stderr + 1e-9)
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["task-tensor", "instance-list"])
+    def test_a_draw_past_the_cumulative_sum_logs_the_last_positive_candidate(self, shared):
+        from cflearn import GroundTruth, Instance, LoggingPolicy, PolicyParams
+
+        class TopDraw(np.random.Generator):
+            def random(self, size=None):
+                return np.full(size, np.nextafter(1.0, 0.0))
+
+        # the last two candidates underflow to probability 0, and the first
+        # three sum to the draw, just below 1
+        features = np.array([[[0.0], [0.1], [0.4], [-800.0], [-800.0]]])
+        policy = LoggingPolicy(PolicyParams(np.ones(1)), Mode.STOCHASTIC)
+        probs = policy_probs(policy.params, Instance("x", features[0]))
+        assert np.cumsum(probs)[-1] == np.nextafter(1.0, 0.0) and probs[2] > 0.0 == probs[3]
+        truth = GroundTruth(reward_weights=np.zeros(1), rewards={"x": np.array([0.1, 0.2, 0.3, 0.4, 0.5])})
+        instances = TaskInstances(["x"], features) if shared else [Instance("x", features[0])]
+        log = roll_log(instances, truth, policy, rng=TopDraw(np.random.PCG64(0)))
+        assert (log.chosen[0], log.propensities[0], log.rewards[0]) == (2, probs[2], 0.3)
+
+    def test_a_truth_without_an_instance_is_rejected(self):
+        from cflearn import ConfigurationError, GroundTruth
+
+        instances, truth, policy = generate_task(spec())
+        partial = GroundTruth(truth.reward_weights, {i: r for i, r in truth.rewards.items() if i != "i00003"})
+        with pytest.raises(ConfigurationError, match="instance 'i00003' has no true rewards"):
+            roll_log(instances, partial, policy)
+        short = GroundTruth(truth.reward_weights, {**truth.rewards, "i00001": np.full(3, 0.5)})
+        with pytest.raises(ConfigurationError, match="instance 'i00001' has 3 true rewards for 4 candidates"):
+            roll_log(list(instances), short, policy)
 
     def test_same_seed_same_log(self):
         instances, truth, policy = generate_task(spec(logging_mode=Mode.STOCHASTIC))

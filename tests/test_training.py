@@ -1,5 +1,7 @@
 """Gradient-ascent trainer: determinism, ascent, early stopping, truth evaluation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,34 @@ class TestEarlyStopping:
         _, trace = train(config, train_log, val_log)
         assert not trace.stopped_early
         assert len(trace.records) == 20
+
+    @pytest.mark.parametrize("patience, epochs", [(0, 6), (2, 3)])
+    def test_a_tie_keeps_the_first_best_epoch(self, patience, epochs):
+        # at learning rate 0 every epoch ties the first one's validation value
+        train_log, val_log = self.opposed_logs()
+        config = TrainConfig(kind=EstimatorKind.DPM, learning_rate=0.0, epochs=6,
+                             early_stop_patience=patience)
+        _, trace = train(config, train_log, val_log)
+        assert trace.best_epoch == 1
+        assert len(trace.records) == epochs and trace.stopped_early == (patience > 0)
+
+    def test_patience_counts_consecutive_epochs(self, monkeypatch):
+        # the validation value falls back every other epoch, once in a row each time
+        from cflearn import training
+
+        train_log, val_log = self.opposed_logs()
+        script = iter([0.1, 0.0, 0.2, 0.0, 0.3, 0.0, 0.4, 0.0, 0.0])
+        real = training.value_and_grad
+
+        def scripted(kind, params, log, model=None, **options):
+            result = real(kind, params, log, model, **options)
+            return dataclasses.replace(result, a=next(script), b=0.0) if log is val_log else result
+
+        monkeypatch.setattr(training, "value_and_grad", scripted)
+        config = TrainConfig(kind=EstimatorKind.DPM_R, learning_rate=0.5, epochs=20, early_stop_patience=2)
+        _, trace = train(config, train_log, val_log)
+        assert [r.validation_value for r in trace.records] == [0.1, 0.0, 0.2, 0.0, 0.3, 0.0, 0.4, 0.0, 0.0]
+        assert trace.stopped_early and trace.best_epoch == 7
 
 
 class TestGuards:
@@ -319,6 +349,18 @@ class TestEvaluateTruth:
     def test_empty_instance_list_is_rejected(self):
         with pytest.raises(ValueError, match="at least one instance"):
             evaluate_truth(PolicyParams(np.zeros(2)), [], self.ground_truth({}))
+
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    def test_task_tensor_and_instance_list_agree_bit_for_bit(self, rng, mode):
+        spec = TaskSpec(num_instances=30, k=6, d=5, seed=8, reward_noise=0.2, logging_mode=mode)
+        instances, truth, logger = generate_task(spec)
+        roll_log(instances, truth, logger, rng=1)
+        for params in (logger.params, PolicyParams(rng.standard_normal(5), alpha=1.7)):
+            got = evaluate_truth(params, instances, truth)
+            assert got == evaluate_truth(params, list(instances), truth)
+            assert got == pytest.approx(oracles.evaluate_truth(params, instances, truth), rel=1e-12, abs=0.0)
+        subset = instances[3:17]  # a plain tuple: the stacking path
+        assert evaluate_truth(params, subset, truth) == evaluate_truth(params, list(subset), truth)
 
     def test_train_trace_matches_oracle_on_the_train_log(self):
         spec = TaskSpec(num_instances=30, k=4, d=5, seed=3, logging_mode=Mode.STOCHASTIC)
