@@ -282,8 +282,8 @@ class Log:
 
 class _TensorPass:
     """The parts of a pass that depend on a candidate tensor alone, not on
-    which candidates a log chose: a policy's softmax, a reward model's
-    predictions and their ``D_t = sum_y dhat(x_t, y) pi(y | x_t)``.
+    which candidates a log chose: a policy's softmax and a reward model's
+    predictions.
 
     A generated task holds one, which every log rolled from it shares; any
     other log makes its own.  The latest logging and target softmaxes are
@@ -293,12 +293,12 @@ class _TensorPass:
     are read-only.
     """
 
-    __slots__ = ("features", "k", "policies", "model", "preds", "direct_of", "direct")
+    __slots__ = ("features", "k", "policies", "model", "preds")
 
     def __init__(self, features: np.ndarray, k: np.ndarray) -> None:
         self.features, self.k = features, k
         self.policies = [(None, None), (None, None)]  # (params, probs): the target's, the logger's
-        self.model = self.preds = self.direct_of = self.direct = None
+        self.model = self.preds = None
 
     def probs(self, params: "PolicyParams", logging: bool = False) -> np.ndarray:
         """The softmax of ``params``, kept as the latest target policy's or,
@@ -319,15 +319,6 @@ class _TensorPass:
             preds.flags.writeable = False
             self.model, self.preds = model, preds
         return self.preds
-
-    def direct_terms(self, probs: np.ndarray, preds: np.ndarray) -> np.ndarray:
-        """D from a softmax and predictions that this state handed out."""
-        kept = self.direct_of
-        if kept is None or kept[0] is not probs or kept[1] is not preds:
-            direct = (probs.T * preds.T).sum(axis=0)
-            direct.flags.writeable = False
-            self.direct_of, self.direct = (probs, preds), direct
-        return self.direct
 
 
 @dataclass(frozen=True, eq=False)

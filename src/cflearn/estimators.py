@@ -195,8 +195,8 @@ class _LogPass:
     """The state of the passes over one log, kept on the log, from which
     :func:`value_and_grad` reads every part a previous pass already made.
 
-    The parts that depend only on the candidate tensor (the softmax, the
-    predictions over the candidates and D) come from the log's
+    The parts that depend only on the candidate tensor (the softmax and the
+    predictions over the candidates) come from the log's
     ``domain._TensorPass``, which every log rolled from one task shares.
     The terms no policy changes (each chosen cell's index and the d_max
     mask) are made with the state, and the W buffer by the first pass with a
@@ -255,7 +255,7 @@ class _LogPass:
         if model is not None and self.y is None and self.rho_bar is not None:
             # Y_t = dhat_t rho_bar_t, D_t = sum_y dhat(x_t, y) pi_w(y | x_t), b = mean(D - Y)
             y = self.preds_chosen * self.rho_bar
-            direct = self.tensor.direct_terms(self.probs, self.preds)
+            direct = (self.probs.T * self.preds.T).sum(axis=0)
             _read_only(y)
             self.y, self.direct, self.b = y, direct, _mean(direct - y)
 

@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import Instance, Log, PolicyParams, _TensorPass, _integer, _member, _real, _stack_candidates
+from .domain import Instance, Log, PolicyParams, _integer, _member, _probs, _real, _stack_candidates
 from .errors import ConfigurationError, DegenerateSupportError, ScoreOverflowError
 from .estimators import EstimatorKind, _predict, _subset, check_log, value_and_grad
 from .reward import RewardModel, fit_reward_model
-from .simulator import GroundTruth, TaskInstances
+from .simulator import GroundTruth
 
 
 @dataclass
@@ -252,16 +252,10 @@ def evaluate_truth(params: PolicyParams, instances: list[Instance], truth: Groun
     """Exact expected true reward of the policy by full enumeration.
 
     The instances go through one softmax pass, zero-padded to the largest k,
-    against the truth's rewards for them.  A generated task's instances
-    are passed over as their task's tensor, whose softmax the logs rolled
-    from the task share.
+    against the truth's rewards for them.
     """
     if len(instances) == 0:
         raise ValueError("evaluate_truth needs at least one instance")
-    if isinstance(instances, TaskInstances):
-        ids, tensor = instances.ids, instances._pass
-    else:
-        features, k = _stack_candidates([inst.candidates for inst in instances])
-        ids, tensor = [inst.id for inst in instances], _TensorPass(features, k)
-    rewards = truth.reward_matrix(ids, tensor.k, tensor.features.shape[1])
-    return _expected_reward(tensor.probs(params), rewards)
+    features, k = _stack_candidates([inst.candidates for inst in instances])
+    rewards = truth.reward_matrix([inst.id for inst in instances], k, features.shape[1])
+    return _expected_reward(_probs(params, features, k), rewards)

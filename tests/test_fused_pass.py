@@ -414,7 +414,7 @@ class TestTaskPass:
         params = PolicyParams(rng.standard_normal(4))
         model = RewardModel(rng.standard_normal(4) / 2, intercept=0.3, ridge_lambda=0.0)
         evaluate_policy(EstimatorKind.DR, params, logs[0], model)
-        parts = lambda: (*tensor.policies, tensor.model, tensor.preds, tensor.direct_of, tensor.direct)
+        parts = lambda: (*tensor.policies, tensor.model, tensor.preds)
         kept = parts()
 
         huge = PolicyParams(np.full(4, 1e308))
@@ -438,7 +438,7 @@ class TestTaskPass:
         model = RewardModel(rng.standard_normal(4) / 2, intercept=0.3, ridge_lambda=0.0)
         evaluate_policy(EstimatorKind.DR, params, log, model)
         tensor = instances._pass
-        shared = [tensor.features, tensor.k, instances.ids, tensor.preds, tensor.direct,
+        shared = [tensor.features, tensor.k, instances.ids, tensor.preds,
                   tensor.policies[0][1], tensor.policies[1][1], truth.rewards[log.ids[0]]]
         assert tensor.policies[1][0] is logger.params and tensor.policies[0][0] is params
         for array in shared:

@@ -350,18 +350,6 @@ class TestEvaluateTruth:
         with pytest.raises(ValueError, match="at least one instance"):
             evaluate_truth(PolicyParams(np.zeros(2)), [], self.ground_truth({}))
 
-    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
-    def test_task_tensor_and_instance_list_agree_bit_for_bit(self, rng, mode):
-        spec = TaskSpec(num_instances=30, k=6, d=5, seed=8, reward_noise=0.2, logging_mode=mode)
-        instances, truth, logger = generate_task(spec)
-        roll_log(instances, truth, logger, rng=1)
-        for params in (logger.params, PolicyParams(rng.standard_normal(5), alpha=1.7)):
-            got = evaluate_truth(params, instances, truth)
-            assert got == evaluate_truth(params, list(instances), truth)
-            assert got == pytest.approx(oracles.evaluate_truth(params, instances, truth), rel=1e-12, abs=0.0)
-        subset = instances[3:17]  # a plain tuple: the stacking path
-        assert evaluate_truth(params, subset, truth) == evaluate_truth(params, list(subset), truth)
-
     def test_train_trace_matches_oracle_on_the_train_log(self):
         spec = TaskSpec(num_instances=30, k=4, d=5, seed=3, logging_mode=Mode.STOCHASTIC)
         instances, truth, logger = generate_task(spec)
