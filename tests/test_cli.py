@@ -5,7 +5,9 @@ import csv
 import io
 import json
 import re
+import shutil
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -557,33 +559,119 @@ def dc_run(tmp_path_factory):
     return base
 
 
+def _quiet_main(argv: list[str]) -> tuple[int, str]:
+    """``main(argv)`` with a RuntimeWarning raised as an error; its exit code and stderr."""
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _assert_contract(code: int, err: str, mutated: Path, first: bool = True) -> None:
+    """Exit 0 in silence, or exit 1 with one error line naming ``mutated``, first
+    or, where an error concerns two files (a truth that does not cover a log), anywhere."""
+    assert code in (0, 1)
+    if code == 1:
+        named = err.startswith(f"cflearn: error: {mutated}") if first else str(mutated) in err
+        assert err.startswith("cflearn: error: ") and named and err.count("\n") == 1
+    else:
+        assert err == ""
+
+
+def _finite_cells(path: Path, skip: int = 0) -> bool:
+    """Whether every non-empty cell of the CSV file past its first ``skip`` columns is a finite number."""
+    with open(path, newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    return bool(rows) and all(np.isfinite(float(row[key])) for row in rows for key in list(row)[skip:] if row[key])
+
+
+def _evaluate_argv(dc_run: Path, out: Path, logs=None, **files) -> list[str]:
+    """``evaluate`` of the dc run on its three logs, with ``files`` in place of the run's own."""
+    files = {"params": dc_run / "run" / "params.json", "model": dc_run / "run" / "reward_model.json",
+             "truth": dc_run / "out" / "truth.json", **files}
+    logs = logs or [dc_run / "out" / f"{name}.jsonl" for name in ("train", "validation", "test")]
+    return ["evaluate", "--params", str(files["params"]), "--model", str(files["model"]),
+            "--truth", str(files["truth"]), "--out", str(out), *(arg for log in logs for arg in ("--log", str(log)))]
+
+
 @pytest.mark.parametrize("name", ["params.json", "reward_model.json", "truth.json"])
 @settings(max_examples=150)
 @given(data=st.data())
 def test_mutated_json_exits_zero_or_one_naming_the_file(dc_run, name, data):
-    files = {"params.json": dc_run / "run" / "params.json",
+    valid = {"params.json": dc_run / "run" / "params.json",
              "reward_model.json": dc_run / "run" / "reward_model.json", "truth.json": dc_run / "out" / "truth.json"}
-    valid = files[name].read_bytes()
     mutated = dc_run / "mutated" / name
     mutated.parent.mkdir(exist_ok=True)
-    mutated.write_bytes(data.draw(config_mutations(valid, BAD_JSON_VALUES, _json_value), label="mutated"))
-    files[name] = mutated
+    mutated.write_bytes(data.draw(config_mutations(valid[name].read_bytes(), BAD_JSON_VALUES, _json_value),
+                                  label="mutated"))
     report = dc_run / "mutated" / "report.csv"
     report.unlink(missing_ok=True)
-    err = io.StringIO()
-    with warnings.catch_warnings(), contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        warnings.simplefilter("error", RuntimeWarning)
-        logs = [arg for log in ("train", "validation", "test") for arg in ("--log", str(dc_run / "out" / f"{log}.jsonl"))]
-        code = main(["evaluate", "--params", str(files["params.json"]), "--model", str(files["reward_model.json"]),
-                     "--truth", str(files["truth.json"]), "--out", str(report.parent), *logs])
-    assert code in (0, 1)
-    if code == 1:
-        assert err.getvalue().startswith(f"cflearn: error: {mutated}") and err.getvalue().count("\n") == 1
+    option = {"params.json": "params", "reward_model.json": "model", "truth.json": "truth"}[name]
+    code, err = _quiet_main(_evaluate_argv(dc_run, report.parent, **{option: mutated}))
+    _assert_contract(code, err, mutated)
+    if code == 0:
+        assert _finite_cells(report, skip=2)
+
+
+# a log record's keys, and "feature" for one value inside its features matrix
+LOG_KEYS = ["mode", "id", "features", "feature", "chosen", "reward", "propensity"]
+
+
+def _record_value(key: str, line: bytes, value: bytes) -> bytes:
+    """A log line with the value of ``key`` replaced by ``value``; a line without the key is kept."""
+    record = json.loads(line)
+    if key == "feature" and "features" in record:
+        record["features"][-1][-1] = "@"
+    elif key in record:
+        record[key] = "@"
     else:
-        assert err.getvalue() == ""
-        with open(report, newline="") as handle:
-            rows = list(csv.DictReader(handle))
-        assert rows and all(np.isfinite(float(row[key])) for row in rows for key in list(row)[2:])
+        return line
+    return json.dumps(record).encode().replace(b'"@"', value) + b"\n"
+
+
+@st.composite
+def log_mutations(draw, valid: bytes) -> bytes:
+    """``valid``, a log file, with one mutation of ``config_mutations``; a value
+    mutation replaces the value of one key of a record."""
+    key = draw(st.sampled_from(LOG_KEYS), label="key")
+    return draw(config_mutations(valid, BAD_JSON_VALUES, partial(_record_value, key)), label="mutated")
+
+
+@pytest.mark.parametrize("name", ["train.jsonl", "validation.jsonl"])
+@settings(max_examples=120)
+@given(data=st.data())
+def test_mutated_log_exits_zero_or_one_naming_it_in_train(dc_run, name, data):
+    logs = {log: dc_run / "out" / log for log in ("train.jsonl", "validation.jsonl")}
+    mutated = logs[name] = dc_run / "mutated" / name
+    mutated.parent.mkdir(exist_ok=True)
+    mutated.write_bytes(data.draw(log_mutations((dc_run / "out" / name).read_bytes())))
+    run = dc_run / "mutated" / "run"
+    shutil.rmtree(run, ignore_errors=True)
+    code, err = _quiet_main(["train", "--config", str(dc_run / "config.yaml"), "--log", str(logs["train.jsonl"]),
+                             "--validation", str(logs["validation.jsonl"]), "--out", str(run)])
+    _assert_contract(code, err, mutated)
+    if code == 0:
+        params = json.loads((run / "params.json").read_text())
+        assert np.isfinite(params["weights"]).all() and np.isfinite(params["alpha"])
+        assert _finite_cells(run / "trace.csv")
+
+
+@pytest.mark.parametrize("name", ["train.jsonl", "validation.jsonl", "test.jsonl"])
+@settings(max_examples=100)
+@given(data=st.data())
+def test_mutated_log_exits_zero_or_one_naming_it_in_evaluate(dc_run, name, data):
+    logs = [dc_run / "out" / log for log in ("train.jsonl", "validation.jsonl", "test.jsonl")]
+    mutated = dc_run / "mutated" / name
+    mutated.parent.mkdir(exist_ok=True)
+    mutated.write_bytes(data.draw(log_mutations((dc_run / "out" / name).read_bytes())))
+    report = dc_run / "mutated" / "report.csv"
+    report.unlink(missing_ok=True)
+    logs = [mutated if log.name == name else log for log in logs]
+    code, err = _quiet_main(_evaluate_argv(dc_run, report.parent, logs))
+    _assert_contract(code, err, mutated, first=False)
+    if code == 0:
+        assert _finite_cells(report, skip=2)
 
 
 class TestBadPayloads:
