@@ -70,27 +70,14 @@ class Instance:
     candidates: np.ndarray
 
     def __post_init__(self) -> None:
-        feats = np.asarray(self.candidates, dtype=float)
-        if feats.ndim != 2:
-            raise ConfigurationError(
-                f"instance {self.id!r}: candidates must be a (k, d) matrix, "
-                f"got shape {feats.shape}"
-            )
-        if feats.shape[0] < 2:
-            raise ConfigurationError(
-                f"instance {self.id!r}: need at least 2 candidates, got {feats.shape[0]}"
-            )
-        if not np.all(np.isfinite(feats)):
-            raise ConfigurationError(f"instance {self.id!r}: non-finite feature values")
+        feats = _matrix(self.id, np.asarray(self.candidates, dtype=float))
+        Log._check((self.id,), np.array([feats.shape[0]]), feats[None])
         object.__setattr__(self, "candidates", feats)
 
     @classmethod
     def _view(cls, ident: str, candidates: np.ndarray) -> "Instance":
         """An instance over a (k, d) float matrix the caller has already checked."""
-        inst = object.__new__(cls)
-        object.__setattr__(inst, "id", ident)
-        object.__setattr__(inst, "candidates", candidates)
-        return inst
+        return _unchecked(cls, id=ident, candidates=candidates)
 
     @property
     def k(self) -> int:
@@ -112,15 +99,23 @@ class LoggedTuple:
     propensity: float | None = None
 
     def __post_init__(self) -> None:
-        if not 0 <= self.chosen < self.instance.k:
-            raise ConfigurationError(
-                f"chosen index {self.chosen} out of range for instance "
-                f"{self.instance.id!r} with {self.instance.k} candidates"
-            )
-        if not 0.0 <= self.reward <= 1.0:
-            raise ConfigurationError(f"reward {self.reward} outside [0, 1]")
-        if self.propensity is not None and not 0.0 < self.propensity <= 1.0:
-            raise ConfigurationError(f"propensity {self.propensity} outside (0, 1]")
+        propensities = None if self.propensity is None else np.array([self.propensity])
+        Log._check((self.instance.id,), np.array([self.instance.k]), chosen=np.array([self.chosen]),
+                   rewards=np.array([self.reward]), propensities=propensities)
+
+
+def _unchecked(cls, **values):
+    """A ``cls`` of field ``values`` the caller has already checked: no ``__post_init__``."""
+    view = object.__new__(cls)
+    vars(view).update(values)
+    return view
+
+
+def _matrix(ident: str, candidates: np.ndarray) -> np.ndarray:
+    """``candidates`` if it is a 2-D array; raises ConfigurationError naming the instance."""
+    if candidates.ndim != 2:
+        raise ConfigurationError(f"instance {ident!r}: candidates must be a (k, d) matrix, got shape {candidates.shape}")
+    return candidates
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
@@ -229,6 +224,31 @@ class Log:
             object.__setattr__(log, "_shared_pass", tensor_pass)
         return log
 
+    @staticmethod
+    def _check(ids, k, features=None, chosen=None, rewards=None, propensities=None) -> None:
+        """Test the rules of a valid row on the columns given, each rule as one
+        vector test: k >= 2 finite candidates, a chosen index below k, a reward
+        in [0, 1] and a propensity in (0, 1].  Raises a ConfigurationError for
+        the first row that breaks one, with that row as its ``row``."""
+        rules = []  # (the bad rows, the message for row t), in the order they are told
+        if features is not None:
+            rules += [(k < 2, lambda t: f"instance {ids[t]!r}: need at least 2 candidates, got {k[t]}"),
+                      (~np.isfinite(features).all(axis=(1, 2)), lambda t: f"instance {ids[t]!r}: non-finite feature values")]
+        if chosen is not None:
+            rules.append(((chosen < 0) | (chosen >= k), lambda t: (
+                f"chosen index {chosen[t]} out of range for instance {ids[t]!r} with {k[t]} candidates")))
+        if rewards is not None:
+            rules.append((~((rewards >= 0.0) & (rewards <= 1.0)), lambda t: f"reward {rewards[t]} outside [0, 1]"))
+        if propensities is not None:
+            rules.append((~((propensities > 0.0) & (propensities <= 1.0)),
+                          lambda t: f"propensity {propensities[t]} outside (0, 1]"))
+        broken = [(int(np.argmax(bad)), message) for bad, message in rules if bad.any()]
+        if broken:
+            row, message = min(broken, key=lambda rule: rule[0])  # the first rule told, on a tie
+            err = ConfigurationError(message(row))
+            err.row = row
+            raise err
+
     def _fill(self, mode, *columns) -> None:
         object.__setattr__(self, "mode", mode)
         names = ("ids", "features", "k", "chosen", "rewards", "propensities")
@@ -250,7 +270,8 @@ class Log:
         on every access."""
         props = self.propensities.tolist() if self.propensities is not None else [None] * len(self)
         return tuple(
-            LoggedTuple(Instance(ident, self.features[row, :count]), chosen, reward, prop)
+            _unchecked(LoggedTuple, instance=Instance._view(ident, self.features[row, :count]),
+                       chosen=chosen, reward=reward, propensity=prop)
             for row, (ident, count, chosen, reward, prop) in enumerate(
                 zip(self.ids.tolist(), self.k.tolist(), self.chosen.tolist(),
                     self.rewards.tolist(), props)

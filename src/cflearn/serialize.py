@@ -30,7 +30,7 @@ import numpy as np
 import orjson
 import yaml
 
-from .domain import Instance, Log, LoggedTuple, Mode, PolicyParams, _integer, _member, _real
+from .domain import Log, Mode, PolicyParams, _integer, _matrix, _member, _real
 from .errors import CflearnError, ConfigurationError, LogConsistencyError
 from .reward import RewardModel
 from .simulator import GroundTruth, LoggingPolicy, TaskSpec, _fractions
@@ -39,8 +39,9 @@ from .training import EpochRecord, TrainConfig, TrainTrace
 
 def _number(key: str, value) -> float:
     """``value`` as a float if it is a finite real number, not a bool or a
-    string; raises ValueError naming ``key``."""
-    return float(_real(key, value))
+    string; raises ValueError naming ``key``.  orjson reads no float beyond
+    the double range, so a float passes as it is."""
+    return value if type(value) is float else float(_real(key, value))
 
 
 def _vector(key: str, values) -> np.ndarray:
@@ -95,43 +96,70 @@ def write_log(path: str | Path, log: Log) -> None:
             handle.write(orjson.dumps(record, option=orjson.OPT_SERIALIZE_NUMPY) + b"\n")
 
 
-def _log_record(record, mode: Mode) -> LoggedTuple:
-    """One validated tuple; raises TypeError, ValueError or a CflearnError."""
-    if not isinstance(record, dict):
+# A log file is read _BUFFER bytes at a time: more than a record line (about
+# 20 KB at k * d = 1000), so a line takes one or two reads, and far less than
+# the columns, so reading holds little beside them (test_serialize bounds it).
+_BUFFER = 1 << 16
+_RECORD_KEYS = ("id", "features", "chosen", "reward")
+
+
+def _has_bool(line: bytes, record: dict) -> bool:
+    """Whether the features of ``record``, parsed from ``line``, hold a bool.
+    No number or bracket holds a ``t``, an ``f`` or a ``"``, so the bytes from
+    the first ``"features":`` to the next ``"`` are scanned for a ``true`` or a
+    ``false``.  Where that key may not be the features' own (more keys than a
+    record's, the key or an escape later in the line), each value is tested."""
+    start = line.find(b'"features":') + len(b'"features":')
+    if start > 10 and len(record) == len(_RECORD_KEYS) + ("propensity" in record):
+        end = line.find(b'"', start)
+        if end < 0:
+            end = len(line)
+        if line.find(b'"features":', end) < 0 and line.find(b"\\", end) < 0:
+            return line.find(b"t", start, end) >= 0 or line.find(b"f", start, end) >= 0
+    return any(bool in map(type, row) for row in record["features"])
+
+
+def _log_row(line: bytes, mode: Mode) -> tuple:
+    """The id, candidate matrix, chosen index, reward and propensity of a
+    record line, each of its type; ``Log._check`` tests their values.
+    Raises TypeError, ValueError or a CflearnError."""
+    record = orjson.loads(line)
+    if type(record) is not dict:
         raise TypeError(f"expected a JSON object, got {type(record).__name__}")
-    missing = [key for key in ("id", "features", "chosen", "reward") if key not in record]
+    missing = [key for key in _RECORD_KEYS if key not in record]
     if missing:
         raise ValueError(f"missing field(s) {', '.join(missing)}")
-    propensity = record.get("propensity")
+    ident, chosen, propensity = record["id"], record["chosen"], record.get("propensity")
     if (propensity is None) == (mode is Mode.STOCHASTIC):
         need = "needs" if mode is Mode.STOCHASTIC else "must not have"
         raise ValueError(f"a {mode.value} log record {need} a propensity")
-    if not isinstance(record["id"], str):
-        raise TypeError(f"id must be a string, got {record['id']!r}")
-    chosen = record["chosen"]
-    if isinstance(chosen, bool) or not isinstance(chosen, int):
+    if type(ident) is not str:
+        raise TypeError(f"id must be a string, got {ident!r}")
+    if type(chosen) is not int:
         raise TypeError(f"chosen must be an integer, got {chosen!r}")
-    features = np.array(record["features"])  # a bool among numbers reads as 0 or 1
-    if features.dtype.kind not in "iuf":
-        raise TypeError(f"features must be numbers, got an array of {features.dtype}")
-    instance = Instance(id=record["id"], candidates=features)
-    return LoggedTuple(
-        instance=instance,
-        chosen=chosen,
-        reward=_number("reward", record["reward"]),
-        propensity=None if propensity is None else _number("propensity", propensity),
-    )
+    reward = _number("reward", record["reward"])
+    propensity = None if propensity is None else _number("propensity", propensity)
+    candidates = np.array(record["features"])
+    if candidates.dtype.kind not in "iuf":
+        raise TypeError(f"features must be numbers, got an array of {candidates.dtype}")
+    _matrix(ident, candidates)
+    if _has_bool(line, record):
+        raise TypeError("features must be numbers, got a bool among them")
+    return ident, candidates, chosen, reward, propensity
 
 
 def read_log(path: str | Path) -> Log:
     """Read a log written by :func:`write_log`.
 
-    The records fill preallocated columns row by row: n comes from a count of
-    the lines, and the feature tensor widens only when a record has more
-    candidates than any before it.  Malformed input raises
-    :class:`LogConsistencyError` naming the file and the line.
+    The file is read through a ``_BUFFER``-byte buffer, once to count its
+    lines and once to parse each record into its row of preallocated
+    columns; the feature tensor widens only when a record has more
+    candidates than any before it, so reading holds it once.  The values of
+    the rows parsed are tested by ``Log._check`` at the end or at a record
+    that fails to parse.  Malformed input raises :class:`LogConsistencyError`
+    naming the file and the first bad line.
     """
-    with open(path, "rb") as handle:
+    with open(path, "rb", buffering=_BUFFER) as handle:
         header_line = handle.readline()
         if not header_line:
             raise LogConsistencyError(f"{path}: empty log file")
@@ -147,32 +175,38 @@ def read_log(path: str | Path) -> Log:
         handle.seek(start)
         ids = np.empty(n, dtype=object)
         k = np.empty(n, dtype=np.intp)
-        chosen = np.empty(n, dtype=np.intp)
+        chosen = np.empty(n, dtype=object)  # holds a chosen beyond np.intp for the range test
         rewards = np.empty(n)
         propensities = np.empty(n) if mode is Mode.STOCHASTIC else None
         features = np.zeros((0, 0, 0))
+        rows, fault = n, None
         for row, line in enumerate(handle):
             try:
-                t = _log_record(orjson.loads(line), mode)
-                candidates = t.instance.candidates
+                ident, candidates, choice, reward, propensity = _log_row(line, mode)
+                count, dim = candidates.shape
                 if row == 0:
-                    features = np.zeros((n,) + candidates.shape)
-                elif t.instance.dim != features.shape[2]:
-                    raise ValueError(
-                        f"feature dimension {t.instance.dim} differs from the "
-                        f"first record's {features.shape[2]}"
-                    )
-                elif t.instance.k > features.shape[1]:
-                    wider = np.zeros((n, t.instance.k, features.shape[2]))
+                    features = np.zeros((n, count, dim))
+                elif dim != features.shape[2]:
+                    raise ValueError(f"feature dimension {dim} differs from the first record's {features.shape[2]}")
+                elif count > features.shape[1]:
+                    wider = np.zeros((n, count, dim))
                     wider[:row, : features.shape[1]] = features[:row]
                     features = wider
             except (TypeError, ValueError, CflearnError) as err:
-                raise LogConsistencyError(f"{path}:{row + 2}: bad log record: {err}") from err
-            features[row, : t.instance.k] = candidates
-            ids[row], k[row], chosen[row], rewards[row] = t.instance.id, t.instance.k, t.chosen, t.reward
+                rows, fault = row, err
+                break
+            features[row, :count] = candidates
+            ids[row], k[row], chosen[row], rewards[row] = ident, count, choice, reward
             if propensities is not None:
-                propensities[row] = t.propensity
-    return Log._from_columns(mode, ids, features, k, chosen, rewards, propensities)
+                propensities[row] = propensity
+    props = None if propensities is None else propensities[:rows]
+    try:
+        Log._check(ids[:rows], k[:rows], features[:rows], chosen[:rows], rewards[:rows], props)
+    except ConfigurationError as err:  # a bad value on an earlier line than a bad record
+        rows, fault = err.row, err
+    if fault is not None:
+        raise LogConsistencyError(f"{path}:{rows + 2}: bad log record: {fault}") from fault
+    return Log._from_columns(mode, ids, features, k, chosen.astype(np.intp), rewards, propensities)
 
 
 def _text(path: str | Path, data: bytes) -> str:

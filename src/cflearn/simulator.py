@@ -233,9 +233,7 @@ def roll_log(
             chosen = np.where(off, last, chosen)
         propensities = probs[rows, chosen]
     rewards = truth._matrix[truth._rows(ids, k), chosen]
-    outside = ~((rewards >= 0.0) & (rewards <= 1.0))
-    if outside.any():
-        raise ConfigurationError(f"reward {rewards[outside][0]} outside [0, 1]")
+    Log._check(ids, k, rewards=rewards)
     return Log._from_columns(
         mode, ids, tensor.features, k, chosen.astype(np.intp), rewards, propensities, tensor
     )

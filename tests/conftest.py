@@ -53,6 +53,22 @@ def random_log(rng: np.random.Generator, n: int, k: int, d: int, mode: Mode) -> 
     return Log(tuple(tuples), mode)
 
 
+def assert_columns_equal(got: Log, want: Log) -> None:
+    """The two logs hold the same columns, bit for bit and of the same types and shapes."""
+    assert got.mode is want.mode
+    assert got.ids.tolist() == want.ids.tolist()
+    for name in ("k", "chosen"):
+        assert getattr(got, name).dtype == getattr(want, name).dtype
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    assert got.features.shape == want.features.shape
+    assert got.rewards.tobytes() == want.rewards.tobytes()
+    if want.propensities is None:
+        assert got.propensities is None
+    else:
+        assert got.propensities.tobytes() == want.propensities.tobytes()
+    assert got.features.tobytes() == want.features.tobytes()
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(42)

@@ -38,22 +38,10 @@ from cflearn.cli import main, probe_tasks
 from cflearn.serialize import read_log, write_log, write_truth
 
 import oracles
+from conftest import assert_columns_equal
 
 KINDS = list(EstimatorKind)
 RAGGED = dict(rtol=1e-12, atol=1e-14)
-
-
-def assert_columns_equal(got: Log, want: Log) -> None:
-    assert got.mode is want.mode
-    assert got.ids.tolist() == want.ids.tolist()
-    np.testing.assert_array_equal(got.k, want.k)
-    np.testing.assert_array_equal(got.chosen, want.chosen)
-    assert got.rewards.tobytes() == want.rewards.tobytes()
-    if want.propensities is None:
-        assert got.propensities is None
-    else:
-        assert got.propensities.tobytes() == want.propensities.tobytes()
-    assert got.features.tobytes() == want.features.tobytes()
 
 
 def _bits(value):
@@ -295,6 +283,28 @@ class TestFrozen:
                 column[0] = 0
         with pytest.raises(ValueError):
             log.tuples[0].instance.candidates[0, 0] = 1.0
+
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    def test_tuple_views_equal_checked_tuples(self, rng, mode):
+        """The views skip the checks the columns have passed, and hold what the
+        checked constructors make of the same columns, bit for bit and type for type."""
+        instances, truth, logger = ragged_task(rng, 12, 3, mode)
+        log = roll_log(instances, truth, logger, rng=6)
+        props = [None] * len(log) if log.propensities is None else log.propensities.tolist()
+        checked = [
+            LoggedTuple(Instance(ident, log.features[row, :count]), chosen, reward, prop)
+            for row, (ident, count, chosen, reward, prop) in enumerate(
+                zip(log.ids.tolist(), log.k.tolist(), log.chosen.tolist(), log.rewards.tolist(), props))
+        ]
+        for got, want in zip(log.tuples, checked, strict=True):
+            assert type(got) is LoggedTuple and type(got.instance) is Instance
+            assert got.instance.id == want.instance.id
+            a, b = got.instance.candidates, want.instance.candidates
+            assert (a.dtype, a.shape, a.strides, a.flags.writeable) == (b.dtype, b.shape, b.strides, b.flags.writeable)
+            assert a.tobytes() == b.tobytes()
+            for name in ("chosen", "reward", "propensity"):
+                assert type(getattr(got, name)) is type(getattr(want, name))
+                assert getattr(got, name) == getattr(want, name)
 
     def test_tuple_views_are_built_on_access(self):
         instances, truth, logger = task(Mode.DETERMINISTIC)

@@ -68,6 +68,15 @@ def test_yaml_goes_through_serialize_alone(path):
     assert ("yaml" in module_imports(path)) == (path.stem == "serialize")
 
 
+def test_serialize_builds_no_row_objects():
+    """The log reader parses records straight into a log's columns, so it names neither row class."""
+    tree = ast.parse((PACKAGE / "serialize.py").read_text())
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not names & {"Instance", "LoggedTuple"}
+
+
 def test_import_cflearn_loads_no_codec():
     """The codecs load with the CLI's input boundary, so the library's start-up does not pay for them."""
     code = "import sys, cflearn; print(sorted({'orjson', 'yaml'} & set(sys.modules)))"

@@ -21,6 +21,7 @@ from cflearn import (
 )
 from cflearn.cli import ProbeRow, ReportRow
 from cflearn.gradients import GradCheckResult
+from cflearn import serialize
 from cflearn.serialize import (
     read_log,
     read_params,
@@ -37,7 +38,7 @@ from cflearn.serialize import (
 from cflearn.simulator import GroundTruth, LoggingPolicy
 from cflearn.training import EpochRecord
 
-from conftest import random_log
+from conftest import assert_columns_equal, random_log
 
 
 def assert_logs_identical(a, b):
@@ -75,6 +76,30 @@ class TestLogRoundTrip:
         finally:
             tracemalloc.stop()
         assert peak - held < log.features.nbytes / 2
+
+    def test_record_longer_than_the_buffer(self, tmp_path, rng):
+        log = random_log(rng, 3, 200, 50, Mode.STOCHASTIC)
+        path = tmp_path / "log.jsonl"
+        write_log(path, log)
+        assert min(map(len, path.read_bytes().splitlines()[1:])) > serialize._BUFFER
+        assert_columns_equal(read_log(path), log)
+
+    def test_last_line_without_newline(self, tmp_path, rng):
+        log = random_log(rng, 4, 3, 2, Mode.DETERMINISTIC)
+        path = tmp_path / "log.jsonl"
+        write_log(path, log)
+        path.write_bytes(path.read_bytes().rstrip(b"\n"))
+        assert_columns_equal(read_log(path), log)
+
+    def test_widest_record_not_first(self, tmp_path, rng):
+        tuples = [LoggedTuple(Instance(f"w{t}", rng.standard_normal((k, 3))), 1, 0.5, 0.25)
+                  for t, k in enumerate([2, 4, 3, 6, 2])]
+        log = Log(tuples, Mode.STOCHASTIC)
+        path = tmp_path / "log.jsonl"
+        write_log(path, log)
+        back = read_log(path)
+        assert back.features.shape == (5, 6, 3)
+        assert_columns_equal(back, log)
 
     def test_deterministic_records_have_no_propensity_key(self, tmp_path, rng):
         log = random_log(rng, 3, 3, 2, Mode.DETERMINISTIC)
@@ -125,12 +150,50 @@ class TestMalformedLog:
             '{"id": "x", "features": [["1.0"], ["2.0"]], "chosen": 0, "reward": 0.5, "propensity": 0.5}',
             '{"id": "x", "features": [[true], [false]], "chosen": 0, "reward": 0.5, "propensity": 0.5}',
             '{"id": "x", "features": [[1.0], [null]], "chosen": 0, "reward": 0.5, "propensity": 0.5}',
+            # a bool among numbers, found by the byte scan of the features ...
+            '{"id": "x", "features": [[0.5, true], [1.0, 2.0]], "chosen": 0, "reward": 0.5, "propensity": 0.5}',
+            '{"id": "x", "chosen": 0, "reward": 0.5, "propensity": 0.5, "features": [[0.5, 1.0], [false, 2.0]]}',
+            # ... or value by value, where the scan cannot trust the first "features": it finds
+            r'{"id": "x", "feat\u0075res": [[0.5, true], [1.0, 2.0]], "chosen": 0, "reward": 0.5, "propensity": 0.5}',
+            r'{"id": "x", "feat\u0075res": [[0.5, true], [1.0, 2.0]], "note": {"features": []}, "chosen": 0, '
+            '"reward": 0.5, "propensity": 0.5}',
+            '{"id": "x", "features": [[0.5, 1.0], [1.0, 2.0]], "chosen": 0, "reward": 0.5, "propensity": 0.5, '
+            '"features": [[0.5, true], [1.0, 2.0]]}',
+            '{"id": "x", "features": [[0.5, 1.0], [1.0, 2.0]], "chosen": 0, "reward": 0.5, "propensity": 0.5, '
+            r'"feat\u0075res": [[0.5, true], [1.0, 2.0]]}',
         ],
     )
     def test_bad_record_names_its_line(self, tmp_path, rng, line):
         path, lines = self.written(tmp_path, rng)
         self.rewrite(path, lines, 2, line)
         with pytest.raises(LogConsistencyError, match=rf"{re.escape(str(path))}:2: "):
+            read_log(path)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"features": [[1e-05, 2.5E+3], [-0.0, 3]], "id": "true false", "chosen": 1, "reward": 0.5, '
+            '"propensity": 0.5}',
+            r'{"id": "t\u00e9", "features": [[1e-05, 2500.0], [-0.0, 3.0]], "chosen": 1, "reward": 0.5, '
+            '"propensity": 0.5, "note": "true"}',
+        ],
+    )
+    def test_letters_outside_the_features_are_no_bools(self, tmp_path, rng, line):
+        path, lines = self.written(tmp_path, rng)
+        self.rewrite(path, lines, 2, line)
+        log = read_log(path)
+        assert log.features[0, :2].tolist() == [[1e-05, 2500.0], [-0.0, 3.0]]
+
+    @pytest.mark.parametrize("value_line, parse_line", [(2, 4), (4, 3)])
+    def test_first_bad_line_is_named(self, tmp_path, rng, value_line, parse_line):
+        """A bad value is found once the columns are full, and still named
+        before a bad record on a later line."""
+        path, lines = self.written(tmp_path, rng)
+        record = json.loads(lines[value_line - 1])
+        record["reward"] = 2.0
+        lines[value_line - 1] = json.dumps(record)
+        self.rewrite(path, lines, parse_line, "{not json")
+        with pytest.raises(LogConsistencyError, match=rf":{min(value_line, parse_line)}: bad log record"):
             read_log(path)
 
     def test_record_with_another_feature_dimension(self, tmp_path, rng):
