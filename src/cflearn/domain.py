@@ -114,7 +114,9 @@ def _unchecked(cls, **values):
 def _matrix(ident: str, candidates: np.ndarray) -> np.ndarray:
     """``candidates`` if it is a 2-D array; raises ConfigurationError naming the instance."""
     if candidates.ndim != 2:
-        raise ConfigurationError(f"instance {ident!r}: candidates must be a (k, d) matrix, got shape {candidates.shape}")
+        raise ConfigurationError(
+            f"instance {ident!r}: candidates must be a (k, d) matrix, got shape {candidates.shape}"
+        )
     return candidates
 
 
@@ -230,19 +232,21 @@ class Log:
         vector test: k >= 2 finite candidates, a chosen index below k, a reward
         in [0, 1] and a propensity in (0, 1].  Raises a ConfigurationError for
         the first row that breaks one, with that row as its ``row``."""
-        rules = []  # (the bad rows, the message for row t), in the order they are told
+        rules = []  # (the rows that keep a rule, the message for row t), in the order they are told
         if features is not None:
-            rules += [(k < 2, lambda t: f"instance {ids[t]!r}: need at least 2 candidates, got {k[t]}"),
-                      (~np.isfinite(features).all(axis=(1, 2)), lambda t: f"instance {ids[t]!r}: non-finite feature values")]
+            rules.append((k >= 2, lambda t: f"instance {ids[t]!r}: need at least 2 candidates, got {k[t]}"))
+            rules.append((np.isfinite(features).all(axis=(1, 2)),
+                          lambda t: f"instance {ids[t]!r}: non-finite feature values"))
         if chosen is not None:
-            rules.append(((chosen < 0) | (chosen >= k), lambda t: (
+            rules.append(((chosen >= 0) & (chosen < k), lambda t: (
                 f"chosen index {chosen[t]} out of range for instance {ids[t]!r} with {k[t]} candidates")))
         if rewards is not None:
-            rules.append((~((rewards >= 0.0) & (rewards <= 1.0)), lambda t: f"reward {rewards[t]} outside [0, 1]"))
+            rules.append(((rewards >= 0.0) & (rewards <= 1.0),
+                          lambda t: f"reward {rewards[t]} outside [0, 1]"))
         if propensities is not None:
-            rules.append((~((propensities > 0.0) & (propensities <= 1.0)),
+            rules.append(((propensities > 0.0) & (propensities <= 1.0),
                           lambda t: f"propensity {propensities[t]} outside (0, 1]"))
-        broken = [(int(np.argmax(bad)), message) for bad, message in rules if bad.any()]
+        broken = [(int(np.argmin(kept)), message) for kept, message in rules if not kept.all()]
         if broken:
             row, message = min(broken, key=lambda rule: rule[0])  # the first rule told, on a tie
             err = ConfigurationError(message(row))

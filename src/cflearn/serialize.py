@@ -109,8 +109,9 @@ def _has_bool(line: bytes, record: dict) -> bool:
     the first ``"features":`` to the next ``"`` are scanned for a ``true`` or a
     ``false``.  Where that key may not be the features' own (more keys than a
     record's, the key or an escape later in the line), each value is tested."""
-    start = line.find(b'"features":') + len(b'"features":')
-    if start > 10 and len(record) == len(_RECORD_KEYS) + ("propensity" in record):
+    key = line.find(b'"features":')
+    start = key + len(b'"features":')
+    if key >= 0 and len(record) == len(_RECORD_KEYS) + ("propensity" in record):
         end = line.find(b'"', start)
         if end < 0:
             end = len(line)
@@ -187,7 +188,9 @@ def read_log(path: str | Path) -> Log:
                 if row == 0:
                     features = np.zeros((n, count, dim))
                 elif dim != features.shape[2]:
-                    raise ValueError(f"feature dimension {dim} differs from the first record's {features.shape[2]}")
+                    raise ValueError(
+                        f"feature dimension {dim} differs from the first record's {features.shape[2]}"
+                    )
                 elif count > features.shape[1]:
                     wider = np.zeros((n, count, dim))
                     wider[:row, : features.shape[1]] = features[:row]

@@ -140,6 +140,8 @@ class TestMalformedLog:
             "[1, 2]",
             '{"id": "x", "features": [[1.0], [2.0, 3.0]], "chosen": 0, "reward": 0.5, "propensity": 0.5}',
             '{"id": "x", "features": [[1.0], [2.0]], "chosen": 1.5, "reward": 0.5, "propensity": 0.5}',
+            '{"id": "x", "features": [[1.0, 2.0], [3.0, 4.0]], "chosen": 9223372036854775808, "reward": 0.5, '
+            '"propensity": 0.5}',
             '{"id": "x", "features": [[1.0], [2.0]], "chosen": 0, "reward": 0.5}',
             '{"id": "x", "features": [[1.0], [2.0]], "chosen": 0, "reward": 2.0, "propensity": 0.5}',
             '{"id": 7, "features": [[1.0], [2.0]], "chosen": 0, "reward": 0.5, "propensity": 0.5}',
