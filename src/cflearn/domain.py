@@ -77,7 +77,10 @@ class Instance:
     @classmethod
     def _view(cls, ident: str, candidates: np.ndarray) -> "Instance":
         """An instance over a (k, d) float matrix the caller has already checked."""
-        return _unchecked(cls, id=ident, candidates=candidates)
+        inst = object.__new__(cls)
+        object.__setattr__(inst, "id", ident)
+        object.__setattr__(inst, "candidates", candidates)
+        return inst
 
     @property
     def k(self) -> int:
@@ -103,12 +106,13 @@ class LoggedTuple:
         Log._check((self.instance.id,), np.array([self.instance.k]), chosen=np.array([self.chosen]),
                    rewards=np.array([self.reward]), propensities=propensities)
 
-
-def _unchecked(cls, **values):
-    """A ``cls`` of field ``values`` the caller has already checked: no ``__post_init__``."""
-    view = object.__new__(cls)
-    vars(view).update(values)
-    return view
+    @classmethod
+    def _view(cls, *values) -> "LoggedTuple":
+        """A tuple over field values (instance, chosen, reward, propensity) the caller has already checked."""
+        view = object.__new__(cls)
+        for name, value in zip(("instance", "chosen", "reward", "propensity"), values):
+            object.__setattr__(view, name, value)
+        return view
 
 
 def _matrix(ident: str, candidates: np.ndarray) -> np.ndarray:
@@ -274,8 +278,7 @@ class Log:
         on every access."""
         props = self.propensities.tolist() if self.propensities is not None else [None] * len(self)
         return tuple(
-            _unchecked(LoggedTuple, instance=Instance._view(ident, self.features[row, :count]),
-                       chosen=chosen, reward=reward, propensity=prop)
+            LoggedTuple._view(Instance._view(ident, self.features[row, :count]), chosen, reward, prop)
             for row, (ident, count, chosen, reward, prop) in enumerate(
                 zip(self.ids.tolist(), self.k.tolist(), self.chosen.tolist(),
                     self.rewards.tolist(), props)
