@@ -579,11 +579,13 @@ def _assert_contract(code: int, err: str, mutated: Path, first: bool = True) -> 
         assert err == ""
 
 
-def _finite_cells(path: Path, skip: int = 0) -> bool:
-    """Whether every non-empty cell of the CSV file past its first ``skip`` columns is a finite number."""
+def _finite_cells(path: Path, skip: int = 0, blank: tuple[str, ...] = ()) -> bool:
+    """Whether every cell of the CSV file past its first ``skip`` columns is a
+    finite number; a cell of a ``blank`` column may be empty instead."""
     with open(path, newline="") as handle:
         rows = list(csv.DictReader(handle))
-    return bool(rows) and all(np.isfinite(float(row[key])) for row in rows for key in list(row)[skip:] if row[key])
+    cells = [row[key] for row in rows for key in list(row)[skip:] if row[key] or key not in blank]
+    return bool(rows) and all(np.isfinite(float(cell)) for cell in cells)
 
 
 def _evaluate_argv(dc_run: Path, out: Path, logs=None, **files) -> list[str]:
@@ -654,7 +656,7 @@ def test_mutated_log_exits_zero_or_one_naming_it_in_train(dc_run, name, data):
     if code == 0:
         params = json.loads((run / "params.json").read_text())
         assert np.isfinite(params["weights"]).all() and np.isfinite(params["alpha"])
-        assert _finite_cells(run / "trace.csv")
+        assert _finite_cells(run / "trace.csv", blank=("true_reward",))  # trained without --truth
 
 
 @pytest.mark.parametrize("name", ["train.jsonl", "validation.jsonl", "test.jsonl"])
