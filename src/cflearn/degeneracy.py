@@ -61,20 +61,21 @@ def partition_dmax(log: Log) -> DmaxPartition:
     )
 
 
-def _propensities(log: Log) -> np.ndarray:
-    """mu_t: the logged propensities, or 1 on a deterministic log."""
-    return log.propensities if log.mode is Mode.STOCHASTIC else np.ones(len(log))
+def _over_propensities(values: np.ndarray, log: Log) -> np.ndarray:
+    """``values`` divided by mu_t, the logged propensities; a deterministic
+    log's mu_t is 1, and dividing by 1 is exact, so it is skipped."""
+    return values / log.propensities if log.mode is Mode.STOCHASTIC else values
 
 
 def _values(assignments: np.ndarray, log: Log) -> np.ndarray:
     """Plain value of each assignment row of an (..., n) array."""
     assignments = np.asarray(assignments, dtype=float)
-    return (log.rewards * assignments / _propensities(log)).mean(axis=-1)
+    return _over_propensities(log.rewards * assignments, log).mean(axis=-1)
 
 
 def _values_reweighted(assignments: np.ndarray, log: Log) -> np.ndarray:
     """Self-normalized value of each assignment row of an (..., n) array."""
-    weights = np.asarray(assignments, dtype=float) / _propensities(log)
+    weights = _over_propensities(np.asarray(assignments, dtype=float), log)
     total = weights.sum(axis=-1)
     if np.any(total <= 0.0):
         raise DegenerateSupportError("assignment puts zero mass on every tuple")
@@ -171,10 +172,9 @@ def probe_theorem2(log: Log, seed: int = 0, trials: int = 200) -> ProbeResult:
     # outside them only.  One uniform block holds every trial's values, split
     # by column into the three challengers (the last column of each is the
     # positive value, taken as 1 - u), and one integer block holds the picks.
-    widths = np.array([dmax.size, n, rest.size]) + 1
-    confined, outside, avoiding = np.split(
-        rng.random((trials, widths.sum())), np.cumsum(widths)[:-1], axis=1
-    )
+    first, second = dmax.size + 1, dmax.size + n + 2
+    block = rng.random((trials, second + rest.size + 1))
+    confined, outside, avoiding = block[:, :first], block[:, first:second], block[:, second:]
     picks = rng.integers((dmax.size, rest.size, rest.size), size=(trials, 3)).T
     assignments = np.zeros((3, trials, n))
     assignments[0][:, dmax] = confined[:, :-1]

@@ -31,7 +31,7 @@ class Mode(Enum):
 
 def _real(key: str, value):
     """``value`` if it is a real number with a finite float value; raises ValueError naming the key."""
-    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+    if type(value) in (float, int) or not isinstance(value, bool) and isinstance(value, numbers.Real):
         with suppress(OverflowError):  # an integer beyond the float range
             if math.isfinite(value):
                 return value
@@ -40,7 +40,7 @@ def _real(key: str, value):
 
 def _integer(key: str, value, minimum: int | None = None) -> int:
     """``value`` if it is an integer of at least ``minimum``; raises ValueError naming the key."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
         raise ValueError(f"{key} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{key} must be at least {minimum}, got {value}")
@@ -258,12 +258,10 @@ class Log:
             raise err
 
     def _fill(self, mode, *columns) -> None:
-        object.__setattr__(self, "mode", mode)
-        names = ("ids", "features", "k", "chosen", "rewards", "propensities")
-        for name, column in zip(names, columns):
+        for column in columns:
             if column is not None:
-                column.flags.writeable = False
-            object.__setattr__(self, name, column)
+                column.setflags(write=False)
+        vars(self).update(zip(("ids", "features", "k", "chosen", "rewards", "propensities"), columns), mode=mode)
 
     def __len__(self) -> int:
         return self.rewards.shape[0]
@@ -310,8 +308,8 @@ class Log:
 
 class _TensorPass:
     """The parts of a pass that depend on a candidate tensor alone, not on
-    which candidates a log chose: a policy's softmax and a reward model's
-    predictions.
+    which candidates a log chose: a policy's softmax, a reward model's
+    predictions, D under the two, and a truth's rows of the instances.
 
     A generated task holds one, which every log rolled from it shares; any
     other log makes its own.  The latest logging and target softmaxes are
@@ -321,12 +319,13 @@ class _TensorPass:
     are read-only.
     """
 
-    __slots__ = ("features", "k", "policies", "model", "preds")
+    __slots__ = ("features", "k", "policies", "model", "preds", "truth", "rows", "terms")
 
     def __init__(self, features: np.ndarray, k: np.ndarray) -> None:
         self.features, self.k = features, k
         self.policies = [(None, None), (None, None)]  # (params, probs): the target's, the logger's
-        self.model = self.preds = None
+        self.model = self.preds = self.truth = self.rows = None
+        self.terms = (None, None, None)  # (probs, preds, D)
 
     def probs(self, params: "PolicyParams", logging: bool = False) -> np.ndarray:
         """The softmax of ``params``, kept as the latest target policy's or,
@@ -347,6 +346,23 @@ class _TensorPass:
             preds.flags.writeable = False
             self.model, self.preds = model, preds
         return self.preds
+
+    def truth_rows(self, truth, ids: np.ndarray) -> np.ndarray:
+        """The rows of ``truth``'s reward matrix for this tensor's instances ``ids``."""
+        if truth is not self.truth:
+            rows = truth._rows(ids, self.k)
+            rows.setflags(write=False)
+            self.truth, self.rows = truth, rows
+        return self.rows
+
+    def direct(self, probs: np.ndarray, preds: np.ndarray) -> np.ndarray:
+        """D_t = sum_y dhat(x_t, y) pi(y | x_t) of ``probs`` and ``preds``, both made by this pass."""
+        kept_probs, kept_preds, direct = self.terms
+        if probs is not kept_probs or preds is not kept_preds:
+            direct = (probs.T * preds.T).sum(axis=0)
+            direct.setflags(write=False)
+            self.terms = (probs, preds, direct)
+        return direct
 
 
 @dataclass(frozen=True, eq=False)

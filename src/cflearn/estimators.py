@@ -195,8 +195,8 @@ class _LogPass:
     """The state of the passes over one log, kept on the log, from which
     :func:`value_and_grad` reads every part a previous pass already made.
 
-    The parts that depend only on the candidate tensor (the softmax and the
-    predictions over the candidates) come from the log's
+    The parts that depend only on the candidate tensor (the softmax, the
+    predictions over the candidates and D) come from the log's
     ``domain._TensorPass``, which every log rolled from one task shares.
     The terms no policy changes (each chosen cell's index and the d_max
     mask) are made with the state, and the W buffer by the first pass with a
@@ -255,7 +255,7 @@ class _LogPass:
         if model is not None and self.y is None and self.rho_bar is not None:
             # Y_t = dhat_t rho_bar_t, D_t = sum_y dhat(x_t, y) pi_w(y | x_t), b = mean(D - Y)
             y = self.preds_chosen * self.rho_bar
-            direct = (self.probs.T * self.preds.T).sum(axis=0)
+            direct = self.tensor.direct(self.probs, self.preds)
             _read_only(y)
             self.y, self.direct, self.b = y, direct, _mean(direct - y)
 
@@ -299,7 +299,7 @@ class _LogPass:
 def _read_only(*arrays: np.ndarray | None) -> None:
     for array in arrays:
         if array is not None:
-            array.flags.writeable = False
+            array.setflags(write=False)
 
 
 def _state(log: Log) -> _LogPass:
@@ -358,13 +358,15 @@ def value_and_grad(
     state.update(log, params, model if controlled else None)
     if kind.reweighted and state.rho_bar is None:
         raise DegenerateSupportError(ZERO_WEIGHTS)
-    return ObjectivePass(
+    result = object.__new__(ObjectivePass)  # every field set at once, not one frozen setattr each
+    vars(result).update(
         kind=kind, probs=state.probs, rho=state.rho, rho_bar=state.rho_bar,
         x=state.x if kind.reweighted else None, y=state.y if controlled else None,
         a=state.a if kind.reweighted else state.plain_a, b=state.b if controlled else 0.0,
         grads=state.grads(kind, log, params.alpha, rows) if grad else None,
         mass_on_dmax=state.mass, effective_sample_size=state.ess,
     )
+    return result
 
 
 # The wrappers below run one family on a log of either mode: the plain

@@ -11,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from .domain import Instance, Log, LoggedTuple, Mode, PolicyParams
+from .domain import Log, Mode, PolicyParams
 from .errors import DegenerateSupportError
 from .estimators import (
     grad_doubly_controlled,
@@ -68,15 +68,18 @@ def random_problem(rng: np.random.Generator, n_max: int = 10, k_max: int = 5, d_
     k = int(rng.integers(2, k_max + 1))
     d = int(rng.integers(1, d_max + 1))
     stochastic = bool(rng.integers(0, 2))
-    tuples = []
-    for t in range(n):
-        inst = Instance(id=f"p{t}", candidates=rng.standard_normal((k, d)))
-        chosen = int(rng.integers(0, k))
-        reward = float(rng.uniform(0.0, 1.0))
-        propensity = float(rng.uniform(0.05, 1.0)) if stochastic else None
-        tuples.append(LoggedTuple(inst, chosen, reward, propensity))
+    ids, counts = np.array([f"p{t}" for t in range(n)], dtype=object), np.full(n, k, dtype=np.intp)
+    features, chosen, rewards = np.empty((n, k, d)), np.empty(n, dtype=np.intp), np.empty(n)
+    propensities = np.empty(n) if stochastic else None
+    for t in range(n):  # one tuple's draws after another: drawing by column would change every problem
+        features[t] = rng.standard_normal((k, d))
+        chosen[t] = rng.integers(0, k)
+        rewards[t] = rng.uniform(0.0, 1.0)
+        if stochastic:
+            propensities[t] = rng.uniform(0.05, 1.0)
+    Log._check(ids, counts, features, chosen, rewards, propensities)
     mode = Mode.STOCHASTIC if stochastic else Mode.DETERMINISTIC
-    log = Log(tuple(tuples), mode)
+    log = Log._from_columns(mode, ids, features, counts, chosen, rewards, propensities)
     params = PolicyParams(rng.standard_normal(d), alpha=float(rng.uniform(0.5, 2.0)))
     model = RewardModel(
         weights=rng.standard_normal(d) / np.sqrt(d),

@@ -64,20 +64,30 @@ class GroundTruth:
     rewards: dict[str, np.ndarray]  # instance id -> (k,) true rewards
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "reward_weights", np.ascontiguousarray(self.reward_weights, dtype=float))
-        keys = list(self.rewards)
         rows = [np.asarray(values, dtype=float) for values in self.rewards.values()]
         counts = [row.size for row in rows]
         matrix = np.zeros((len(rows), max(counts, default=0)))
         for row, values in enumerate(rows):
             matrix[row, : values.size] = values
-        matrix.flags.writeable = False
-        object.__setattr__(self, "rewards", {key: matrix[row, :count]
-                                             for row, (key, count) in enumerate(zip(keys, counts))})
-        object.__setattr__(self, "_matrix", matrix)
-        object.__setattr__(self, "_row", dict(zip(keys, range(len(keys)))))
-        # a missing id's row, -1, reads the last count, -1, which matches no k
-        object.__setattr__(self, "_counts", np.array(counts + [-1], dtype=np.intp))
+        self._fill(self.reward_weights, list(self.rewards), matrix, counts)
+
+    @classmethod
+    def _from_matrix(cls, reward_weights: np.ndarray, ids: list[str], matrix: np.ndarray) -> "GroundTruth":
+        """The truth that gives instance ``ids[i]`` row i of the float (n, k) ``matrix``, which it keeps."""
+        truth = object.__new__(cls)
+        truth._fill(reward_weights, ids, matrix, [matrix.shape[1]] * len(ids))
+        return truth
+
+    def _fill(self, reward_weights, keys: list[str], matrix: np.ndarray, counts: list[int]) -> None:
+        matrix.setflags(write=False)
+        vars(self).update(
+            reward_weights=np.ascontiguousarray(reward_weights, dtype=float),
+            rewards={key: matrix[row, :count] for row, (key, count) in enumerate(zip(keys, counts))},
+            _matrix=matrix,
+            _row=dict(zip(keys, range(len(keys)))),
+            # a missing id's row, -1, reads the last count, -1, which matches no k
+            _counts=np.array(counts + [-1], dtype=np.intp),
+        )
 
     def __call__(self, instance: Instance) -> np.ndarray:
         return self.rewards[instance.id]
@@ -150,12 +160,9 @@ class TaskInstances(tuple):
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, so no exponential overflows."""
+    ex = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, ex) / (1.0 + ex)
 
 
 def _quantize(rewards: np.ndarray) -> np.ndarray:
@@ -180,14 +187,13 @@ def generate_task(spec: TaskSpec) -> tuple[TaskInstances, GroundTruth, LoggingPo
 
     ids = [f"i{i:05d}" for i in range(spec.num_instances)]
     instances = TaskInstances(ids, features)
-    rewards = dict(zip(ids, all_rewards))
 
     logger_weights = spec.logger_quality * hidden + (1.0 - spec.logger_quality) * perturbation
     policy = LoggingPolicy(
         params=PolicyParams(logger_weights, alpha=spec.logger_alpha),
         mode=spec.logging_mode,
     )
-    return instances, GroundTruth(reward_weights=hidden, rewards=rewards), policy
+    return instances, GroundTruth._from_matrix(hidden, ids, all_rewards), policy
 
 
 def roll_log(
@@ -203,7 +209,7 @@ def roll_log(
     inverting the cumulative probabilities at one uniform draw per instance
     and records its probability.  ``rng`` seeds the stochastic draws.  The
     logs rolled from a generated task's instances share the task's pass
-    state, so they run the logging policy's softmax once between them.
+    state, so they run the logging softmax and the truth lookup once between them.
     """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
@@ -226,13 +232,13 @@ def roll_log(
         # the count of cumulative probabilities <= u is searchsorted(side="right");
         # it lands on a candidate of positive probability unless rounding
         # carries it past the row's k: take the last such candidate instead
-        chosen = (np.cumsum(probs, axis=1) <= u[:, None]).sum(axis=1)
+        chosen = (np.cumsum(probs.T, axis=0) <= u).sum(axis=0)
         off = chosen >= k
         if off.any():
             last = probs.shape[1] - 1 - np.argmax(probs[:, ::-1] > 0.0, axis=1)
             chosen = np.where(off, last, chosen)
         propensities = probs[rows, chosen]
-    rewards = truth._matrix[truth._rows(ids, k), chosen]
+    rewards = truth._matrix[tensor.truth_rows(truth, ids), chosen]
     Log._check(ids, k, rewards=rewards)
     return Log._from_columns(
         mode, ids, tensor.features, k, chosen.astype(np.intp), rewards, propensities, tensor

@@ -616,6 +616,25 @@ def test_mutated_json_exits_zero_or_one_naming_the_file(dc_run, name, data):
         assert _finite_cells(report, skip=2)
 
 
+@settings(max_examples=150)
+@given(data=st.data())
+def test_mutated_truth_exits_zero_or_one_naming_it_in_train(dc_run, data):
+    mutated = dc_run / "mutated" / "truth.json"
+    mutated.parent.mkdir(exist_ok=True)
+    mutated.write_bytes(data.draw(config_mutations((dc_run / "out" / "truth.json").read_bytes(), BAD_JSON_VALUES,
+                                                   _json_value), label="mutated"))
+    run = dc_run / "mutated" / "truth-run"
+    shutil.rmtree(run, ignore_errors=True)
+    # a truth that does not cover the train log is named first, before the log
+    code, err = _quiet_main(["train", "--config", str(dc_run / "config.yaml"), "--truth", str(mutated),
+                             "--log", str(dc_run / "out" / "train.jsonl"), "--out", str(run)])
+    _assert_contract(code, err, mutated)
+    if code == 0:
+        params = json.loads((run / "params.json").read_text())
+        assert np.isfinite(params["weights"]).all() and np.isfinite(params["alpha"])
+        assert _finite_cells(run / "trace.csv")  # every column, true_reward too
+
+
 # a log record's keys, and "feature" for one value inside its features matrix
 LOG_KEYS = ["mode", "id", "features", "feature", "chosen", "reward", "propensity"]
 

@@ -1,7 +1,7 @@
 """The fused objective pass against per-instance oracles, and its cost per
 epoch and per evaluated log."""
 
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 from itertools import permutations
 
 import numpy as np
@@ -360,6 +360,16 @@ class TestSharedPass:
         got = evaluate_policy(EstimatorKind.DR, params, log, model)
         assert_same_pass(got, value_and_grad(EstimatorKind.DR, params, log, model, grad=False))
 
+    def test_a_pass_has_every_field_and_stays_frozen(self, rng):
+        log = random_log(rng, 6, 3, 3, Mode.STOCHASTIC)
+        params = PolicyParams(rng.standard_normal(3))
+        model = RewardModel(rng.standard_normal(3) / 2, intercept=0.3, ridge_lambda=0.0)
+        for kind in mode_kinds(Mode.STOCHASTIC):
+            result = value_and_grad(kind, params, log, model)
+            assert list(vars(result)) == [field.name for field in fields(estimators.ObjectivePass)]
+            with pytest.raises(FrozenInstanceError):
+                result.a = 0.0
+
     def test_weights_and_shared_arrays_are_read_only(self, rng):
         weights = rng.standard_normal(3)
         params = PolicyParams(weights)
@@ -406,6 +416,60 @@ class TestTaskPass:
             assert (got.grads is None) == (want.grads is None)
             if grad:
                 assert got.grads.tobytes() == want.grads.tobytes()
+
+    @given(
+        mode=st.sampled_from(list(Mode)),
+        seed=st.integers(0, 2**16),
+        steps=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(0, 1)), min_size=1, max_size=12),
+    )
+    def test_d_from_the_task_pass_equals_d_on_a_column_copy(self, mode, seed, steps):
+        rng = np.random.default_rng(seed)
+        instances, truth, logger = rolled_task(mode)
+        logs = [roll_log(instances, truth, logger, rng=seed + i) for i in range(3)]
+        policies = [PolicyParams(rng.standard_normal(4), alpha=1.3), logger.params]
+        models = [RewardModel(rng.standard_normal(4) / 2, intercept=0.3, ridge_lambda=0.0) for _ in range(2)]
+        kind = mode_kinds(mode)[2]  # dr or dc
+        for which, params, model in steps:
+            log, params, model = logs[which], policies[params], models[model]
+            copy = log.subset(np.arange(len(log)))
+            value_and_grad(kind, params, log, model, grad=False)
+            value_and_grad(kind, params, copy, model, grad=False)
+            got, want = estimators._state(log).direct, estimators._state(copy).direct
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        # the logs taken to a new (params, model) pair read one D, made once on the task's pass
+        params = PolicyParams(rng.standard_normal(4))
+        model = RewardModel(rng.standard_normal(4) / 2, intercept=0.1, ridge_lambda=0.0)
+        for log in logs:
+            value_and_grad(kind, params, log, model, grad=False)
+        assert all(estimators._state(log).direct is instances._pass.terms[2] for log in logs)
+
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    def test_rolls_against_alternating_truths_equal_the_oracle(self, mode):
+        instances, truth, logger = rolled_task(mode)
+        # the same ids in reverse order, so each instance's reward row differs too
+        other = GroundTruth(truth.reward_weights, {i: 1.0 - r for i, r in reversed(truth.rewards.items())})
+        for seed in range(6):
+            current = (truth, other)[seed % 2]
+            got = roll_log(instances, current, logger, rng=seed)
+            want = oracles.roll_log(list(instances), current, logger, rng=seed)
+            assert got.chosen.tobytes() == want.chosen.tobytes()
+            assert got.rewards.tobytes() == want.rewards.tobytes()
+            assert instances._pass.truth is current
+        assert got.rewards.tobytes() != roll_log(instances, truth, logger, rng=5).rewards.tobytes()
+
+    def test_a_truth_without_an_instance_raises_again_and_keeps_nothing(self):
+        instances, truth, logger = rolled_task(Mode.STOCHASTIC)
+        tensor = instances._pass
+        roll_log(instances, truth, logger, rng=0)
+        parts = lambda: (*tensor.policies, *(getattr(tensor, name) for name in tensor.__slots__))
+        kept = parts()
+        partial = GroundTruth(truth.reward_weights, {i: r for i, r in truth.rewards.items() if i != "i00003"})
+        for seed in range(2):  # the retry raises too: nothing was kept
+            with pytest.raises(ConfigurationError, match="instance 'i00003' has no true rewards"):
+                roll_log(instances, partial, logger, rng=seed)
+        assert all(now is then for now, then in zip(parts(), kept))
+        got = roll_log(instances, truth, logger, rng=1)
+        assert got.rewards.tobytes() == oracles.roll_log(list(instances), truth, logger, rng=1).rewards.tobytes()
 
     def test_an_overflowing_pass_raises_again_and_keeps_nothing(self, rng):
         instances, truth, logger = rolled_task(Mode.STOCHASTIC)

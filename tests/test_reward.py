@@ -15,6 +15,7 @@ from cflearn import (
     estimate_c_hat,
     fit_reward_model,
 )
+from cflearn.reward import VAR_FLOOR
 
 from conftest import random_log
 from oracles import predict, predict_all
@@ -140,6 +141,12 @@ class TestControlScalar:
         model = RewardModel(np.array([0.5]), intercept=0.0, ridge_lambda=0.0)
         params = PolicyParams(rng.standard_normal(1))
         assert estimate_c_hat(params, log, model).c_hat == pytest.approx(2.0, rel=1e-9)
+
+    def test_a_variance_at_the_floor_keeps_its_ratio(self):
+        # only a variance below VAR_FLOOR falls back to 0; this Y's is the floor bit for bit
+        result = control_scalar(np.array([0.0, 1.0, 3.0]), np.array([-1e-6, 0.0, 1e-6]))
+        assert result.var_y == VAR_FLOOR
+        assert result.c_hat == result.cov_xy / result.var_y == 1.5e6
 
     def test_shift_invariance(self, rng):
         x = rng.uniform(0, 1, size=20)

@@ -43,6 +43,31 @@ class TestGenerateTask:
             )
             np.testing.assert_array_equal(truth(inst), expected)
 
+    def test_generated_truth_equals_one_built_from_its_rewards(self, tmp_path):
+        # generate_task builds its truth from the reward matrix it holds, not by restacking the rows
+        from cflearn import GroundTruth
+        from cflearn.serialize import write_truth
+
+        _, truth, policy = generate_task(spec(reward_noise=0.3, seed=11))
+        rebuilt = GroundTruth(truth.reward_weights, dict(truth.rewards))
+        assert truth._matrix.shape == rebuilt._matrix.shape
+        assert truth._matrix.tobytes() == rebuilt._matrix.tobytes() and not truth._matrix.flags.writeable
+        assert truth._row == rebuilt._row and list(truth.rewards) == list(rebuilt.rewards)
+        assert truth._counts.tobytes() == rebuilt._counts.tobytes()
+        assert all(np.shares_memory(row, truth._matrix) for row in truth.rewards.values())
+        write_truth(tmp_path / "generated.json", truth, policy)
+        write_truth(tmp_path / "rebuilt.json", rebuilt, policy)
+        assert (tmp_path / "generated.json").read_bytes() == (tmp_path / "rebuilt.json").read_bytes()
+
+    def test_sigmoid_equals_the_two_branch_formula(self):
+        x = np.concatenate([np.random.default_rng(4).standard_normal(1000) * 20,
+                            [0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0, 745.0, -745.0, 800.0, -800.0]])
+        pos = x >= 0
+        want = np.empty_like(x)
+        want[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        want[~pos] = np.exp(x[~pos]) / (1.0 + np.exp(x[~pos]))
+        assert _sigmoid(x).tobytes() == want.tobytes()
+
     def test_zero_score_maps_to_half(self):
         assert _quantize(np.clip(_sigmoid(np.array([0.0])), 0, 1))[0] == 0.5
 
