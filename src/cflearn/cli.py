@@ -69,7 +69,7 @@ def _truth_rewards(truth: GroundTruth, truth_path, log: Log, log_path):
     of the log, or gives it the wrong number of rewards, is an error naming
     both files."""
     with _naming(f"{truth_path} does not cover {log_path}"):
-        return truth.reward_matrix(log.ids, log.k, log.features.shape[1])
+        return log._tensor_pass().true_rewards(truth)
 
 
 def cmd_train(args) -> int:
@@ -150,7 +150,7 @@ def _evaluate_row(
         true_reward = logger_reward = improvement = None
         if rewards is not None:
             true_reward = _expected_reward(result.probs, rewards)
-            logger_reward = _expected_reward(log.probs(logger.params), rewards)
+            logger_reward = _expected_reward(log._tensor_pass().probs(logger.params, logging=True), rewards)
             improvement = true_reward - logger_reward
         return ReportRow(Path(path).stem, kind.value, result.value, result.effective_sample_size,
                          result.mass_on_dmax, true_reward, logger_reward, improvement)

@@ -223,11 +223,11 @@ class Log:
     def _from_columns(cls, mode, ids, features, k, chosen, rewards, propensities,
                       tensor_pass: "_TensorPass | None" = None) -> "Log":
         """A log over columns the caller has already validated.  A log whose
-        ``features`` and ``k`` are those of ``tensor_pass`` shares it."""
+        ``ids``, ``features`` and ``k`` are those of ``tensor_pass`` shares it."""
         log = object.__new__(cls)
         log._fill(mode, ids, features, k, chosen, rewards, propensities)
         if tensor_pass is not None:
-            object.__setattr__(log, "_shared_pass", tensor_pass)
+            object.__setattr__(log, "_pass", tensor_pass)
         return log
 
     @staticmethod
@@ -301,30 +301,34 @@ class Log:
         return values[np.arange(len(self)), self.chosen]
 
     def _tensor_pass(self) -> "_TensorPass":
-        """The pass state over ``features`` the log was rolled with, which
-        every log rolled from one task shares, or else a new one of its own."""
-        return vars(self).get("_shared_pass") or _TensorPass(self.features, self.k)
+        """The pass state over the log's candidates, made on first use and
+        kept; every log rolled from one task shares the task's."""
+        tensor = vars(self).get("_pass")
+        if tensor is None:
+            tensor = _TensorPass(self.ids, self.features, self.k)
+            object.__setattr__(self, "_pass", tensor)
+        return tensor
 
 
 class _TensorPass:
     """The parts of a pass that depend on a candidate tensor alone, not on
     which candidates a log chose: a policy's softmax, a reward model's
-    predictions, D under the two, and a truth's rows of the instances.
+    predictions, D under the two, and a truth's rewards of the instances.
 
     A generated task holds one, which every log rolled from it shares; any
-    other log makes its own.  The latest logging and target softmaxes are
-    kept apart, so rolling a log and evaluating one do not undo each other.
-    Each part is matched by identity to the immutable objects it was made
-    from, and kept only once made, so an error keeps nothing.  Its arrays
-    are read-only.
+    other log makes its own on first use.  The latest logging and target
+    softmaxes are kept apart, so rolling a log and evaluating one do not
+    undo each other.  Each part is matched by identity to the immutable
+    objects it was made from, and kept only once made, so an error keeps
+    nothing.  Its arrays are read-only.
     """
 
-    __slots__ = ("features", "k", "policies", "model", "preds", "truth", "rows", "terms")
+    __slots__ = ("ids", "features", "k", "policies", "model", "preds", "truth", "rewards", "terms")
 
-    def __init__(self, features: np.ndarray, k: np.ndarray) -> None:
-        self.features, self.k = features, k
+    def __init__(self, ids: np.ndarray, features: np.ndarray, k: np.ndarray) -> None:
+        self.ids, self.features, self.k = ids, features, k
         self.policies = [(None, None), (None, None)]  # (params, probs): the target's, the logger's
-        self.model = self.preds = self.truth = self.rows = None
+        self.model = self.preds = self.truth = self.rewards = None
         self.terms = (None, None, None)  # (probs, preds, D)
 
     def probs(self, params: "PolicyParams", logging: bool = False) -> np.ndarray:
@@ -347,13 +351,13 @@ class _TensorPass:
             self.model, self.preds = model, preds
         return self.preds
 
-    def truth_rows(self, truth, ids: np.ndarray) -> np.ndarray:
-        """The rows of ``truth``'s reward matrix for this tensor's instances ``ids``."""
+    def true_rewards(self, truth) -> np.ndarray:
+        """``truth``'s (n, k_max) rewards of the instances, zero past each row's k."""
         if truth is not self.truth:
-            rows = truth._rows(ids, self.k)
-            rows.setflags(write=False)
-            self.truth, self.rows = truth, rows
-        return self.rows
+            rewards = truth.reward_matrix(self.ids, self.k, self.features.shape[1])
+            rewards.setflags(write=False)
+            self.truth, self.rewards = truth, rewards
+        return self.rewards
 
     def direct(self, probs: np.ndarray, preds: np.ndarray) -> np.ndarray:
         """D_t = sum_y dhat(x_t, y) pi(y | x_t) of ``probs`` and ``preds``, both made by this pass."""

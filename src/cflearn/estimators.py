@@ -311,19 +311,12 @@ def _state(log: Log) -> _LogPass:
     return state
 
 
-def _predict(log: Log, model: RewardModel) -> np.ndarray:
-    """``model``'s predictions over the candidates of ``log``, which keeps them."""
-    state = _state(log)
-    state.predict(model)
-    return state.preds
-
-
 def _subset(log: Log, index: np.ndarray, model: RewardModel | None) -> Log:
     """``log.subset(index)``, which takes its rows of ``log``'s predictions
     by ``model`` rather than predicting on its own."""
     sub = log.subset(index)
     if model is not None:
-        _state(sub).predict(model, _predict(log, model)[index])
+        sub._tensor_pass().predictions(model, log._tensor_pass().predictions(model)[index])
     return sub
 
 

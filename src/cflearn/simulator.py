@@ -65,35 +65,37 @@ class GroundTruth:
 
     def __post_init__(self) -> None:
         rows = [np.asarray(values, dtype=float) for values in self.rewards.values()]
-        counts = [row.size for row in rows]
-        matrix = np.zeros((len(rows), max(counts, default=0)))
-        for row, values in enumerate(rows):
-            matrix[row, : values.size] = values
+        counts = np.array([row.size for row in rows], dtype=np.intp)
+        matrix = np.zeros((len(rows), counts.max(initial=0)))
+        # the mask's cells run row by row, as the rows do in their concatenation;
+        # the empty head lets a truth of no rows concatenate
+        matrix[np.arange(matrix.shape[1]) < counts[:, None]] = np.concatenate([np.zeros(0), *rows])
         self._fill(self.reward_weights, list(self.rewards), matrix, counts)
 
     @classmethod
     def _from_matrix(cls, reward_weights: np.ndarray, ids: list[str], matrix: np.ndarray) -> "GroundTruth":
         """The truth that gives instance ``ids[i]`` row i of the float (n, k) ``matrix``, which it keeps."""
         truth = object.__new__(cls)
-        truth._fill(reward_weights, ids, matrix, [matrix.shape[1]] * len(ids))
+        truth._fill(reward_weights, ids, matrix, np.full(len(ids), matrix.shape[1], dtype=np.intp))
         return truth
 
-    def _fill(self, reward_weights, keys: list[str], matrix: np.ndarray, counts: list[int]) -> None:
+    def _fill(self, reward_weights, keys: list[str], matrix: np.ndarray, counts: np.ndarray) -> None:
         matrix.setflags(write=False)
         vars(self).update(
             reward_weights=np.ascontiguousarray(reward_weights, dtype=float),
-            rewards={key: matrix[row, :count] for row, (key, count) in enumerate(zip(keys, counts))},
+            rewards={key: matrix[row, :count] for row, (key, count) in enumerate(zip(keys, counts.tolist()))},
             _matrix=matrix,
             _row=dict(zip(keys, range(len(keys)))),
             # a missing id's row, -1, reads the last count, -1, which matches no k
-            _counts=np.array(counts + [-1], dtype=np.intp),
+            _counts=np.append(counts, -1),
         )
 
     def __call__(self, instance: Instance) -> np.ndarray:
         return self.rewards[instance.id]
 
-    def _rows(self, ids, k: np.ndarray) -> np.ndarray:
-        """The matrix rows of the instances ``ids``, with ``k`` candidates each.
+    def reward_matrix(self, ids, k: np.ndarray, k_max: int) -> np.ndarray:
+        """The true rewards of the instances ``ids``, with ``k`` candidates
+        each, as one (n, k_max) matrix that is zero past each row's k.
 
         Raises :class:`ConfigurationError` at the first instance without a
         reward row or whose row is not k long.
@@ -108,16 +110,6 @@ class GroundTruth:
             raise ConfigurationError(
                 f"instance {ident!r} has {self._counts[rows[at]]} true rewards for {count} candidates"
             )
-        return rows
-
-    def reward_matrix(self, ids, k: np.ndarray, k_max: int) -> np.ndarray:
-        """The true rewards of the instances ``ids``, with ``k`` candidates
-        each, as one (n, k_max) matrix that is zero past each row's k.
-
-        Raises :class:`ConfigurationError` at the first instance without a
-        reward row or whose row is not k long.
-        """
-        rows = self._rows(ids, k)
         matrix = np.zeros((len(rows), k_max))
         width = min(k_max, self._matrix.shape[1])
         matrix[:, :width] = self._matrix[rows, :width]
@@ -135,28 +127,32 @@ class LoggingPolicy:
 
 class TaskInstances(tuple):
     """The instances of a generated task, in order.  Their candidate matrices
-    are the rows of one read-only (n, k, d) tensor, ``features``, checked
-    once for them all.  The logs rolled from them share that tensor, the
-    ``ids`` and ``k`` columns, and the passes over the tensor instead of
+    are the rows of one read-only (n, k, d) tensor, checked once for them
+    all.  The task's pass state holds that tensor with the ``ids`` and ``k``
+    columns, and the logs rolled from the instances share it instead of
     copying or repeating them."""
 
-    features: np.ndarray
-    ids: np.ndarray
-    k: np.ndarray
+    _pass: _TensorPass
 
     def __new__(cls, ids: list[str], features: np.ndarray) -> "TaskInstances":
-        if features.ndim != 3 or features.shape[1] < 2 or not np.isfinite(features).all():
-            raise ConfigurationError(
-                f"task candidates must be a finite (n, k, d) tensor with k >= 2, got shape {features.shape}"
-            )
-        features.flags.writeable = False  # before the views are taken, which inherit it
+        if features.ndim != 3:
+            raise ConfigurationError(f"task candidates must be an (n, k, d) tensor, got {features.shape}")
+        k = np.full(len(ids), features.shape[1], dtype=np.intp)
+        tensor = _TensorPass(np.array(ids, dtype=object), features, k)
+        Log._check(tensor.ids, k, features)
+        for array in (tensor.ids, features, k):  # features before the views are taken, which inherit it
+            array.flags.writeable = False
         self = super().__new__(cls, map(Instance._view, ids, features))
-        self.features = features
-        self.ids = np.array(ids, dtype=object)
-        self.k = np.full(len(ids), features.shape[1], dtype=np.intp)
-        self.ids.flags.writeable = self.k.flags.writeable = False
-        self._pass = _TensorPass(features, self.k)
+        self._pass = tensor
         return self
+
+
+def _instances_pass(instances: list[Instance]) -> _TensorPass:
+    """A task's own pass state, or a new one over the stacked candidates of a list of instances."""
+    if isinstance(instances, TaskInstances):
+        return instances._pass
+    ids = np.array([inst.id for inst in instances], dtype=object)
+    return _TensorPass(ids, *_stack_candidates([inst.candidates for inst in instances]))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -209,19 +205,15 @@ def roll_log(
     inverting the cumulative probabilities at one uniform draw per instance
     and records its probability.  ``rng`` seeds the stochastic draws.  The
     logs rolled from a generated task's instances share the task's pass
-    state, so they run the logging softmax and the truth lookup once between them.
+    state, so they run the logging softmax and the truth gather once between them.
     """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     mode = logging_policy.mode
     if not instances:
         return Log((), mode)
-    if isinstance(instances, TaskInstances):
-        ids, tensor = instances.ids, instances._pass
-    else:
-        ids = np.array([inst.id for inst in instances], dtype=object)
-        tensor = _TensorPass(*_stack_candidates([inst.candidates for inst in instances]))
-    k = tensor.k
+    tensor = _instances_pass(instances)
+    ids, k = tensor.ids, tensor.k
     probs = tensor.probs(logging_policy.params, logging=True)
     rows = np.arange(len(instances))
     propensities = None
@@ -238,7 +230,7 @@ def roll_log(
             last = probs.shape[1] - 1 - np.argmax(probs[:, ::-1] > 0.0, axis=1)
             chosen = np.where(off, last, chosen)
         propensities = probs[rows, chosen]
-    rewards = truth._matrix[tensor.truth_rows(truth, ids), chosen]
+    rewards = tensor.true_rewards(truth)[rows, chosen]
     Log._check(ids, k, rewards=rewards)
     return Log._from_columns(
         mode, ids, tensor.features, k, chosen.astype(np.intp), rewards, propensities, tensor

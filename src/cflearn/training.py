@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import Instance, Log, PolicyParams, _integer, _member, _probs, _real, _stack_candidates
+from .domain import Instance, Log, PolicyParams, _integer, _member, _real
 from .errors import ConfigurationError, DegenerateSupportError, ScoreOverflowError
-from .estimators import EstimatorKind, _predict, _subset, check_log, value_and_grad
+from .estimators import EstimatorKind, _subset, check_log, value_and_grad
 from .reward import RewardModel, fit_reward_model
-from .simulator import GroundTruth
+from .simulator import GroundTruth, _instances_pass
 
 
 @dataclass
@@ -159,17 +159,14 @@ def train(
             f"initial weight dimension {params.dim} does not match features ({train_log.dim})"
         )
 
-    truth_rewards = (
-        None if truth is None
-        else truth.reward_matrix(train_log.ids, train_log.k, train_log.features.shape[1])
-    )
+    truth_rewards = None if truth is None else train_log._tensor_pass().true_rewards(truth)
 
     model = None
     if kind.uses_reward_model:
         model = fit_reward_model(train_log, config.ridge_lambda)
         for log in (train_log, validation_log):  # before epoch 1: an overflow is an error, not a halt
             try:
-                _predict(log, model)
+                log._tensor_pass().predictions(model)
             except ScoreOverflowError as err:
                 err.log = log
                 raise
@@ -252,10 +249,11 @@ def evaluate_truth(params: PolicyParams, instances: list[Instance], truth: Groun
     """Exact expected true reward of the policy by full enumeration.
 
     The instances go through one softmax pass, zero-padded to the largest k,
-    against the truth's rewards for them.
+    against the truth's rewards for them.  A generated task's instances
+    read both from the task's pass state, which keeps them.
     """
     if len(instances) == 0:
         raise ValueError("evaluate_truth needs at least one instance")
-    features, k = _stack_candidates([inst.candidates for inst in instances])
-    rewards = truth.reward_matrix([inst.id for inst in instances], k, features.shape[1])
-    return _expected_reward(_probs(params, features, k), rewards)
+    tensor = _instances_pass(instances)
+    rewards = tensor.true_rewards(truth)
+    return _expected_reward(tensor.probs(params), rewards)

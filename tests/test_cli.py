@@ -20,7 +20,7 @@ import oracles
 from cflearn import Instance, Log, LoggedTuple, Mode, PolicyParams, serialize
 from cflearn.cli import main
 from cflearn.serialize import read_config, read_log, read_params, read_truth, write_reward_model
-from cflearn.simulator import generate_task, roll_log, split
+from cflearn.simulator import GroundTruth, generate_task, roll_log, split
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -148,9 +148,12 @@ class TestTrain:
         params, _ = read_params(run / "params.json")
         np.testing.assert_array_equal(params.weights, np.zeros(5))
 
-    def test_truth_option_fills_trace_column(self, workspace, tmp_path):
+    def test_truth_option_fills_trace_column(self, workspace, tmp_path, monkeypatch):
         config, out = workspace
         run = tmp_path / "run-truth"
+        gathers = []
+        gather = GroundTruth.reward_matrix
+        monkeypatch.setattr(GroundTruth, "reward_matrix", lambda *args: gathers.append(1) or gather(*args))
         code = main(
             [
                 "train",
@@ -169,6 +172,8 @@ class TestTrain:
 
         trace = read_trace(run / "trace.csv")
         assert all(r.true_reward is not None for r in trace.records)
+        # the coverage check's gather is the one the trace reads
+        assert len(gathers) == 1
 
     def test_model_kind_writes_reward_model(self, workspace, tmp_path):
         config, out = workspace

@@ -288,14 +288,18 @@ class TestPassCount:
         model = RewardModel(rng.standard_normal(4) / 2, intercept=0.3, ridge_lambda=0.0)
         for seed in range(5):
             log = roll_log(instances, truth, logger, rng=seed)
+            assert log._tensor_pass() is instances._pass
             for kind in mode_kinds(mode):  # ips, ips-r, dr, cdr or dpm, dpm-r, dc, cdc
                 evaluate_policy(kind, params, log, model)
         # one softmax for the logger and one for the target, one prediction
         assert (len(softmaxes), len(predicted)) == (2, 1)
 
-        # a log made any other way keeps a pass of its own
-        evaluate_policy(mode_kinds(mode)[3], params, log.subset(np.arange(len(log))), model)
+        # a log made any other way keeps a pass of its own, made on first use
+        copy = log.subset(np.arange(len(log)))
+        evaluate_policy(mode_kinds(mode)[3], params, copy, model)
         assert (len(softmaxes), len(predicted)) == (3, 2)
+        assert copy._tensor_pass() is copy._tensor_pass() is not instances._pass
+        assert estimators._state(copy).tensor is copy._tensor_pass()
 
 
 def rolled_task(mode: Mode, n: int = 12):
@@ -502,8 +506,8 @@ class TestTaskPass:
         model = RewardModel(rng.standard_normal(4) / 2, intercept=0.3, ridge_lambda=0.0)
         evaluate_policy(EstimatorKind.DR, params, log, model)
         tensor = instances._pass
-        shared = [tensor.features, tensor.k, instances.ids, tensor.preds,
-                  tensor.policies[0][1], tensor.policies[1][1], truth.rewards[log.ids[0]]]
+        shared = [tensor.features, tensor.k, tensor.ids, tensor.preds,
+                  tensor.policies[0][1], tensor.policies[1][1], truth.rewards[log.ids[0]], tensor.rewards]
         assert tensor.policies[1][0] is logger.params and tensor.policies[0][0] is params
         for array in shared:
             with pytest.raises(ValueError, match="read-only"):

@@ -68,13 +68,41 @@ def test_yaml_goes_through_serialize_alone(path):
     assert ("yaml" in module_imports(path)) == (path.stem == "serialize")
 
 
+def attributes(path: Path) -> set[str]:
+    """The attribute names a module reads or writes, as in ``x.name``."""
+    return {node.attr for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Attribute)}
+
+
+def names(path: Path) -> set[str]:
+    """Every name a module imports, reads or writes, attributes included."""
+    tree = ast.parse(path.read_text())
+    found = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    found |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return found | attributes(path)
+
+
 def test_serialize_builds_no_row_objects():
     """The log reader parses records straight into a log's columns, so it names neither row class."""
-    tree = ast.parse((PACKAGE / "serialize.py").read_text())
-    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
-    names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    assert not names & {"Instance", "LoggedTuple"}
+    assert not names(PACKAGE / "serialize.py") & {"Instance", "LoggedTuple"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_true_rewards_are_gathered_in_simulator_alone(path):
+    """``GroundTruth.reward_matrix`` is the one gather of true rewards, so no
+    other module reads the truth's private fields."""
+    assert path.stem == "simulator" or not attributes(path) & {"_matrix", "_row", "_counts"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_candidates_are_stacked_in_domain_and_simulator_alone(path):
+    assert path.stem in ("domain", "simulator") or "_stack_candidates" not in names(path)
+
+
+@pytest.mark.parametrize("module", ["training", "cli"])
+def test_softmaxes_come_from_a_pass_state(module):
+    """Training and the CLI read a policy's softmax and a truth's rewards from
+    a log's or a task's pass state, not from the stacking and softmax helpers."""
+    assert not names(PACKAGE / f"{module}.py") & {"_probs", "_stack_candidates"}
 
 
 def test_import_cflearn_loads_no_codec():

@@ -86,15 +86,18 @@ class TestGenerateTask:
 
     def test_instances_are_views_of_one_checked_tensor(self):
         instances, _, _ = generate_task(spec())
-        assert instances.ids.tolist() == [inst.id for inst in instances]
+        tensor = instances._pass
+        assert tensor.ids.tolist() == [inst.id for inst in instances]
         for row, inst in enumerate(instances):
-            assert np.shares_memory(inst.candidates, instances.features)
-            assert inst.candidates.tobytes() == instances.features[row].tobytes()
+            assert np.shares_memory(inst.candidates, tensor.features)
+            assert inst.candidates.tobytes() == tensor.features[row].tobytes()
             assert not inst.candidates.flags.writeable
         features = np.zeros((2, 3, 2))
         features[1, 2, 0] = np.inf
-        for bad in (features, np.zeros((2, 1, 2)), np.zeros((3, 2))):
-            with pytest.raises(ConfigurationError, match="finite \\(n, k, d\\) tensor"):
+        for bad, message in ((features, "instance 'i1': non-finite feature values"),
+                             (np.zeros((2, 1, 2)), "instance 'i0': need at least 2 candidates, got 1"),
+                             (np.zeros((3, 2)), "an \\(n, k, d\\) tensor, got \\(3, 2\\)")):
+            with pytest.raises(ConfigurationError, match=message):
                 TaskInstances([f"i{i}" for i in range(len(bad))], bad)
 
     def test_invalid_specs_rejected(self):
@@ -200,9 +203,18 @@ class TestRollLog:
         partial = GroundTruth(truth.reward_weights, {i: r for i, r in truth.rewards.items() if i != "i00003"})
         with pytest.raises(ConfigurationError, match="instance 'i00003' has no true rewards"):
             roll_log(instances, partial, policy)
-        short = GroundTruth(truth.reward_weights, {**truth.rewards, "i00001": np.full(3, 0.5)})
-        with pytest.raises(ConfigurationError, match="instance 'i00001' has 3 true rewards for 4 candidates"):
-            roll_log(list(instances), short, policy)
+        for ident in ("i00001", "i00000"):  # the matrix's first row too, whose index is 0
+            short = GroundTruth(truth.reward_weights, {**truth.rewards, ident: np.full(3, 0.5)})
+            with pytest.raises(ConfigurationError, match=f"instance '{ident}' has 3 true rewards for 4 candidates"):
+                roll_log(list(instances), short, policy)
+
+    def test_a_true_reward_outside_the_unit_interval_is_rejected(self):
+        from cflearn import ConfigurationError, GroundTruth
+
+        instances, truth, policy = generate_task(spec())
+        high = GroundTruth(truth.reward_weights, {**truth.rewards, "i00002": np.full(4, 1.5)})
+        with pytest.raises(ConfigurationError, match="reward 1.5 outside \\[0, 1\\]"):
+            roll_log(instances, high, policy)
 
     def test_same_seed_same_log(self):
         instances, truth, policy = generate_task(spec(logging_mode=Mode.STOCHASTIC))

@@ -328,11 +328,13 @@ class TestEvaluateTruth:
             Instance(f"x{i}", rng.standard_normal((int(rng.integers(2, 7)), 3))) for i in range(40)
         ]
         rewards = {inst.id: rng.uniform(0, 1, size=inst.k) for inst in instances}
+        narrow = [inst for inst in instances if inst.k <= 3]  # fewer candidates than the truth's widest row
         for _ in range(5):
             params = PolicyParams(rng.standard_normal(3) * 2.0, alpha=float(rng.uniform(0.5, 2.0)))
-            got = evaluate_truth(params, instances, self.ground_truth(rewards))
-            want = oracles.evaluate_truth(params, instances, self.ground_truth(rewards))
-            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+            for given in (instances, narrow):
+                got = evaluate_truth(params, given, self.ground_truth(rewards))
+                want = oracles.evaluate_truth(params, given, self.ground_truth(rewards))
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_reward_row_of_the_wrong_length_is_rejected(self, rng):
         instances = [Instance("a", rng.standard_normal((3, 2))), Instance("b", rng.standard_normal((4, 2)))]
@@ -349,6 +351,24 @@ class TestEvaluateTruth:
     def test_empty_instance_list_is_rejected(self):
         with pytest.raises(ValueError, match="at least one instance"):
             evaluate_truth(PolicyParams(np.zeros(2)), [], self.ground_truth({}))
+
+    def test_a_task_reads_the_gather_its_roll_kept(self, monkeypatch):
+        from cflearn import domain
+
+        instances, truth, logger = generate_task(TaskSpec(num_instances=30, k=4, d=5, seed=3))
+        roll_log(instances, truth, logger, rng=4)
+        gathers, softmaxes = [], []
+        gather, softmax = GroundTruth.reward_matrix, domain._softmax
+        monkeypatch.setattr(GroundTruth, "reward_matrix", lambda *args: gathers.append(1) or gather(*args))
+        monkeypatch.setattr(domain, "_softmax", lambda scores: softmaxes.append(1) or softmax(scores))
+        params = PolicyParams(np.random.default_rng(1).standard_normal(5))
+        got = evaluate_truth(params, instances, truth)
+        assert gathers == []
+        # the target's softmax is kept apart from the logger's, which the next roll reads again
+        roll_log(instances, truth, logger, rng=5)
+        assert len(softmaxes) == 1
+        want = evaluate_truth(params, list(instances), truth)
+        assert len(gathers) == 1 and got.hex() == want.hex()
 
     def test_train_trace_matches_oracle_on_the_train_log(self):
         spec = TaskSpec(num_instances=30, k=4, d=5, seed=3, logging_mode=Mode.STOCHASTIC)
