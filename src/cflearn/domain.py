@@ -31,7 +31,7 @@ class Mode(Enum):
 
 def _real(key: str, value):
     """``value`` if it is a real number with a finite float value; raises ValueError naming the key."""
-    if type(value) in (float, int) or not isinstance(value, bool) and isinstance(value, numbers.Real):
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
         with suppress(OverflowError):  # an integer beyond the float range
             if math.isfinite(value):
                 return value
@@ -40,7 +40,7 @@ def _real(key: str, value):
 
 def _integer(key: str, value, minimum: int | None = None) -> int:
     """``value`` if it is an integer of at least ``minimum``; raises ValueError naming the key."""
-    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{key} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{key} must be at least {minimum}, got {value}")
@@ -258,10 +258,11 @@ class Log:
             raise err
 
     def _fill(self, mode, *columns) -> None:
-        for column in columns:
+        object.__setattr__(self, "mode", mode)
+        for name, column in zip(("ids", "features", "k", "chosen", "rewards", "propensities"), columns):
             if column is not None:
                 column.setflags(write=False)
-        vars(self).update(zip(("ids", "features", "k", "chosen", "rewards", "propensities"), columns), mode=mode)
+            object.__setattr__(self, name, column)
 
     def __len__(self) -> int:
         return self.rewards.shape[0]
@@ -313,7 +314,7 @@ class Log:
 class _TensorPass:
     """The parts of a pass that depend on a candidate tensor alone, not on
     which candidates a log chose: a policy's softmax, a reward model's
-    predictions, D under the two, and a truth's rewards of the instances.
+    predictions and a truth's rewards of the instances.
 
     A generated task holds one, which every log rolled from it shares; any
     other log makes its own on first use.  The latest logging and target
@@ -323,13 +324,12 @@ class _TensorPass:
     nothing.  Its arrays are read-only.
     """
 
-    __slots__ = ("ids", "features", "k", "policies", "model", "preds", "truth", "rewards", "terms")
+    __slots__ = ("ids", "features", "k", "policies", "model", "preds", "truth", "rewards")
 
     def __init__(self, ids: np.ndarray, features: np.ndarray, k: np.ndarray) -> None:
         self.ids, self.features, self.k = ids, features, k
         self.policies = [(None, None), (None, None)]  # (params, probs): the target's, the logger's
         self.model = self.preds = self.truth = self.rewards = None
-        self.terms = (None, None, None)  # (probs, preds, D)
 
     def probs(self, params: "PolicyParams", logging: bool = False) -> np.ndarray:
         """The softmax of ``params``, kept as the latest target policy's or,
@@ -341,12 +341,10 @@ class _TensorPass:
             self.policies[logging] = (params, probs)
         return probs
 
-    def predictions(self, model, preds: np.ndarray | None = None) -> np.ndarray:
-        """``model``'s predictions over the candidates, taken from ``preds``
-        when the caller already holds them."""
+    def predictions(self, model) -> np.ndarray:
+        """``model``'s predictions over the candidates."""
         if model is not self.model:
-            if preds is None:
-                preds = model.predict_features(self.features)
+            preds = model.predict_features(self.features)
             preds.flags.writeable = False
             self.model, self.preds = model, preds
         return self.preds
@@ -358,15 +356,6 @@ class _TensorPass:
             rewards.setflags(write=False)
             self.truth, self.rewards = truth, rewards
         return self.rewards
-
-    def direct(self, probs: np.ndarray, preds: np.ndarray) -> np.ndarray:
-        """D_t = sum_y dhat(x_t, y) pi(y | x_t) of ``probs`` and ``preds``, both made by this pass."""
-        kept_probs, kept_preds, direct = self.terms
-        if probs is not kept_probs or preds is not kept_preds:
-            direct = (probs.T * preds.T).sum(axis=0)
-            direct.setflags(write=False)
-            self.terms = (probs, preds, direct)
-        return direct
 
 
 @dataclass(frozen=True, eq=False)

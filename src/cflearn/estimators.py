@@ -38,7 +38,7 @@ family.  Both rows of W are contracted against the (n k, d) feature matrix
 in one matrix product.  Every value and diagnostic here comes from that
 pass, except :func:`value_reweighted`.  Each log keeps its latest pass, so
 every kind run on one log at one policy and one reward model reads one
-softmax and one prediction, and the logs rolled from one task share theirs.
+softmax and one prediction, which the logs rolled from one task share.
 """
 
 from __future__ import annotations
@@ -195,8 +195,8 @@ class _LogPass:
     """The state of the passes over one log, kept on the log, from which
     :func:`value_and_grad` reads every part a previous pass already made.
 
-    The parts that depend only on the candidate tensor (the softmax, the
-    predictions over the candidates and D) come from the log's
+    The parts that depend only on the candidate tensor (the softmax and the
+    predictions over the candidates) come from the log's
     ``domain._TensorPass``, which every log rolled from one task shares.
     The terms no policy changes (each chosen cell's index and the d_max
     mask) are made with the state, and the W buffer by the first pass with a
@@ -209,7 +209,7 @@ class _LogPass:
     The arrays handed out are read-only.
     """
 
-    __slots__ = ("tensor", "picks", "dmax", "cells", "w", "row_b", "model", "preds", "preds_chosen",
+    __slots__ = ("tensor", "picks", "dmax", "cells", "w", "model", "preds", "preds_chosen",
                  "params", "probs", "rho", "rho_bar", "x", "a", "plain_a", "mass", "ess",
                  "y", "direct", "b")
 
@@ -219,24 +219,16 @@ class _LogPass:
         self.picks = log.chosen * n + np.arange(n)  # flat chosen cells of a (k_max, n) array
         self.dmax = dmax_mask(log.rewards)
         self.w = self.model = self.params = self.y = None
-        self.row_b = False  # whether row B of W holds a controlled pass's values
-
-    def predict(self, model: RewardModel, preds: np.ndarray | None = None) -> None:
-        """Bring the model part to ``model``, from ``preds`` when the caller
-        already holds its predictions over the log's candidates."""
-        if model is self.model:
-            return
-        preds = self.tensor.predictions(model, preds)
-        chosen = np.take(preds.T, self.picks)
-        _read_only(chosen)
-        self.model, self.preds, self.preds_chosen, self.y = model, preds, chosen, None
 
     def update(self, log: Log, params: PolicyParams, model: RewardModel | None) -> None:
         """Bring the pass to ``params`` and, unless it is None, ``model``.
         rho_bar, X, a and the diagnostics stay None when every weight is
         zero, and then so do Y, D and b."""
-        if model is not None:
-            self.predict(model)
+        if model is not None and model is not self.model:
+            preds = self.tensor.predictions(model)
+            chosen = np.take(preds.T, self.picks)
+            _read_only(chosen)
+            self.model, self.preds, self.preds_chosen, self.y = model, preds, chosen, None
         if params is not self.params:
             probs = self.tensor.probs(params)
             rho = _rho(log, np.take(probs.T, self.picks))
@@ -255,7 +247,7 @@ class _LogPass:
         if model is not None and self.y is None and self.rho_bar is not None:
             # Y_t = dhat_t rho_bar_t, D_t = sum_y dhat(x_t, y) pi_w(y | x_t), b = mean(D - Y)
             y = self.preds_chosen * self.rho_bar
-            direct = self.tensor.direct(self.probs, self.preds)
+            direct = (self.probs.T * self.preds.T).sum(axis=0)
             _read_only(y)
             self.y, self.direct, self.b = y, direct, _mean(direct - y)
 
@@ -285,10 +277,9 @@ class _LogPass:
             per_cell -= u * self.direct + coeff_b
             np.multiply(probs, per_cell.T, out=w[1])
             w[1].reshape(-1)[self.cells] += coeff_b
-        elif self.row_b:
+        else:
             w[1] = 0.0
-        self.row_b = kind.uses_reward_model
-        # row B stays zero without a model: every reweighted kind runs the
+        # row B is zero without a model: every reweighted kind runs the
         # same (2, n k) product, so the c = 0 reduction is bit-exact
         grads = np.zeros((2, d))
         grads += w.reshape(2, -1) @ log.features.reshape(-1, d)
@@ -309,15 +300,6 @@ def _state(log: Log) -> _LogPass:
         state = _LogPass(log)
         object.__setattr__(log, _STATE, state)
     return state
-
-
-def _subset(log: Log, index: np.ndarray, model: RewardModel | None) -> Log:
-    """``log.subset(index)``, which takes its rows of ``log``'s predictions
-    by ``model`` rather than predicting on its own."""
-    sub = log.subset(index)
-    if model is not None:
-        sub._tensor_pass().predictions(model, log._tensor_pass().predictions(model)[index])
-    return sub
 
 
 def value_and_grad(
@@ -351,15 +333,13 @@ def value_and_grad(
     state.update(log, params, model if controlled else None)
     if kind.reweighted and state.rho_bar is None:
         raise DegenerateSupportError(ZERO_WEIGHTS)
-    result = object.__new__(ObjectivePass)  # every field set at once, not one frozen setattr each
-    vars(result).update(
+    return ObjectivePass(
         kind=kind, probs=state.probs, rho=state.rho, rho_bar=state.rho_bar,
         x=state.x if kind.reweighted else None, y=state.y if controlled else None,
         a=state.a if kind.reweighted else state.plain_a, b=state.b if controlled else 0.0,
         grads=state.grads(kind, log, params.alpha, rows) if grad else None,
         mass_on_dmax=state.mass, effective_sample_size=state.ess,
     )
-    return result
 
 
 # The wrappers below run one family on a log of either mode: the plain

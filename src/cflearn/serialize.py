@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, fields, is_dataclass
 from functools import partial
+from itertools import chain
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -39,9 +40,8 @@ from .training import EpochRecord, TrainConfig, TrainTrace
 
 def _number(key: str, value) -> float:
     """``value`` as a float if it is a finite real number, not a bool or a
-    string; raises ValueError naming ``key``.  orjson reads no float beyond
-    the double range, so a float passes as it is."""
-    return value if type(value) is float else float(_real(key, value))
+    string; raises ValueError naming ``key``."""
+    return float(_real(key, value))
 
 
 def _vector(key: str, values) -> np.ndarray:
@@ -57,10 +57,17 @@ _CONVERTERS = {  # (key, JSON value) -> the value as a field of the declared typ
     np.ndarray: _vector,
     float: _number,
     Mode: lambda key, value: _member(key, Mode, value),
-    dict[str, np.ndarray]: lambda key, values: {
-        name: _vector(f"{key}.{name}", vector) for name, vector in dict(values).items()
-    },
+    dict[str, np.ndarray]: lambda key, values: _rows(key, dict(values)),
 }
+
+
+def _rows(key: str, rows: dict) -> dict:
+    """``rows`` if each value is a list of JSON numbers, all tested in one pass
+    (GroundTruth converts them as one array); raises ValueError naming the first that is not."""
+    cells = chain.from_iterable(rows.values())
+    if {list}.issuperset(map(type, rows.values())) and {int, float}.issuperset(map(type, cells)):
+        return rows
+    return {name: _vector(f"{key}.{name}", values) for name, values in rows.items()}
 
 
 def _fields(record) -> dict:

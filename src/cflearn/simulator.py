@@ -15,6 +15,7 @@ near-ties.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -64,12 +65,11 @@ class GroundTruth:
     rewards: dict[str, np.ndarray]  # instance id -> (k,) true rewards
 
     def __post_init__(self) -> None:
-        rows = [np.asarray(values, dtype=float) for values in self.rewards.values()]
-        counts = np.array([row.size for row in rows], dtype=np.intp)
+        rows = self.rewards.values()
+        counts = np.array([len(row) for row in rows], dtype=np.intp)
         matrix = np.zeros((len(rows), counts.max(initial=0)))
-        # the mask's cells run row by row, as the rows do in their concatenation;
-        # the empty head lets a truth of no rows concatenate
-        matrix[np.arange(matrix.shape[1]) < counts[:, None]] = np.concatenate([np.zeros(0), *rows])
+        # the mask's cells run row by row, as the rows do in their chain
+        matrix[np.arange(matrix.shape[1]) < counts[:, None]] = np.fromiter(chain.from_iterable(rows), float)
         self._fill(self.reward_weights, list(self.rewards), matrix, counts)
 
     @classmethod

@@ -16,7 +16,7 @@ import numpy as np
 
 from .domain import Instance, Log, PolicyParams, _integer, _member, _real
 from .errors import ConfigurationError, DegenerateSupportError, ScoreOverflowError
-from .estimators import EstimatorKind, _subset, check_log, value_and_grad
+from .estimators import EstimatorKind, check_log, value_and_grad
 from .reward import RewardModel, fit_reward_model
 from .simulator import GroundTruth, _instances_pass
 
@@ -192,8 +192,7 @@ def train(
             else:
                 for idx in batches:  # normalized within the batch or over the full log
                     if config.normalize == "batch":
-                        sub = _subset(train_log, idx, model)
-                        batch = value_and_grad(kind, params, sub, model)
+                        batch = value_and_grad(kind, params, train_log.subset(idx), model)
                     else:
                         batch = value_and_grad(kind, params, train_log, model, rows=idx)
                     params = _step(params, config.learning_rate, batch.grad(c_hat))

@@ -4,8 +4,11 @@ import contextlib
 import csv
 import io
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 import warnings
 from functools import partial
 from pathlib import Path
@@ -16,6 +19,7 @@ import yaml
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import cflearn
 import oracles
 from cflearn import Instance, Log, LoggedTuple, Mode, PolicyParams, serialize
 from cflearn.cli import main
@@ -228,6 +232,27 @@ class TestTrain:
             runs.append(run)
         for artifact in ("params.json", "trace.csv"):
             assert (runs[0] / artifact).read_bytes() == (runs[1] / artifact).read_bytes()
+
+    def test_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # n=1000, k=20, d=50 is the smallest train log at which a gradient made of threaded
+        # matrix-vector products was seen to write different files at 1 and 2 threads
+        overrides = {"task.num_instances": 1250, "task.k": 20, "task.d": 50, "task.logging_mode": "stochastic",
+                     "train.kind": "cdr", "train.epochs": 5, "train.learning_rate": 0.5}
+        config = write_config(tmp_path / "config.yaml", splits=[0.8, 0.2, 0.0], **overrides)
+        assert main(["generate-log", "--config", str(config)]) == 0
+        train_log = tmp_path / "out" / "train.jsonl"
+        src = str(Path(cflearn.__file__).parents[1])
+        runs = [
+            subprocess.Popen(
+                [sys.executable, "-m", "cflearn.cli", "train", "--config", str(config),
+                 "--log", str(train_log), "--out", str(tmp_path / threads)],
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src},
+            )
+            for threads in ("1", "2")
+        ]
+        assert [run.wait(timeout=120) for run in runs] == [0, 0]
+        for artifact in ("params.json", "trace.csv"):
+            assert (tmp_path / "1" / artifact).read_bytes() == (tmp_path / "2" / artifact).read_bytes()
 
 
 class TestEvaluate:
@@ -754,6 +779,9 @@ class TestBadPayloads:
                      id="truth-reward-string"),
         pytest.param("truth", "rewards.i00000", lambda p: p["rewards"]["i00000"].__setitem__(0, True),
                      id="truth-reward-bool"),
+        pytest.param("truth", "rewards.i00039", lambda p: p["rewards"]["i00039"].__setitem__(3, True),
+                     id="truth-reward-bool-last-row"),
+        pytest.param("truth", "rewards.i00007", lambda p: p["rewards"].update(i00007=0.5), id="truth-reward-row-number"),
         pytest.param("params", "weights", lambda p: p["weights"].__setitem__(0, "0.25"), id="params-weight-string"),
         pytest.param("model", "weights", lambda p: p["weights"].__setitem__(0, True), id="model-weight-bool"),
     ])

@@ -59,6 +59,16 @@ class TestGenerateTask:
         write_truth(tmp_path / "rebuilt.json", rebuilt, policy)
         assert (tmp_path / "generated.json").read_bytes() == (tmp_path / "rebuilt.json").read_bytes()
 
+    def test_a_truth_of_ragged_number_lists_holds_float_arrays_zero_past_each_row(self):
+        # read_truth hands the JSON lists to GroundTruth, which converts them in one array
+        from cflearn import GroundTruth
+
+        truth = GroundTruth([1, -2], {"a": [0.5, 1], "b": [0, 0.25, 0.75]})
+        assert truth.reward_weights.dtype == float and truth.reward_weights.tolist() == [1.0, -2.0]
+        assert [row.tolist() for row in truth.rewards.values()] == [[0.5, 1.0], [0.0, 0.25, 0.75]]
+        matrix = truth.reward_matrix(["a", "b"], np.array([2, 3]), 4)
+        assert matrix.tolist() == [[0.5, 1.0, 0.0, 0.0], [0.0, 0.25, 0.75, 0.0]]
+
     def test_sigmoid_equals_the_two_branch_formula(self):
         x = np.concatenate([np.random.default_rng(4).standard_normal(1000) * 20,
                             [0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0, 745.0, -745.0, 800.0, -800.0]])
