@@ -314,7 +314,8 @@ class Log:
 class _TensorPass:
     """The parts of a pass that depend on a candidate tensor alone, not on
     which candidates a log chose: a policy's softmax, a reward model's
-    predictions and a truth's rewards of the instances.
+    predictions and a truth's rewards of the instances.  It sets the pass's
+    layout: the softmax and the predictions are candidate-major.
 
     A generated task holds one, which every log rolled from it shares; any
     other log makes its own on first use.  The latest logging and target
@@ -342,9 +343,9 @@ class _TensorPass:
         return probs
 
     def predictions(self, model) -> np.ndarray:
-        """``model``'s predictions over the candidates."""
+        """``model``'s predictions over the candidates, candidate-major like the softmax."""
         if model is not self.model:
-            preds = model.predict_features(self.features)
+            preds = np.ascontiguousarray(model.predict_features(self.features).T).T
             preds.flags.writeable = False
             self.model, self.preds = model, preds
         return self.preds

@@ -34,11 +34,12 @@ with ``ybar`` the mean of Y and ``D_t = sum_y dhat(x_t, y) pi_w(y | x_t)``.
 Subtracting ``a rho_bar_t`` centres the scores at their rho_bar-weighted
 mean, which makes A the exact derivative of the self-normalized value; the
 finite-difference harness in :mod:`cflearn.gradients` confirms every
-family.  Both rows of W are contracted against the (n k, d) feature matrix
-in one matrix product.  Every value and diagnostic here comes from that
-pass, except :func:`value_reweighted`.  Each log keeps its latest pass, so
-every kind run on one log at one policy and one reward model reads one
-softmax and one prediction, which the logs rolled from one task share.
+family.  W, candidate-major like ``probs.T``, takes the features' (n k)
+order only to meet them in one matrix product.  Every value and diagnostic
+here comes from that pass, except :func:`value_reweighted`.  Each log keeps
+its latest pass, so every kind run on one log at one policy and one reward
+model reads one softmax and one prediction, which the logs rolled from one
+task share.
 """
 
 from __future__ import annotations
@@ -197,21 +198,20 @@ class _LogPass:
 
     The parts that depend only on the candidate tensor (the softmax and the
     predictions over the candidates) come from the log's
-    ``domain._TensorPass``, which every log rolled from one task shares.
-    The terms no policy changes (each chosen cell's index and the d_max
-    mask) are made with the state, and the W buffer by the first pass with a
-    gradient.  The model part (the predictions at the chosen cells) belongs
-    to ``model``; the policy part (``probs``, rho, rho_bar, X, the plain and
-    self-normalized a and the diagnostics) to ``params``; Y, D and b to
-    both.  Both objects are matched by identity, which is sound because they
-    are immutable and held here.  Each part is computed before it is
-    assigned, so an error leaves every part matching the objects it records.
-    The arrays handed out are read-only.
+    ``domain._TensorPass``, which every log rolled from one task shares and
+    which sets their layout.  The terms no policy changes (``picks``, the
+    chosen cells in that layout, and the d_max mask) are made with the state,
+    and the W buffer by the first pass with a gradient.  The model part (the
+    predictions at the chosen cells) belongs to ``model``; the policy part
+    (``probs``, rho, rho_bar, X, the plain and self-normalized a and the
+    diagnostics) to ``params``; Y, D and b to both.  Both objects are matched
+    by identity, which is sound because they are immutable and held here.  Each
+    part is computed before it is assigned, so an error leaves every part
+    matching the objects it records.  The arrays handed out are read-only.
     """
 
-    __slots__ = ("tensor", "picks", "dmax", "cells", "w", "model", "preds", "preds_chosen",
-                 "params", "probs", "rho", "rho_bar", "x", "a", "plain_a", "mass", "ess",
-                 "y", "direct", "b")
+    __slots__ = ("tensor", "picks", "dmax", "w", "model", "preds", "preds_chosen", "params", "probs",
+                 "rho", "rho_bar", "x", "a", "plain_a", "mass", "ess", "y", "direct", "b")
 
     def __init__(self, log: Log) -> None:
         n = len(log)
@@ -256,8 +256,7 @@ class _LogPass:
         over ``rows`` (every position when None)."""
         n, k_max, d = log.features.shape
         if self.w is None:
-            self.w = np.zeros((2, n, k_max))
-            self.cells = np.arange(n) * k_max + log.chosen  # flat chosen cells of an (n, k_max) array
+            self.w = np.zeros((2, k_max, n))  # candidate-major, like probs.T
         u = np.full(n, 1.0 / n)
         if rows is not None:
             u = np.zeros(n)
@@ -268,21 +267,22 @@ class _LogPass:
             coeff_a = u * log.rewards * self.rho
         # each row is pi times a per-cell coefficient, plus the tuple's
         # coefficient of e_{y_t} at its chosen cell
-        w, probs = self.w, self.probs
-        np.multiply(probs, -coeff_a[:, None], out=w[0])
-        w[0].reshape(-1)[self.cells] += coeff_a
+        w, probs = self.w, self.probs.T
+        np.multiply(probs, -coeff_a, out=w[0])
+        w[0].reshape(-1)[self.picks] += coeff_a
         if kind.uses_reward_model:
             coeff_b = (u @ self.y / n) * self.rho_bar - u * self.y
             per_cell = self.preds.T * u  # u_t dhat(x_t, y) - (u_t D_t + coeff_b_t)
             per_cell -= u * self.direct + coeff_b
-            np.multiply(probs, per_cell.T, out=w[1])
-            w[1].reshape(-1)[self.cells] += coeff_b
+            np.multiply(probs, per_cell, out=w[1])
+            w[1].reshape(-1)[self.picks] += coeff_b
         else:
             w[1] = 0.0
         # row B is zero without a model: every reweighted kind runs the
-        # same (2, n k) product, so the c = 0 reduction is bit-exact
+        # same product, so the c = 0 reduction is bit-exact; only its
+        # operand takes the features' (n k) order
         grads = np.zeros((2, d))
-        grads += w.reshape(2, -1) @ log.features.reshape(-1, d)
+        grads += w.transpose(0, 2, 1).reshape(2, -1) @ log.features.reshape(-1, d)
         grads *= alpha
         return grads
 

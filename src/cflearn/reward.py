@@ -2,9 +2,9 @@
 
 The direct reward model is a ridge regression of logged rewards on the
 features of the chosen candidates; predictions are clipped to [0, 1], the
-range rewards live in.  The control scalar is the variance-minimizing
-multiplier Cov(X, Y) / Var(Y) of two paired samples; :mod:`cflearn.estimators`
-defines the X and Y of the controlled objective.
+range rewards live in; a log's pass state sets their layout.  The control
+scalar is the variance-minimizing multiplier Cov(X, Y) / Var(Y) of two
+paired samples; :mod:`cflearn.estimators` defines its X and Y.
 """
 
 from __future__ import annotations
@@ -42,10 +42,9 @@ class RewardModel:
         return self.weights.shape[0]
 
     def predict_features(self, features: np.ndarray) -> np.ndarray:
-        """Clipped predictions for feature arrays of shape (..., d); raises
-        :class:`ScoreOverflowError` when one leaves the float range.  The
-        (n, k) predictions over a candidate tensor are candidate-major, laid
-        out like the policy probabilities."""
+        """Clipped predictions, plain values of shape (...), for feature
+        arrays of shape (..., d); raises :class:`ScoreOverflowError` when one
+        leaves the float range."""
         features = np.asarray(features, dtype=float)
         if features.shape[-1] != self.dim:
             raise ConfigurationError(
@@ -53,10 +52,7 @@ class RewardModel:
                 f"with last axis {features.shape[-1]}"
             )
         with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-            predictions = features @ self.weights
-            if predictions.ndim == 2:
-                predictions = np.ascontiguousarray(predictions.T).T
-            predictions = predictions + self.intercept
+            predictions = features @ self.weights + self.intercept
         if not np.isfinite(predictions).all():
             raise ScoreOverflowError(
                 "reward model predictions overflowed: weights . features + intercept is not finite"

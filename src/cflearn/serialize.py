@@ -81,16 +81,17 @@ def _fields(record) -> dict:
 
 
 def _write_json(path: str | Path, payload: dict) -> None:
-    options = orjson.OPT_INDENT_2 | orjson.OPT_SERIALIZE_NUMPY
-    Path(path).write_bytes(orjson.dumps(payload, option=options) + b"\n")
+    options = orjson.OPT_INDENT_2 | orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
+    Path(path).write_bytes(orjson.dumps(payload, option=options))
 
 
 def write_log(path: str | Path, log: Log) -> None:
     """Write the header and then one record per row, line by line."""
     propensities = None if log.propensities is None else log.propensities.tolist()
     columns = zip(log.ids.tolist(), log.k.tolist(), log.chosen.tolist(), log.rewards.tolist())
+    options = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
     with open(path, "wb") as handle:
-        handle.write(orjson.dumps({"mode": log.mode.value}) + b"\n")
+        handle.write(orjson.dumps({"mode": log.mode.value}, option=options))
         for row, (ident, k, chosen, reward) in enumerate(columns):
             record = {
                 "id": ident,
@@ -100,7 +101,7 @@ def write_log(path: str | Path, log: Log) -> None:
             }
             if propensities is not None:
                 record["propensity"] = propensities[row]
-            handle.write(orjson.dumps(record, option=orjson.OPT_SERIALIZE_NUMPY) + b"\n")
+            handle.write(orjson.dumps(record, option=options))
 
 
 # A log file is read _BUFFER bytes at a time: more than a record line (about

@@ -484,6 +484,20 @@ class TestTaskPass:
             with pytest.raises(ValueError, match="read-only"):
                 array[(0,) * array.ndim] = 1
 
+    @pytest.mark.parametrize("ragged", [False, True], ids=["uniform", "ragged"])
+    def test_the_tensor_pass_lays_out_its_arrays_candidate_major(self, rng, ragged):
+        """The softmax and the predictions are read-only (n, k_max) views of
+        C-contiguous (k_max, n) arrays, holding the values the unkept paths give."""
+        log = ragged_log(rng, 7, 3, Mode.STOCHASTIC) if ragged else random_log(rng, 7, 4, 3, Mode.STOCHASTIC)
+        tensor = log._tensor_pass()
+        params = PolicyParams(rng.standard_normal(3))
+        model = RewardModel(rng.standard_normal(3) / 2, intercept=0.3, ridge_lambda=0.0)
+        for got, want in ((tensor.probs(params), log.probs(params)),
+                          (tensor.predictions(model), model.predict_features(log.features))):
+            assert got.shape == (7, 5 if ragged else 4)
+            assert got.T.flags.c_contiguous and not got.flags.writeable
+            assert got.tobytes() == want.tobytes()
+
 
 class TestEffectiveSampleSize:
     def test_finite_when_every_weight_is_tiny(self):

@@ -98,6 +98,21 @@ def test_candidates_are_stacked_in_domain_and_simulator_alone(path):
     assert path.stem in ("domain", "simulator") or "_stack_candidates" not in names(path)
 
 
+def transposed_copies(path: Path) -> list[int]:
+    """The lines on which a module makes a contiguous copy of a transpose, ``np.ascontiguousarray(x.T)``."""
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "ascontiguousarray" and node.args
+            and isinstance(node.args[0], ast.Attribute) and node.args[0].attr == "T"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_pass_layout_is_set_in_domain_alone(path):
+    """The tensor pass sets the candidate-major layout of a pass, so no other
+    module copies an array into its transpose's order."""
+    assert path.stem == "domain" or transposed_copies(path) == []
+
+
 @pytest.mark.parametrize("module", ["training", "cli"])
 def test_softmaxes_come_from_a_pass_state(module):
     """Training and the CLI read a policy's softmax and a truth's rewards from
