@@ -20,9 +20,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .domain import Log, Mode
+from .domain import Log
 from .errors import DegenerateSupportError
-from .estimators import dmax_mask
+from .estimators import _rho, dmax_mask
 from .simulator import TaskSpec, generate_task, roll_log
 from .training import TrainConfig, TrainTrace, train
 
@@ -61,37 +61,22 @@ def partition_dmax(log: Log) -> DmaxPartition:
     )
 
 
-def _over_propensities(values: np.ndarray, log: Log) -> np.ndarray:
-    """``values`` divided by mu_t, the logged propensities; a deterministic
-    log's mu_t is 1, and dividing by 1 is exact, so it is skipped."""
-    return values / log.propensities if log.mode is Mode.STOCHASTIC else values
+def assignment_value(assignments: np.ndarray, log: Log) -> np.ndarray | float:
+    """Plain importance-weighted value of raw probability assignments,
+    (1/n) sum_t delta_t pi_t / mu_t, for each row of an (..., n) array: one
+    value per row, and one number for one assignment."""
+    return _rho(log, log.rewards * np.asarray(assignments, dtype=float)).mean(axis=-1)
 
 
-def _values(assignments: np.ndarray, log: Log) -> np.ndarray:
-    """Plain value of each assignment row of an (..., n) array."""
-    assignments = np.asarray(assignments, dtype=float)
-    return _over_propensities(log.rewards * assignments, log).mean(axis=-1)
-
-
-def _values_reweighted(assignments: np.ndarray, log: Log) -> np.ndarray:
-    """Self-normalized value of each assignment row of an (..., n) array."""
-    weights = _over_propensities(np.asarray(assignments, dtype=float), log)
+def assignment_value_reweighted(assignments: np.ndarray, log: Log) -> np.ndarray | float:
+    """Self-normalized value of raw probability assignments,
+    sum(delta pi/mu) / sum(pi/mu), for each row of an (..., n) array: one
+    value per row, and one number for one assignment."""
+    weights = _rho(log, np.asarray(assignments, dtype=float))
     total = weights.sum(axis=-1)
     if np.any(total <= 0.0):
         raise DegenerateSupportError("assignment puts zero mass on every tuple")
     return (log.rewards * weights).sum(axis=-1) / total
-
-
-def assignment_value(assignment: np.ndarray, log: Log) -> float:
-    """Plain importance-weighted value of a raw probability assignment:
-    (1/n) sum_t delta_t pi_t / mu_t."""
-    return float(_values(assignment, log))
-
-
-def assignment_value_reweighted(assignment: np.ndarray, log: Log) -> float:
-    """Self-normalized value of a raw probability assignment:
-    sum(delta pi/mu) / sum(pi/mu)."""
-    return float(_values_reweighted(assignment, log))
 
 
 def probe_theorem1(log: Log, seed: int = 0, trials: int = 200) -> ProbeResult:
@@ -112,7 +97,7 @@ def probe_theorem1(log: Log, seed: int = 0, trials: int = 200) -> ProbeResult:
     n = len(log)
     reference = assignment_value(np.ones(n), log)
     challengers = np.random.default_rng(seed).random((trials, n))  # every coordinate < 1
-    values = _values(challengers, log)
+    values = assignment_value(challengers, log)
     failed = np.flatnonzero(values >= reference)
     seen = values[: failed[0] + 1] if failed.size else values
     return ProbeResult(
@@ -184,7 +169,7 @@ def probe_theorem2(log: Log, seed: int = 0, trials: int = 200) -> ProbeResult:
     for stage, (draws, support) in enumerate(((confined, dmax), (outside, rest), (avoiding, rest))):
         assignments[stage, every, support[picks[stage]]] = 1.0 - draws[:, -1]
 
-    values = _values_reweighted(assignments, log).T  # (trials, 3), in draw order
+    values = assignment_value_reweighted(assignments, log).T  # (trials, 3), in draw order
     failed = values >= part.delta_max
     failed[:, 0] = np.abs(values[:, 0] - part.delta_max) > DEGENERATE_VALUE_TOL
     # a confined challenger counts toward the worst value only when it fails

@@ -173,13 +173,9 @@ def _stack_candidates(matrices: list[np.ndarray]) -> tuple[np.ndarray, np.ndarra
     dims = {m.shape[1] for m in matrices}
     if len(dims) > 1:
         raise ConfigurationError(f"log mixes feature dimensions {sorted(dims)}")
-    n, k_max, d = len(matrices), max(k), dims.pop()
-    if min(k) == k_max:
-        features = np.concatenate(matrices).reshape(n, k_max, d)
-    else:
-        features = np.zeros((n, k_max, d))
-        for row, (m, count) in enumerate(zip(matrices, k)):
-            features[row, :count] = m
+    features = np.zeros((len(matrices), max(k), dims.pop()))
+    for row, (m, count) in enumerate(zip(matrices, k)):
+        features[row, :count] = m
     return features, np.array(k, dtype=np.intp)
 
 

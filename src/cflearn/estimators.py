@@ -200,17 +200,17 @@ class _LogPass:
     predictions over the candidates) come from the log's
     ``domain._TensorPass``, which every log rolled from one task shares and
     which sets their layout.  The terms no policy changes (``picks``, the
-    chosen cells in that layout, and the d_max mask) are made with the state,
-    and the W buffer by the first pass with a gradient.  The model part (the
-    predictions at the chosen cells) belongs to ``model``; the policy part
-    (``probs``, rho, rho_bar, X, the plain and self-normalized a and the
-    diagnostics) to ``params``; Y, D and b to both.  Both objects are matched
-    by identity, which is sound because they are immutable and held here.  Each
-    part is computed before it is assigned, so an error leaves every part
-    matching the objects it records.  The arrays handed out are read-only.
+    chosen cells in that layout, and the d_max mask) are made with the state.
+    The model part (the predictions at the chosen cells) belongs to
+    ``model``; the policy part (``probs``, rho, rho_bar, X, the plain and
+    self-normalized a and the diagnostics) to ``params``; Y, D and b to both.
+    Both objects are matched by identity, which is sound because they are
+    immutable and held here.  Each part is computed before it is assigned, so
+    an error leaves every part matching the objects it records.  The arrays
+    handed out are read-only.  The gradient's W is scratch, made by each call.
     """
 
-    __slots__ = ("tensor", "picks", "dmax", "w", "model", "preds", "preds_chosen", "params", "probs",
+    __slots__ = ("tensor", "picks", "dmax", "model", "preds", "preds_chosen", "params", "probs",
                  "rho", "rho_bar", "x", "a", "plain_a", "mass", "ess", "y", "direct", "b")
 
     def __init__(self, log: Log) -> None:
@@ -218,7 +218,7 @@ class _LogPass:
         self.tensor = log._tensor_pass()
         self.picks = log.chosen * n + np.arange(n)  # flat chosen cells of a (k_max, n) array
         self.dmax = dmax_mask(log.rewards)
-        self.w = self.model = self.params = self.y = None
+        self.model = self.params = self.y = None
 
     def update(self, log: Log, params: PolicyParams, model: RewardModel | None) -> None:
         """Bring the pass to ``params`` and, unless it is None, ``model``.
@@ -255,8 +255,6 @@ class _LogPass:
         """Gradient rows A and B of ``kind`` at the current pass, averaged
         over ``rows`` (every position when None)."""
         n, k_max, d = log.features.shape
-        if self.w is None:
-            self.w = np.zeros((2, k_max, n))  # candidate-major, like probs.T
         u = np.full(n, 1.0 / n)
         if rows is not None:
             u = np.zeros(n)
@@ -267,7 +265,7 @@ class _LogPass:
             coeff_a = u * log.rewards * self.rho
         # each row is pi times a per-cell coefficient, plus the tuple's
         # coefficient of e_{y_t} at its chosen cell
-        w, probs = self.w, self.probs.T
+        w, probs = np.empty((2, k_max, n)), self.probs.T  # W is candidate-major, like probs.T
         np.multiply(probs, -coeff_a, out=w[0])
         w[0].reshape(-1)[self.picks] += coeff_a
         if kind.uses_reward_model:

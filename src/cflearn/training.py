@@ -177,7 +177,7 @@ def train(
     best_value = -np.inf
     best_params = params
     stale = 0
-    c_hat = 1.0
+    c_hat = 0.0 if kind.estimates_control else kind.control or 0.0  # cDC/cDR estimate it below
     current = None  # the train-log pass at the current params
 
     for epoch in range(1, config.epochs + 1):

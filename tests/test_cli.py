@@ -255,6 +255,24 @@ class TestTrain:
             assert (tmp_path / "1" / artifact).read_bytes() == (tmp_path / "2" / artifact).read_bytes()
 
 
+@pytest.mark.parametrize("command, section", [("generate-log", "task"), ("train", "train")])
+def test_seed_option_writes_the_bytes_of_a_config_with_that_seed(tmp_path, command, section):
+    """``--seed`` overrides the task seed of generate-log and the training seed of train."""
+    minibatches = {"train.batch_size": 5}  # so the training seed shuffles something
+    config = write_config(tmp_path / "config.yaml", **minibatches)
+    seeded = write_config(tmp_path / "seeded.yaml", **minibatches, **{f"{section}.seed": 4})
+    assert main(["generate-log", "--config", str(config)]) == 0
+
+    def run(path, name, *seed):
+        argv = [command, "--config", str(path), "--out", str(tmp_path / name), *seed]
+        if command == "train":
+            argv += ["--log", str(tmp_path / "out" / "train.jsonl")]
+        assert main(argv) == 0
+        return {file.name: file.read_bytes() for file in (tmp_path / name).iterdir()}
+
+    assert run(config, "option", "--seed", "4") == run(seeded, "seeded") != run(config, "own")
+
+
 class TestEvaluate:
     def test_report_with_truth_and_self_comparison(self, workspace, tmp_path):
         config, out = workspace
@@ -483,6 +501,14 @@ class TestUsageErrors:
          # indexable, but 8 bytes a value overflow numpy's array size: only the file can be named
          pytest.param({"task.num_instances": 2**58}, "", id="unallocatable-num_instances"),
          pytest.param({"output_dir": [1]}, "output_dir", id="list-output_dir"),
+         pytest.param({"task": [4]}, "expected a mapping", id="list-task"),
+         pytest.param(_edited_config(lambda b: b.replace(b"split_seed: 2", b"split_seed: \x07")),
+                      "config.yaml:2: not valid YAML", id="yaml-control-character"),
+         pytest.param({"task.logger_alpha": 0}, "logger_alpha", id="zero-logger_alpha"),
+         pytest.param({"train.c_refresh": "never"}, "c_refresh", id="c_refresh"),
+         pytest.param({"train.init": "ones"}, "init", id="init"),
+         pytest.param({"train.ridge_lambda": -1}, "ridge_lambda", id="negative-ridge_lambda"),
+         pytest.param({"train.alpha": 0}, "alpha must be positive", id="zero-alpha"),
          pytest.param(_params_kind, "kind", id="params-kind")],
     )
     def test_bad_config_value_exits_one_naming_the_key(self, tmp_path, monkeypatch, capsys, override, key):
@@ -497,6 +523,16 @@ class TestUsageErrors:
         assert err.startswith(f"cflearn: error: {path}:")
         assert key in err and err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "out").exists()  # the config's output_dir is made only on success
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--estimator", "dc", "--log", "test.jsonl"], "estimator dc needs --model reward_model.json"),
+        ([], "pass at least one --log file"),
+    ], ids=["model-kind-without-model", "no-log"])
+    def test_evaluate_without_a_file_it_needs_exits_one(self, tmp_path, capsys, argv, message):
+        params = tmp_path / "params.json"
+        serialize.write_params(params, PolicyParams(np.zeros(5)), {"kind": "dpm-r"})
+        assert main(["evaluate", "--params", str(params), *argv]) == 1
+        assert capsys.readouterr().err == f"cflearn: error: {message}\n"
 
 
 # values that replace one value of the config: wrong types, non-finite or

@@ -84,6 +84,21 @@ class TestAssignmentValues:
             assignment_value_reweighted([0.0, 0.0], plain_log([0.5, 0.6]))
 
 
+    @pytest.mark.parametrize("stochastic", [False, True], ids=["deterministic", "stochastic"])
+    @pytest.mark.parametrize("value", [assignment_value, assignment_value_reweighted], ids=lambda f: f.__name__)
+    def test_a_batch_gives_each_row_its_own_value(self, rng, value, stochastic):
+        propensities = list(rng.uniform(0.2, 1.0, size=6)) if stochastic else None
+        log = plain_log(list(rng.uniform(0.1, 0.9, size=6)), propensities)
+        assignments = rng.random((2, 3, 6))
+        values = value(assignments, log)
+        assert values.shape == (2, 3)
+        assert values.tolist() == [[value(row, log) for row in block] for block in assignments]
+        assert isinstance(value(assignments[0, 0], log), float)
+
+    def test_a_batch_with_one_zero_row_raises(self):
+        with pytest.raises(DegenerateSupportError):
+            assignment_value_reweighted([[0.5, 0.5], [0.0, 0.0]], plain_log([0.5, 0.6]))
+
 class TestProbes:
     def test_theorem1_single_tuple(self):
         log = plain_log([1.0], propensities=[1.0])

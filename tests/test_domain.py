@@ -137,6 +137,18 @@ class TestTypeInvariants:
         with pytest.raises(ConfigurationError):
             PolicyParams(np.zeros(2), alpha=0.0)
 
+    @pytest.mark.parametrize("weights, message", [(np.zeros((2, 2)), "must be a vector"),
+                                                  ([0.0, np.nan], "non-finite"), ([np.inf], "non-finite")],
+                             ids=["matrix", "nan", "inf"])
+    def test_params_require_a_finite_vector(self, weights, message):
+        with pytest.raises(ConfigurationError, match=message):
+            PolicyParams(weights)
+
+    def test_log_rejects_mixed_feature_dimensions(self, rng):
+        tuples = tuple(LoggedTuple(Instance(f"x{d}", rng.standard_normal((2, d))), 0, 0.5) for d in (2, 3))
+        with pytest.raises(ConfigurationError, match=r"mixes feature dimensions \[2, 3\]"):
+            Log(tuples, Mode.DETERMINISTIC)
+
     def test_mixed_modes_work_as_declared(self, rng):
         log = random_log(rng, 5, 3, 2, Mode.STOCHASTIC)
         assert len(log) == 5

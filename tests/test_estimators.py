@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cflearn import (
+    ConfigurationError,
     DegenerateSupportError,
     EstimatorKind,
     Instance,
@@ -288,6 +289,17 @@ class TestKindDispatch:
         log = random_log(rng, 5, 3, 2, Mode.DETERMINISTIC)
         with pytest.raises(ValueError, match="rows"):
             value_and_grad(EstimatorKind.DPM_R, PolicyParams(np.zeros(2)), log, rows=np.array([], int))
+
+    def test_params_of_another_dimension_rejected(self, rng):
+        log = random_log(rng, 5, 3, 2, Mode.DETERMINISTIC)
+        with pytest.raises(ConfigurationError, match="weight dimension 3 does not match log feature dimension 2"):
+            value_and_grad(EstimatorKind.DPM, PolicyParams(np.zeros(3)), log)
+
+    @pytest.mark.parametrize("kind", [EstimatorKind.DC, EstimatorKind.CDC], ids=lambda k: k.value)
+    def test_model_kind_without_a_model_rejected(self, rng, kind):
+        log = random_log(rng, 5, 3, 2, Mode.DETERMINISTIC)
+        with pytest.raises(ValueError, match=f"estimator {kind.value} needs a reward model"):
+            value_and_grad(kind, PolicyParams(np.zeros(2)), log)
 
     def test_required_modes(self):
         stochastic = {EstimatorKind.IPS, EstimatorKind.IPS_R, EstimatorKind.DR, EstimatorKind.CDR}

@@ -113,6 +113,21 @@ def test_pass_layout_is_set_in_domain_alone(path):
     assert path.stem == "domain" or transposed_copies(path) == []
 
 
+def propensity_divisions(path: Path) -> list[int]:
+    """The lines on which a module divides by a ``.propensities`` attribute, with ``/`` or ``/=``."""
+    nodes = list(ast.walk(ast.parse(path.read_text())))
+    divisors = [node.right for node in nodes if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)]
+    divisors += [node.value for node in nodes if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Div)]
+    return [node.lineno for node in divisors if isinstance(node, ast.Attribute) and node.attr == "propensities"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_propensities_divide_in_estimators_alone(path):
+    """``estimators._rho`` is the one importance weight pi/mu, so no other
+    module divides by a log's propensities."""
+    assert path.stem == "estimators" or propensity_divisions(path) == []
+
+
 @pytest.mark.parametrize("module", ["training", "cli"])
 def test_softmaxes_come_from_a_pass_state(module):
     """Training and the CLI read a policy's softmax and a truth's rewards from

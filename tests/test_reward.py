@@ -79,6 +79,13 @@ class TestFit:
         with pytest.raises(FittingError, match="overflow"):
             fit_reward_model(Log(tuples, Mode.DETERMINISTIC))
 
+    @pytest.mark.parametrize("tuples, ridge_lambda, message", [(0, 1e-3, "log is empty"),
+                                                               (3, -1e-3, "ridge_lambda must be non-negative")],
+                             ids=["empty-log", "negative-ridge_lambda"])
+    def test_bad_inputs_rejected(self, rng, tuples, ridge_lambda, message):
+        with pytest.raises(ValueError, match=message):
+            fit_reward_model(log_with_rewards(rng, [0.5] * tuples), ridge_lambda)
+
     def test_training_loss_monotone_in_ridge(self, rng):
         log = linear_log(rng, 30, 3, rng.uniform(-0.3, 0.3, size=3), intercept=0.4)
         feats = np.stack([t.instance.candidates[t.chosen] for t in log.tuples])

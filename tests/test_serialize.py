@@ -275,6 +275,13 @@ class TestTrace:
         write_trace(path, trace)
         assert read_trace(path).records[0].train_value == value
 
+    def test_unexpected_columns_rejected(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        write_trace(path, TrainTrace(records=[EpochRecord(1, 0.5, 0.4, None, 0.2, 1.5e-3)]))
+        path.write_text(path.read_text().replace("grad_norm", "gradient_norm"))
+        with pytest.raises(ValueError, match="unexpected trace columns"):
+            read_trace(path)
+
 
 class TestFormatBytes:
     """The exact bytes of every file format, from small hand-made records;

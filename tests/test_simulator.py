@@ -226,6 +226,12 @@ class TestRollLog:
         with pytest.raises(ConfigurationError, match="reward 1.5 outside \\[0, 1\\]"):
             roll_log(instances, high, policy)
 
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    def test_no_instances_roll_an_empty_log_of_the_logger_mode(self, mode):
+        _, truth, logger = generate_task(spec(logging_mode=mode))
+        log = roll_log([], truth, logger, rng=0)
+        assert len(log) == 0 and log.mode is mode
+
     def test_same_seed_same_log(self):
         instances, truth, policy = generate_task(spec(logging_mode=Mode.STOCHASTIC))
         a = roll_log(instances, truth, policy, rng=21)

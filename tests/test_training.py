@@ -174,6 +174,11 @@ class TestGuards:
         with pytest.raises(ConfigurationError, match="dimension 1 differs"):
             train(TrainConfig(kind=EstimatorKind.DPM), log, narrow)
 
+    def test_initial_params_of_another_dimension_rejected(self, rng):
+        log = random_log(rng, 4, 3, 2, Mode.DETERMINISTIC)
+        with pytest.raises(ConfigurationError, match="initial weight dimension 3 does not match features"):
+            train(TrainConfig(kind=EstimatorKind.DPM), log, log, initial=PolicyParams(np.zeros(3)))
+
     def test_estimated_control_needs_two_train_tuples(self, rng):
         log = random_log(rng, 1, 3, 2, Mode.DETERMINISTIC)
         with pytest.raises(ConfigurationError, match="at least 2 tuples"):
