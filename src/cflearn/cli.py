@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -246,26 +247,24 @@ class ProbeRow:
 
 
 def cmd_degeneracy_probe(args) -> int:
-    results = run_probe_suite(args.seed, args.count)
-    violations = sum(1 for _, r in results if not r.holds and not r.skipped)
-    skipped = sum(1 for _, r in results if r.skipped)
+    rows = [
+        ProbeRow(label, res.theorem, "skipped" if res.skipped else ("passed" if res.holds else "violated"),
+                 res.reference_value, res.worst_challenger, res.reason or res.witness)
+        for label, res in run_probe_suite(args.seed, args.count)
+    ]
     if args.out is not None:
-        rows = [
-            ProbeRow(label, res.theorem, "skipped" if res.skipped else ("passed" if res.holds else "violated"),
-                     res.reference_value, res.worst_challenger, res.reason or res.witness)
-            for label, res in results
-        ]
         serialize.write_csv(_out_dir(args.out) / "probes.csv", ProbeRow, rows)
+    counts = Counter(row.status for row in rows)
     print(
-        f"{len(results)} probes on {2 * args.count} logs: "
-        f"{len(results) - violations - skipped} passed, {violations} violated, {skipped} skipped"
+        f"{len(rows)} probes on {2 * args.count} logs: "
+        f"{counts['passed']} passed, {counts['violated']} violated, {counts['skipped']} skipped"
     )
-    for label, res in results:
-        if res.skipped:
-            print(f"  skipped {label} {res.theorem}: {res.reason}")
-        elif not res.holds:
-            print(f"  VIOLATED {label} {res.theorem}: {res.witness}", file=sys.stderr)
-    return CHECK_FAILURE if violations else 0
+    for row in rows:
+        if row.status == "skipped":
+            print(f"  skipped {row.log} {row.theorem}: {row.note}")
+        elif row.status == "violated":
+            print(f"  VIOLATED {row.log} {row.theorem}: {row.note}", file=sys.stderr)
+    return CHECK_FAILURE if counts["violated"] else 0
 
 
 class _Parser(argparse.ArgumentParser):

@@ -9,9 +9,12 @@ without a brake drives all normalized weight onto the max-reward tuples.
 The probes test these statements exactly as quantified: over raw per-tuple
 probability assignments, decoupled from any parametric policy.  Each probe
 draws all its random challengers in one block from its seed and evaluates
-them together; the first failing challenger, in trial order, decides the
-result.  A separate collapse run shows parametric softmax training
-approaching the same fixed point, and early stopping interrupting it.
+them together.  The first failing challenger, in draw order, decides the
+result: the worst challenger is the highest value up to it, and the witness
+names the challenger that failed.  Every value and probe here needs a tuple:
+an empty log raises ``ValueError("log is empty")``.  A separate collapse run
+shows parametric softmax training approaching the same fixed point, and
+early stopping interrupting it.
 """
 
 from __future__ import annotations
@@ -49,11 +52,16 @@ class ProbeResult:
     witness: str = ""
 
 
-def partition_dmax(log: Log) -> DmaxPartition:
-    """Exact-equality partition of the log by maximal reward."""
+def _rewards(log: Log) -> np.ndarray:
+    """The logged rewards, if the log has a tuple."""
     if len(log) == 0:
         raise ValueError("log is empty")
-    mask = dmax_mask(log.rewards)
+    return log.rewards
+
+
+def partition_dmax(log: Log) -> DmaxPartition:
+    """Exact-equality partition of the log by maximal reward."""
+    mask = dmax_mask(_rewards(log))
     return DmaxPartition(
         dmax_indices=np.nonzero(mask)[0],
         rest_indices=np.nonzero(~mask)[0],
@@ -65,18 +73,39 @@ def assignment_value(assignments: np.ndarray, log: Log) -> np.ndarray | float:
     """Plain importance-weighted value of raw probability assignments,
     (1/n) sum_t delta_t pi_t / mu_t, for each row of an (..., n) array: one
     value per row, and one number for one assignment."""
-    return _rho(log, log.rewards * np.asarray(assignments, dtype=float)).mean(axis=-1)
+    return _rho(log, _rewards(log) * np.asarray(assignments, dtype=float)).mean(axis=-1)
 
 
 def assignment_value_reweighted(assignments: np.ndarray, log: Log) -> np.ndarray | float:
     """Self-normalized value of raw probability assignments,
     sum(delta pi/mu) / sum(pi/mu), for each row of an (..., n) array: one
     value per row, and one number for one assignment."""
+    rewards = _rewards(log)
     weights = _rho(log, np.asarray(assignments, dtype=float))
     total = weights.sum(axis=-1)
     if np.any(total <= 0.0):
         raise DegenerateSupportError("assignment puts zero mass on every tuple")
-    return (log.rewards * weights).sum(axis=-1) / total
+    return (rewards * weights).sum(axis=-1) / total
+
+
+def _skipped(theorem: str, violated: str) -> ProbeResult:
+    """The result of a probe whose hypothesis the log breaks."""
+    return ProbeResult(theorem, holds=False, skipped=True, reason=f"hypothesis violated: {violated}")
+
+
+def _verdict(theorem: str, reference: float, values: np.ndarray, failed: np.ndarray, witnesses) -> ProbeResult:
+    """The result of (trials, m) challenger ``values`` and their ``failed``
+    mask, m challengers a trial in draw order.  ``witnesses`` names a failure
+    of each of the m challengers, then the maximizer that holds."""
+    failing = np.flatnonzero(failed)
+    seen = values.ravel()[: failing[0] + 1] if failing.size else values
+    return ProbeResult(
+        theorem,
+        holds=not failing.size,
+        reference_value=reference,
+        worst_challenger=float(seen.max(initial=-np.inf)),
+        witness=witnesses[failing[0] % values.shape[1] if failing.size else -1],
+    )
 
 
 def probe_theorem1(log: Log, seed: int = 0, trials: int = 200) -> ProbeResult:
@@ -88,33 +117,21 @@ def probe_theorem1(log: Log, seed: int = 0, trials: int = 200) -> ProbeResult:
     of one (trials, n) uniform draw, evaluated together.
     """
     if np.any(log.rewards <= 0.0):
-        return ProbeResult(
-            theorem="all-mass-maximizer",
-            holds=False,
-            skipped=True,
-            reason="hypothesis violated: some logged reward is zero",
-        )
-    n = len(log)
-    reference = assignment_value(np.ones(n), log)
-    challengers = np.random.default_rng(seed).random((trials, n))  # every coordinate < 1
-    values = assignment_value(challengers, log)
-    failed = np.flatnonzero(values >= reference)
-    seen = values[: failed[0] + 1] if failed.size else values
-    return ProbeResult(
-        theorem="all-mass-maximizer",
-        holds=not failed.size,
-        reference_value=reference,
-        worst_challenger=float(seen.max(initial=-np.inf)),
-        witness="assignment with a coordinate below 1 reached the reference value"
-        if failed.size
-        else "all logged outputs at probability 1",
-    )
+        return _skipped("all-mass-maximizer", "some logged reward is zero")
+    reference = assignment_value(np.ones(len(log)), log)
+    challengers = np.random.default_rng(seed).random((trials, len(log)))  # every coordinate < 1
+    values = assignment_value(challengers, log)[:, None]  # one challenger a trial
+    return _verdict("all-mass-maximizer", reference, values, values >= reference, (
+        "assignment with a coordinate below 1 reached the reference value",
+        "all logged outputs at probability 1",
+    ))
 
 
 _WITNESSES = (
     "mass confined to max-reward tuples missed delta_max",
     "assignment with mass outside the max-reward set reached delta_max",
     "assignment avoiding the max-reward set reached the degenerate value",
+    "positive mass on a max-reward tuple, zero elsewhere",
 )
 
 
@@ -125,28 +142,14 @@ def probe_theorem2(log: Log, seed: int = 0, trials: int = 200) -> ProbeResult:
     the maximal reward; assignments with mass outside fall strictly below;
     assignments with no mass on the max-reward tuples fall strictly below
     the degenerate value.  Skipped when every tuple already attains the
-    maximum or the maximum is zero.  Each trial makes three challengers:
-    confined, outside and avoiding.  All their values come from one
-    (trials, m) uniform draw split by column into the three, and all their
-    picks from one (trials, 3) integer draw; every trial is then evaluated
-    together, and the first failing challenger, trial by trial and in that
-    order within a trial, decides the result.
+    maximum or the maximum is zero.  Each trial makes three challengers, in
+    this order: confined, outside and avoiding.
     """
     part = partition_dmax(log)
     if part.delta_max <= 0.0:
-        return ProbeResult(
-            theorem="dmax-collapse",
-            holds=False,
-            skipped=True,
-            reason="hypothesis violated: maximal reward is zero",
-        )
+        return _skipped("dmax-collapse", "maximal reward is zero")
     if part.rest_indices.size == 0:
-        return ProbeResult(
-            theorem="dmax-collapse",
-            holds=False,
-            skipped=True,
-            reason="hypothesis violated: every tuple attains the maximal reward",
-        )
+        return _skipped("dmax-collapse", "every tuple attains the maximal reward")
 
     n = len(log)
     rng = np.random.default_rng(seed)
@@ -174,17 +177,7 @@ def probe_theorem2(log: Log, seed: int = 0, trials: int = 200) -> ProbeResult:
     failed[:, 0] = np.abs(values[:, 0] - part.delta_max) > DEGENERATE_VALUE_TOL
     # a confined challenger counts toward the worst value only when it fails
     values[:, 0] = np.where(failed[:, 0], values[:, 0], -np.inf)
-    failing = np.flatnonzero(failed)
-    seen = values.ravel()[: failing[0] + 1] if failing.size else values
-    return ProbeResult(
-        theorem="dmax-collapse",
-        holds=not failing.size,
-        reference_value=part.delta_max,
-        worst_challenger=float(seen.max(initial=-np.inf)),
-        witness=_WITNESSES[failing[0] % 3]
-        if failing.size
-        else "positive mass on a max-reward tuple, zero elsewhere",
-    )
+    return _verdict("dmax-collapse", part.delta_max, values, failed, _WITNESSES)
 
 
 def collapse_run(spec: TaskSpec, config: TrainConfig, with_truth: bool = True) -> TrainTrace:

@@ -59,7 +59,8 @@ class GroundTruth:
     """Hidden reward weights and the true reward of every candidate, the
     form its file is written from.  The rewards are the rows of one
     read-only (n, k_max) matrix, zero past each row's k, and each value of
-    ``rewards`` is a view of its row."""
+    ``rewards`` is a view of its row.  A truth checks once, when made, that
+    its rewards lie in [0, 1], so the logs rolled from it need not."""
 
     reward_weights: np.ndarray
     rewards: dict[str, np.ndarray]  # instance id -> (k,) true rewards
@@ -80,6 +81,10 @@ class GroundTruth:
         return truth
 
     def _fill(self, reward_weights, keys: list[str], matrix: np.ndarray, counts: np.ndarray) -> None:
+        kept = (matrix >= 0.0) & (matrix <= 1.0)  # the zero padding is in range, so all of it is tested
+        if not kept.all():
+            row, col = divmod(int(np.argmin(kept)), matrix.shape[1])
+            raise ConfigurationError(f"instance {keys[row]!r}: true reward {matrix[row, col]} outside [0, 1]")
         matrix.setflags(write=False)
         vars(self).update(
             reward_weights=np.ascontiguousarray(reward_weights, dtype=float),
@@ -231,7 +236,6 @@ def roll_log(
             chosen = np.where(off, last, chosen)
         propensities = probs[rows, chosen]
     rewards = tensor.true_rewards(truth)[rows, chosen]
-    Log._check(ids, k, rewards=rewards)
     return Log._from_columns(
         mode, ids, tensor.features, k, chosen.astype(np.intp), rewards, propensities, tensor
     )

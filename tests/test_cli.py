@@ -449,6 +449,24 @@ class TestChecks:
         assert (out / "probes.csv").exists()
         assert "0 violated" in capsys.readouterr().out
 
+    def test_degeneracy_probe_reports_each_status(self, tmp_path, monkeypatch, capsys):
+        from cflearn import ProbeResult, cli
+
+        results = [
+            ("a", ProbeResult("t1", holds=True, reference_value=1.0, worst_challenger=0.5, witness="held")),
+            ("b", ProbeResult("t2", holds=False, skipped=True, reason="hypothesis violated: x")),
+            ("c", ProbeResult("t1", holds=False, reference_value=1.0, worst_challenger=1.0, witness="broke")),
+        ]
+        monkeypatch.setattr(cli, "run_probe_suite", lambda seed, count: results)
+        assert main(["degeneracy-probe", "--count", "1", "--out", str(tmp_path)]) == 2
+        printed = capsys.readouterr()
+        assert printed.out == "3 probes on 2 logs: 1 passed, 1 violated, 1 skipped\n  skipped b t2: hypothesis violated: x\n"
+        assert printed.err == "  VIOLATED c t1: broke\n"
+        rows = (tmp_path / "probes.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[2] for row in rows] == ["passed", "skipped", "violated"]
+        monkeypatch.setattr(cli, "run_probe_suite", lambda seed, count: results[:2])
+        assert main(["degeneracy-probe", "--count", "1"]) == 0  # a skipped probe is no violation
+
 
 def _edited_config(edit):
     """A bad input case: the tests' config with its bytes edited."""
@@ -831,6 +849,25 @@ class TestBadPayloads:
         err = capsys.readouterr().err
         assert f"{bad}:" in err and key in err
 
+    @pytest.mark.parametrize("reward", [5.0, -0.5])
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_a_true_reward_outside_the_unit_interval_exits_one_naming_file_and_instance(
+        self, workspace, trained, tmp_path, capsys, command, reward
+    ):
+        out, run = trained
+        (tmp_path / "bad").mkdir()
+        bad = self.edited(out / "truth.json", tmp_path / "bad" / "truth.json",
+                          lambda p: p["rewards"]["i00000"].__setitem__(0, reward))
+        capsys.readouterr()
+        if command == "train":
+            config, _ = workspace
+            assert main(["train", "--config", str(config), "--log", str(out / "train.jsonl"),
+                         "--truth", str(bad), "--out", str(tmp_path / "again")]) == 1
+        else:
+            assert self.evaluate(out, run, tmp_path, truth=bad) == 1
+        err = capsys.readouterr().err
+        assert err == f"cflearn: error: {bad}: instance 'i00000': true reward {reward} outside [0, 1]\n"
+        assert not (tmp_path / "again").exists() and not (tmp_path / "report").exists()
 
     @pytest.mark.parametrize("name", ["params", "model", "truth"])
     def test_wrong_dimension_exits_one_naming_the_file(self, trained, tmp_path, capsys, name):

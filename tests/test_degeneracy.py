@@ -10,6 +10,7 @@ from cflearn import (
     Log,
     LoggedTuple,
     Mode,
+    ProbeResult,
     TaskSpec,
     TrainConfig,
     assignment_value,
@@ -19,7 +20,9 @@ from cflearn import (
     probe_theorem1,
     probe_theorem2,
 )
+from cflearn import degeneracy
 from cflearn.cli import run_probe_suite
+from cflearn.degeneracy import _verdict
 
 
 def plain_log(rewards, propensities=None):
@@ -46,6 +49,10 @@ class TestPartition:
     def test_two_distinct(self):
         part = partition_dmax(plain_log([0.3, 0.7]))
         assert part.dmax_indices.tolist() == [1]
+
+    def test_a_near_tie_is_not_a_tie(self):
+        part = partition_dmax(plain_log([np.nextafter(0.5, 0.0), 0.5]))
+        assert part.dmax_indices.tolist() == [1] and part.rest_indices.tolist() == [0]
 
 
 class TestAssignmentValues:
@@ -99,6 +106,21 @@ class TestAssignmentValues:
         with pytest.raises(DegenerateSupportError):
             assignment_value_reweighted([[0.5, 0.5], [0.0, 0.0]], plain_log([0.5, 0.6]))
 
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+@pytest.mark.parametrize("call", [
+    pytest.param(partition_dmax, id="partition_dmax"),
+    pytest.param(lambda log: assignment_value(np.ones(0), log), id="assignment_value"),
+    pytest.param(lambda log: assignment_value_reweighted(np.ones(0), log), id="assignment_value_reweighted"),
+    pytest.param(probe_theorem1, id="probe_theorem1"),
+    pytest.param(probe_theorem2, id="probe_theorem2"),
+])
+def test_every_value_and_probe_refuses_an_empty_log(call, mode):
+    with pytest.raises(ValueError, match="^log is empty$"):
+        call(Log((), mode))
+
+
 class TestProbes:
     def test_theorem1_single_tuple(self):
         log = plain_log([1.0], propensities=[1.0])
@@ -118,11 +140,25 @@ class TestProbes:
         result = probe_theorem2(plain_log([0.0, 0.0]), seed=1)
         assert result.skipped
 
+    @pytest.mark.parametrize("probe, rewards, theorem, violated", [
+        (probe_theorem1, [0.0, 0.5], "all-mass-maximizer", "some logged reward is zero"),
+        (probe_theorem2, [0.0, 0.0], "dmax-collapse", "maximal reward is zero"),
+        (probe_theorem2, [0.5, 0.5], "dmax-collapse", "every tuple attains the maximal reward"),
+    ], ids=["theorem1-zero-reward", "theorem2-zero-maximum", "theorem2-no-spread"])
+    def test_a_skipped_probe_names_the_violated_hypothesis(self, probe, rewards, theorem, violated):
+        want = ProbeResult(theorem, holds=False, skipped=True, reason=f"hypothesis violated: {violated}")
+        assert probe(plain_log(rewards), seed=1) == want
+
     def test_theorem2_holds_on_crafted_log(self):
         result = probe_theorem2(plain_log([1.0, 0.4, 0.4]), seed=1)
         assert result.holds
         assert result.reference_value == 1.0
         assert result.worst_challenger < 1.0
+
+    def test_theorem2_tolerance_is_the_largest_miss_allowed(self, monkeypatch):
+        # with one max-reward tuple of reward 1, every confined challenger is exactly 1.0
+        monkeypatch.setattr(degeneracy, "DEGENERATE_VALUE_TOL", 0.0)
+        assert probe_theorem2(plain_log([1.0, 0.4, 0.4]), seed=1).holds
 
     def test_probe_suite_generated_logs(self):
         results = run_probe_suite(seed=100, count=10, trials=50)
@@ -138,6 +174,27 @@ class TestProbes:
             assignment[int(rng.integers(2))] = 1.0 - rng.random()
             value = assignment_value_reweighted(assignment, log)
             assert abs(value - 0.9) <= 1e-12
+
+
+class TestVerdict:
+    """Both probes' results come from one verdict over (trials, m) challenger values in draw order."""
+
+    WITNESSES = ("first failed", "second failed", "third failed", "holds")
+
+    def test_the_first_failure_decides_and_bounds_the_worst_challenger(self):
+        values = np.array([[0.2, 0.5, 0.3], [0.99, 0.1, 0.4]])
+        failed = np.array([[False, True, False], [True, False, True]])
+        got = _verdict("t", 0.6, values, failed, self.WITNESSES)
+        assert got == ProbeResult("t", holds=False, reference_value=0.6, worst_challenger=0.5, witness="second failed")
+
+    def test_no_failure_holds_at_the_highest_value(self):
+        values = np.array([[0.2, 0.5, 0.3], [0.59, 0.1, 0.4]])
+        got = _verdict("t", 0.6, values, np.zeros((2, 3), dtype=bool), self.WITNESSES)
+        assert got == ProbeResult("t", holds=True, reference_value=0.6, worst_challenger=0.59, witness="holds")
+
+    def test_no_trials_hold_with_no_worst_value(self):
+        got = _verdict("t", 0.6, np.zeros((0, 3)), np.zeros((0, 3), dtype=bool), self.WITNESSES)
+        assert got.holds and got.worst_challenger == -np.inf
 
 
 class TestCollapseRun:

@@ -93,6 +93,14 @@ def test_true_rewards_are_gathered_in_simulator_alone(path):
     assert path.stem == "simulator" or not attributes(path) & {"_matrix", "_row", "_counts"}
 
 
+def test_truth_rewards_are_checked_where_a_truth_is_made():
+    """``GroundTruth`` range-checks its rewards once, when made, so ``roll_log``
+    runs no row checker on the rewards it gathers from a truth."""
+    tree = ast.parse((PACKAGE / "simulator.py").read_text())
+    roll_log = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "roll_log")
+    assert "_check" not in {node.attr for node in ast.walk(roll_log) if isinstance(node, ast.Attribute)}
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_candidates_are_stacked_in_domain_and_simulator_alone(path):
     assert path.stem in ("domain", "simulator") or "_stack_candidates" not in names(path)

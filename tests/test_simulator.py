@@ -69,6 +69,17 @@ class TestGenerateTask:
         matrix = truth.reward_matrix(["a", "b"], np.array([2, 3]), 4)
         assert matrix.tolist() == [[0.5, 1.0, 0.0, 0.0], [0.0, 0.25, 0.75, 0.0]]
 
+    @pytest.mark.parametrize("bad", [-0.5, 1.0 + REWARD_QUANTUM, np.nan])
+    def test_a_truth_is_range_checked_when_made(self, bad):
+        # the first bad cell, row by row, is named: 'b' holds it at column 2 of a ragged matrix
+        from cflearn import GroundTruth
+
+        message = f"instance 'b': true reward {bad} outside \\[0, 1\\]"
+        with pytest.raises(ConfigurationError, match=message):
+            GroundTruth([1.0], {"a": [0.0, 1.0], "b": [0.5, 0.25, bad], "c": [bad, 0.5]})
+        with pytest.raises(ConfigurationError, match=message):
+            GroundTruth._from_matrix(np.ones(1), ["a", "b"], np.array([[0.0, 1.0, 0.5], [0.5, 0.25, bad]]))
+
     def test_sigmoid_equals_the_two_branch_formula(self):
         x = np.concatenate([np.random.default_rng(4).standard_normal(1000) * 20,
                             [0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0, 745.0, -745.0, 800.0, -800.0]])
@@ -206,6 +217,19 @@ class TestRollLog:
         log = roll_log(instances, truth, policy, rng=TopDraw(np.random.PCG64(0)))
         assert (log.chosen[0], log.propensities[0], log.rewards[0]) == (2, probs[2], 0.3)
 
+    def test_a_draw_on_a_cumulative_sum_logs_the_next_candidate(self):
+        # two tied candidates have probability 0.5 each, and a draw of 0.5 inverts past the first
+        from cflearn import GroundTruth, LoggingPolicy, PolicyParams
+
+        class HalfDraw(np.random.Generator):
+            def random(self, size=None):
+                return np.full(size, 0.5)
+
+        policy = LoggingPolicy(PolicyParams(np.ones(1)), Mode.STOCHASTIC)
+        truth = GroundTruth(np.zeros(1), {"x": np.array([0.1, 0.2])})
+        log = roll_log(TaskInstances(["x"], np.zeros((1, 2, 1))), truth, policy, rng=HalfDraw(np.random.PCG64(0)))
+        assert (log.chosen[0], log.propensities[0]) == (1, 0.5)
+
     def test_a_truth_without_an_instance_is_rejected(self):
         from cflearn import ConfigurationError, GroundTruth
 
@@ -222,9 +246,8 @@ class TestRollLog:
         from cflearn import ConfigurationError, GroundTruth
 
         instances, truth, policy = generate_task(spec())
-        high = GroundTruth(truth.reward_weights, {**truth.rewards, "i00002": np.full(4, 1.5)})
         with pytest.raises(ConfigurationError, match="reward 1.5 outside \\[0, 1\\]"):
-            roll_log(instances, high, policy)
+            roll_log(instances, GroundTruth(truth.reward_weights, {**truth.rewards, "i00002": np.full(4, 1.5)}), policy)
 
     @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
     def test_no_instances_roll_an_empty_log_of_the_logger_mode(self, mode):
