@@ -18,8 +18,8 @@ from pathlib import Path
 from . import serialize
 from .degeneracy import ProbeResult, probe_theorem1, probe_theorem2
 from .domain import Log, Mode, PolicyParams
-from .errors import CflearnError, ConfigurationError, FittingError, ScoreOverflowError
-from .estimators import EstimatorKind, check_log, evaluate_policy
+from .errors import CflearnError, ConfigurationError
+from .estimators import EstimatorKind, evaluate_policy
 from .gradients import FD_TOLERANCE, GradCheckResult, run_grad_check
 from .reward import RewardModel
 from .simulator import GroundTruth, LoggingPolicy, TaskSpec, generate_task, roll_log, split
@@ -30,11 +30,11 @@ CHECK_FAILURE = 2
 
 
 @contextmanager
-def _naming(prefix, errors=(CflearnError, ValueError)):
-    """Prefix an error of the types ``errors`` raised inside with the file(s) it concerns."""
+def _naming(prefix):
+    """Prefix a package error or a ValueError raised inside with the file(s) it concerns."""
     try:
         yield
-    except errors as err:
+    except (CflearnError, ValueError) as err:
         raise type(err)(f"{prefix}: {err}") from err
 
 
@@ -84,27 +84,16 @@ def cmd_train(args) -> int:
     validation_path = args.validation or str(Path(args.log).with_name("validation.jsonl"))
     train_log = serialize.read_log(args.log)
     validation_log = serialize.read_log(validation_path)
-    for path, log in ((args.log, train_log), (validation_path, validation_log)):
-        with _naming(path):  # before training, so a bad log names its file
-            check_log(train_cfg.kind, log)
-    if validation_log.dim != train_log.dim:
-        raise ConfigurationError(
-            f"{validation_path}: feature dimension {validation_log.dim} differs from "
-            f"{args.log}'s {train_log.dim}"
-        )
     truth = None
     if args.truth:
         truth = serialize.read_truth(args.truth)[0]
         _truth_rewards(truth, args.truth, train_log, args.log)  # fail naming both files
 
-    # both logs passed the checks above, so a ConfigurationError (its size) or a FittingError
-    # (its reward fit) is the train log's; a reward-prediction overflow says which log it is
-    with _naming(args.log, (ConfigurationError, FittingError)):
-        try:
-            params, trace = train(train_cfg, train_log, validation_log, truth=truth)
-        except ScoreOverflowError as err:
-            path = validation_path if err.log is validation_log else args.log
-            raise ScoreOverflowError(f"{path}: {err}") from err
+    try:
+        params, trace = train(train_cfg, train_log, validation_log, truth=truth)
+    except CflearnError as err:  # train's errors before epoch 1 carry the log they concern
+        path = validation_path if err.log is validation_log else args.log
+        raise type(err)(f"{path}: {err}") from err
     out = _out_dir(args.out, config.output_dir)
     extra = {
         "kind": train_cfg.kind.value,

@@ -12,9 +12,9 @@ draws all its random challengers in one block from its seed and evaluates
 them together.  The first failing challenger, in draw order, decides the
 result: the worst challenger is the highest value up to it, and the witness
 names the challenger that failed.  Every value and probe here needs a tuple:
-an empty log raises ``ValueError("log is empty")``.  A separate collapse run
-shows parametric softmax training approaching the same fixed point, and
-early stopping interrupting it.
+an empty log raises :class:`LogConsistencyError`, as every estimator does.
+A separate collapse run shows parametric softmax training approaching the
+same fixed point, and early stopping interrupting it.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .domain import Log
+from .domain import Log, _nonempty
 from .errors import DegenerateSupportError
 from .estimators import _rho, dmax_mask
 from .simulator import TaskSpec, generate_task, roll_log
@@ -52,16 +52,9 @@ class ProbeResult:
     witness: str = ""
 
 
-def _rewards(log: Log) -> np.ndarray:
-    """The logged rewards, if the log has a tuple."""
-    if len(log) == 0:
-        raise ValueError("log is empty")
-    return log.rewards
-
-
 def partition_dmax(log: Log) -> DmaxPartition:
     """Exact-equality partition of the log by maximal reward."""
-    mask = dmax_mask(_rewards(log))
+    mask = dmax_mask(_nonempty(log).rewards)
     return DmaxPartition(
         dmax_indices=np.nonzero(mask)[0],
         rest_indices=np.nonzero(~mask)[0],
@@ -73,14 +66,14 @@ def assignment_value(assignments: np.ndarray, log: Log) -> np.ndarray | float:
     """Plain importance-weighted value of raw probability assignments,
     (1/n) sum_t delta_t pi_t / mu_t, for each row of an (..., n) array: one
     value per row, and one number for one assignment."""
-    return _rho(log, _rewards(log) * np.asarray(assignments, dtype=float)).mean(axis=-1)
+    return _rho(log, _nonempty(log).rewards * np.asarray(assignments, dtype=float)).mean(axis=-1)
 
 
 def assignment_value_reweighted(assignments: np.ndarray, log: Log) -> np.ndarray | float:
     """Self-normalized value of raw probability assignments,
     sum(delta pi/mu) / sum(pi/mu), for each row of an (..., n) array: one
     value per row, and one number for one assignment."""
-    rewards = _rewards(log)
+    rewards = _nonempty(log).rewards
     weights = _rho(log, np.asarray(assignments, dtype=float))
     total = weights.sum(axis=-1)
     if np.any(total <= 0.0):

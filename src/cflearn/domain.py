@@ -307,6 +307,14 @@ class Log:
         return tensor
 
 
+def _nonempty(log: Log) -> Log:
+    """``log`` if it has a tuple, which every estimator, the reward fit and
+    the degeneracy probes need; raises LogConsistencyError otherwise."""
+    if len(log) == 0:
+        raise LogConsistencyError("log is empty")
+    return log
+
+
 class _TensorPass:
     """The parts of a pass that depend on a candidate tensor alone, not on
     which candidates a log chose: a policy's softmax, a reward model's

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+A :class:`LogConsistencyError` is also a ``ValueError``: a log that is
+empty or breaks its mode's rules is a bad value, so code that catches
+``ValueError`` catches it too.
+"""
 
 
 class CflearnError(Exception):
@@ -9,9 +14,9 @@ class ConfigurationError(CflearnError):
     """Dimensions or settings are inconsistent with each other."""
 
 
-class LogConsistencyError(CflearnError):
-    """A log violates its mode contract, e.g. a stochastic estimator was
-    pointed at data without logged propensities."""
+class LogConsistencyError(CflearnError, ValueError):
+    """A log violates its contract: it is empty, or a stochastic estimator
+    was pointed at data without logged propensities."""
 
 
 class DegenerateSupportError(CflearnError):

@@ -49,8 +49,8 @@ from enum import Enum
 
 import numpy as np
 
-from .domain import Log, Mode, PolicyParams
-from .errors import DegenerateSupportError, LogConsistencyError
+from .domain import Log, Mode, PolicyParams, _nonempty
+from .errors import ConfigurationError, DegenerateSupportError, LogConsistencyError
 from .reward import ControlScalar, RewardModel, control_scalar
 
 
@@ -96,20 +96,23 @@ class EstimatorKind(Enum):
         return self.control == ESTIMATED
 
 
-def check_log(kind: EstimatorKind, log: Log) -> None:
-    """Reject a log the estimator cannot run on: an empty one, or one from
-    the wrong logging regime."""
-    if len(log) == 0:
-        raise LogConsistencyError("log is empty")
-    if log.mode is kind.required_mode:
-        return
-    if kind.required_mode is Mode.STOCHASTIC:
+def check_log(kind: EstimatorKind, log: Log, estimates_c_hat: bool = True) -> None:
+    """Reject a log the estimator cannot run on: an empty one, one from the
+    wrong logging regime, or, for cDC/cDR when ``estimates_c_hat`` says c_hat
+    is estimated on this log, one of fewer than 2 tuples."""
+    if _nonempty(log).mode is not kind.required_mode:
+        if kind.required_mode is Mode.STOCHASTIC:
+            raise LogConsistencyError(
+                f"estimator {kind.value} requires logged propensities (stochastic log)"
+            )
         raise LogConsistencyError(
-            f"estimator {kind.value} requires logged propensities (stochastic log)"
+            f"estimator {kind.value} expects a deterministic log, got a stochastic one"
         )
-    raise LogConsistencyError(
-        f"estimator {kind.value} expects a deterministic log, got a stochastic one"
-    )
+    if estimates_c_hat and kind.estimates_control and len(log) < 2:
+        raise ConfigurationError(
+            f"estimator {kind.value} estimates its control scalar on the log, "
+            "which needs at least 2 tuples"
+        )
 
 
 def _rho(log: Log, pi_chosen: np.ndarray) -> np.ndarray:
@@ -320,8 +323,7 @@ def value_and_grad(
     Only the kind's family matters here; the log's mode decides whether
     propensities divide the weights.
     """
-    if len(log) == 0:
-        raise ValueError("log is empty")
+    _nonempty(log)
     controlled = kind.uses_reward_model
     if controlled and model is None:
         raise ValueError(f"estimator {kind.value} needs a reward model")
@@ -367,9 +369,7 @@ def value_reweighted(params: PolicyParams, log: Log) -> float:
     the ratio is undefined.  Computed directly, not by the fused pass, so
     that it checks the pass's c = 0 reduction.
     """
-    if len(log) == 0:
-        raise ValueError("log is empty")
-    rho_bar = _normalize(_rho(log, log.at_chosen(log.probs(params))))
+    rho_bar = _normalize(_rho(_nonempty(log), log.at_chosen(log.probs(params))))
     return float((log.rewards * rho_bar).mean())
 
 
@@ -434,11 +434,6 @@ def evaluate_policy(
     prediction; the prediction only for kinds that use the model.
     """
     check_log(kind, log)
-    if kind.estimates_control and len(log) < 2:
-        raise LogConsistencyError(
-            f"estimator {kind.value} estimates its control scalar on the log, "
-            "which needs at least 2 tuples"
-        )
     result = value_and_grad(kind, params, log, reward_model, grad=False)
     result.check_support()
     return result

@@ -77,7 +77,6 @@ def random_problem(rng: np.random.Generator, n_max: int = 10, k_max: int = 5, d_
         rewards[t] = rng.uniform(0.0, 1.0)
         if stochastic:
             propensities[t] = rng.uniform(0.05, 1.0)
-    Log._check(ids, counts, features, chosen, rewards, propensities)
     mode = Mode.STOCHASTIC if stochastic else Mode.DETERMINISTIC
     log = Log._from_columns(mode, ids, features, counts, chosen, rewards, propensities)
     params = PolicyParams(rng.standard_normal(d), alpha=float(rng.uniform(0.5, 2.0)))

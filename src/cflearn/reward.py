@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Log
+from .domain import Log, _nonempty
 from .errors import ConfigurationError, FittingError, ScoreOverflowError
 
 
@@ -81,8 +81,7 @@ def fit_reward_model(log: Log, ridge_lambda: float = 1e-3) -> RewardModel:
     have a unique solution.  A singular unpenalized system, or one whose
     Gram matrix or solution leaves the float range, raises :class:`FittingError`.
     """
-    if len(log) == 0:
-        raise ValueError("log is empty")
+    _nonempty(log)
     if ridge_lambda < 0:
         raise ValueError(f"ridge_lambda must be non-negative, got {ridge_lambda}")
     features = log.at_chosen(log.features)  # phi(x_t, y_t), shape (n, d)

@@ -10,12 +10,13 @@ only when a simulator ground truth is supplied, for diagnostics.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .domain import Instance, Log, PolicyParams, _integer, _member, _real
-from .errors import ConfigurationError, DegenerateSupportError, ScoreOverflowError
+from .errors import CflearnError, ConfigurationError, DegenerateSupportError, ScoreOverflowError
 from .estimators import EstimatorKind, check_log, value_and_grad
 from .reward import RewardModel, fit_reward_model
 from .simulator import GroundTruth, _instances_pass
@@ -116,6 +117,16 @@ def _step(params: PolicyParams, learning_rate: float, grad: np.ndarray) -> Polic
     return PolicyParams(weights, params.alpha)
 
 
+@contextmanager
+def _concerning(log: Log):
+    """Attach ``log`` to a package error raised inside, as the error's ``log``."""
+    try:
+        yield
+    except CflearnError as err:
+        err.log = log
+        raise
+
+
 def train(
     config: TrainConfig,
     train_log: Log,
@@ -132,44 +143,38 @@ def train(
     the best parameters seen so far; ``halted`` names the epoch and the
     cause.  A ``truth`` adds each epoch's exact true reward on the train log
     to the trace, from the probabilities of that epoch's train-log pass.
-    Reward-model predictions that overflow before epoch 1 raise
-    :class:`ScoreOverflowError`, whose ``log`` is the log predicted on.
+    Every error raised before epoch 1 carries the log it concerns as its
+    ``log``; c_hat is estimated on the train log alone, so the validation
+    log of cDC/cDR may hold one tuple.
     """
     kind = config.kind
-    for log in (train_log, validation_log):
-        check_log(kind, log)
-    if validation_log.dim != train_log.dim:
-        raise ConfigurationError(
-            f"validation log feature dimension {validation_log.dim} differs from "
-            f"the train log's {train_log.dim}"
-        )
+    with _concerning(train_log):
+        check_log(kind, train_log)
+    with _concerning(validation_log):
+        check_log(kind, validation_log, estimates_c_hat=False)
+        if validation_log.dim != train_log.dim:
+            raise ConfigurationError(
+                f"validation log feature dimension {validation_log.dim} differs from "
+                f"the train log's {train_log.dim}"
+            )
     n = len(train_log)
-    if kind.estimates_control and n < 2:
-        raise ConfigurationError(
-            f"estimator {kind.value} estimates its control scalar on the train log, "
-            "which needs at least 2 tuples"
-        )
-    batch_size = n if config.batch_size == "full" else int(config.batch_size)
-    if batch_size > n:
-        raise ConfigurationError(f"batch_size {batch_size} exceeds log size {n}")
-
-    params = initial if initial is not None else initial_params(config, train_log.dim)
-    if params.dim != train_log.dim:
-        raise ConfigurationError(
-            f"initial weight dimension {params.dim} does not match features ({train_log.dim})"
-        )
-
-    truth_rewards = None if truth is None else train_log._tensor_pass().true_rewards(truth)
-
-    model = None
-    if kind.uses_reward_model:
-        model = fit_reward_model(train_log, config.ridge_lambda)
-        for log in (train_log, validation_log):  # before epoch 1: an overflow is an error, not a halt
-            try:
+    with _concerning(train_log):
+        batch_size = n if config.batch_size == "full" else int(config.batch_size)
+        if batch_size > n:
+            raise ConfigurationError(f"batch_size {batch_size} exceeds log size {n}")
+        params = initial if initial is not None else initial_params(config, train_log.dim)
+        if params.dim != train_log.dim:
+            raise ConfigurationError(
+                f"initial weight dimension {params.dim} does not match features ({train_log.dim})"
+            )
+        truth_rewards = None if truth is None else train_log._tensor_pass().true_rewards(truth)
+        model = None
+        if kind.uses_reward_model:
+            model = fit_reward_model(train_log, config.ridge_lambda)
+    if model is not None:
+        for log in (train_log, validation_log):
+            with _concerning(log):  # before epoch 1: an overflow is an error, not a halt
                 log._tensor_pass().predictions(model)
-            except ScoreOverflowError as err:
-                err.log = log
-                raise
 
     rng = np.random.default_rng(config.seed)
     trace = TrainTrace(reward_model=model)

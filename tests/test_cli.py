@@ -972,7 +972,7 @@ class TestBadLogs:
 
     @pytest.mark.parametrize("defect, message", [
         ("batch_size", "batch_size 100 exceeds log size 20"),
-        ("one-tuple", "estimates its control scalar on the train log, which needs at least 2 tuples"),
+        ("one-tuple", "estimates its control scalar on the log, which needs at least 2 tuples"),
         ("huge-features", "normal equations overflow"),
     ])
     def test_train_names_the_train_log(self, logs, tmp_path, capsys, defect, message):
@@ -990,6 +990,20 @@ class TestBadLogs:
                      "--validation", str(base / "good" / "validation.jsonl"), "--out", str(tmp_path / "run")])
         assert code == 1
         assert message in self.error(capsys, bad)
+
+    @pytest.mark.parametrize("variant, log, message", [
+        ("empty", "validation.jsonl", "log is empty"),
+        ("deterministic", "train.jsonl", "estimator cdr requires logged propensities (stochastic log)"),
+    ])
+    def test_train_names_a_train_log_the_kind_cannot_use(self, logs, tmp_path, capsys, variant, log, message):
+        config, base = logs
+        bad = base / variant / log
+        capsys.readouterr()
+        code = main(["train", "--config", str(config), "--log", str(bad),
+                     "--validation", str(base / "good" / "validation.jsonl"), "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert capsys.readouterr().err == f"cflearn: error: {bad}: {message}\n"
+        assert not (tmp_path / "run" / "params.json").exists()
 
     def test_train_does_not_name_the_train_log_for_the_validation_log(self, logs, tmp_path, capsys, monkeypatch):
         from cflearn import RewardModel, training

@@ -46,6 +46,16 @@ class TestPolicyProbs:
             assert abs(probs.sum() - 1.0) <= 1e-12
             assert np.all(probs >= 0.0) and np.all(probs <= 1.0)
 
+    def test_a_log_softmax_is_the_quotient_of_shifted_exponentials(self, rng):
+        # bit for bit: each probability is exp(s - max s) divided by its instance's sum
+        log = random_log(rng, 9, 5, 3, Mode.DETERMINISTIC)
+        params = PolicyParams(rng.standard_normal(3) * 2, alpha=1.3)
+        raw = log.features.reshape(-1, 3) @ params.weights
+        raw *= params.alpha
+        scores = np.ascontiguousarray(raw.reshape(9, 5).T)  # candidate-major, as the pass lays it out
+        shifted = np.exp(scores - scores.max(axis=0))
+        assert np.array_equal(log.probs(params), (shifted / shifted.sum(axis=0)).T)
+
     def test_shift_invariance(self, rng):
         # adding the same vector to every candidate shifts all scores equally
         inst = Instance("x", rng.standard_normal((4, 3)))
@@ -123,6 +133,11 @@ class TestTypeInvariants:
             LoggedTuple(inst, 0, 0.5, propensity=0.0)
         with pytest.raises(ConfigurationError):
             LoggedTuple(inst, 5, 0.5)
+
+    def test_a_chosen_index_of_k_is_out_of_range(self, rng):
+        inst = Instance("x", rng.standard_normal((3, 2)))
+        with pytest.raises(ConfigurationError, match="^chosen index 3 out of range for instance 'x' with 3 candidates$"):
+            LoggedTuple(inst, 3, 0.5)
 
     def test_log_mode_contract(self, rng):
         inst = Instance("x", rng.standard_normal((2, 2)))

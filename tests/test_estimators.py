@@ -295,6 +295,12 @@ class TestKindDispatch:
         with pytest.raises(ConfigurationError, match="weight dimension 3 does not match log feature dimension 2"):
             value_and_grad(EstimatorKind.DPM, PolicyParams(np.zeros(3)), log)
 
+    @pytest.mark.parametrize("kind", list(EstimatorKind), ids=lambda k: k.value)
+    def test_evaluation_makes_no_gradient(self, rng, kind):
+        log = random_log(rng, 5, 3, 2, kind.required_mode)
+        model = RewardModel(np.array([0.1, -0.2]), 0.5, 0.0)
+        assert evaluate_policy(kind, PolicyParams(rng.standard_normal(2)), log, model).grads is None
+
     @pytest.mark.parametrize("kind", [EstimatorKind.DC, EstimatorKind.CDC], ids=lambda k: k.value)
     def test_model_kind_without_a_model_rejected(self, rng, kind):
         log = random_log(rng, 5, 3, 2, Mode.DETERMINISTIC)

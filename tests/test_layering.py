@@ -151,3 +151,26 @@ def test_import_cflearn_loads_no_codec():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_the_empty_log_rule_is_stated_in_domain_alone():
+    """``domain._nonempty`` is the one statement of the empty-log rule, so
+    every entry point that needs a tuple raises the same error."""
+    assert [path.stem for path in MODULES if "log is empty" in path.read_text()] == ["domain"]
+
+
+def test_the_estimated_control_rule_is_stated_in_estimators_alone():
+    """``estimators.check_log`` states what a kind needs of a log, the 2
+    tuples on which c_hat is estimated included."""
+    assert [path.stem for path in MODULES if "at least 2 tuples" in path.read_text()] == ["estimators"]
+
+
+def test_the_cli_keeps_no_copy_of_the_log_rules():
+    """``train`` and ``evaluate_policy`` check each log, so ``cflearn train``
+    checks each log once and only names the file."""
+    assert "check_log" not in names(PACKAGE / "cli.py")
+
+
+def test_grad_check_problems_run_no_row_checker():
+    """``gradients.random_problem`` draws its columns in range, so it checks no input."""
+    assert "_check" not in attributes(PACKAGE / "gradients.py")

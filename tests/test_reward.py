@@ -79,6 +79,23 @@ class TestFit:
         with pytest.raises(FittingError, match="overflow"):
             fit_reward_model(Log(tuples, Mode.DETERMINISTIC))
 
+    def test_a_penalized_fit_is_never_called_singular(self, rng):
+        # collinear features at a scale where the penalized Gram matrix is numerically
+        # rank deficient: a positive ridge_lambda still gives the unique solution
+        x = rng.uniform(1.0, 2.0, size=6) * 1e6
+        design = np.column_stack([np.ones(6), x, x])
+        gram = design.T @ design + np.diag([0.0, 1e-3, 1e-3])
+        assert np.linalg.matrix_rank(gram) < 3
+        tuples = [LoggedTuple(Instance(f"c{t}", np.array([[v, v], [0.0, 0.0]])), 0, float(r))
+                  for t, (v, r) in enumerate(zip(x, rng.uniform(0.0, 1.0, size=6)))]
+        model = fit_reward_model(Log(tuples, Mode.DETERMINISTIC), ridge_lambda=1e-3)
+        assert np.isfinite(model.weights).all() and np.isfinite(model.intercept)
+
+    def test_a_solution_that_is_not_finite_raises(self, rng, monkeypatch):
+        monkeypatch.setattr(np.linalg, "solve", lambda gram, moment: np.full(moment.shape, np.inf))
+        with pytest.raises(FittingError, match="^the solution of the normal equations is not finite$"):
+            fit_reward_model(log_with_rewards(rng, [0.2, 0.9, 0.4]))
+
     @pytest.mark.parametrize("tuples, ridge_lambda, message", [(0, 1e-3, "log is empty"),
                                                                (3, -1e-3, "ridge_lambda must be non-negative")],
                              ids=["empty-log", "negative-ridge_lambda"])

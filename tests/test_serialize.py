@@ -186,6 +186,17 @@ class TestMalformedLog:
         log = read_log(path)
         assert log.features[0, :2].tolist() == [[1e-05, 2500.0], [-0.0, 3.0]]
 
+    def test_first_of_two_bad_values_is_named(self, tmp_path, rng):
+        """A reward out of range on line 3 is named before a chosen index out
+        of range on line 4, although the chosen-index rule is told first."""
+        path, lines = self.written(tmp_path, rng)
+        for number, key, value in ((3, "reward", 2.0), (4, "chosen", 9)):
+            record = json.loads(lines[number - 1])
+            record[key] = value
+            self.rewrite(path, lines, number, json.dumps(record))
+        with pytest.raises(LogConsistencyError, match=r":3: bad log record: reward 2.0 outside \[0, 1\]$"):
+            read_log(path)
+
     @pytest.mark.parametrize("value_line, parse_line", [(2, 4), (4, 3)])
     def test_first_bad_line_is_named(self, tmp_path, rng, value_line, parse_line):
         """A bad value is found once the columns are full, and still named

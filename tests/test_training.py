@@ -136,6 +136,17 @@ class TestEarlyStopping:
         assert trace.best_epoch == 1
         assert len(trace.records) == epochs and trace.stopped_early == (patience > 0)
 
+    def test_a_first_validation_value_of_zero_is_the_best_so_far(self):
+        # every validation reward is 0, so every epoch's validation value is exactly 0.0
+        train_log, val_log = self.opposed_logs()
+        zero = Log((LoggedTuple(val_log.tuples[0].instance, 1, 0.0),), Mode.DETERMINISTIC)
+        config = TrainConfig(kind=EstimatorKind.DPM, learning_rate=0.5, epochs=10, early_stop_patience=2)
+        params, trace = train(config, train_log, zero)
+        assert [r.validation_value for r in trace.records] == [0.0, 0.0, 0.0]
+        assert trace.best_epoch == 1 and trace.stopped_early
+        one_epoch, _ = train(dataclasses.replace(config, epochs=1, early_stop_patience=0), train_log, zero)
+        np.testing.assert_array_equal(params.weights, one_epoch.weights)
+
     def test_patience_counts_consecutive_epochs(self, monkeypatch):
         # the validation value falls back every other epoch, once in a row each time
         from cflearn import training
