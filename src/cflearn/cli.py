@@ -23,7 +23,7 @@ from .estimators import EstimatorKind, evaluate_policy
 from .gradients import FD_TOLERANCE, GradCheckResult, run_grad_check
 from .reward import RewardModel
 from .simulator import GroundTruth, LoggingPolicy, TaskSpec, generate_task, roll_log, split
-from .training import _expected_reward, train
+from .training import evaluate_truth, train
 
 USAGE_ERROR = 1
 CHECK_FAILURE = 2
@@ -65,12 +65,12 @@ def cmd_generate_log(args) -> int:
     return 0
 
 
-def _truth_rewards(truth: GroundTruth, truth_path, log: Log, log_path):
-    """The log's (n, k_max) true rewards; a truth file that lacks an instance
-    of the log, or gives it the wrong number of rewards, is an error naming
-    both files."""
+def _check_coverage(truth: GroundTruth, truth_path, log: Log, log_path) -> None:
+    """Gather the log's true rewards, which its pass state keeps; a truth file
+    that lacks an instance of the log, or gives it the wrong number of
+    rewards, is an error naming both files."""
     with _naming(f"{truth_path} does not cover {log_path}"):
-        return log._tensor_pass().true_rewards(truth)
+        log._tensor_pass().true_rewards(truth)
 
 
 def cmd_train(args) -> int:
@@ -87,7 +87,7 @@ def cmd_train(args) -> int:
     truth = None
     if args.truth:
         truth = serialize.read_truth(args.truth)[0]
-        _truth_rewards(truth, args.truth, train_log, args.log)  # fail naming both files
+        _check_coverage(truth, args.truth, train_log, args.log)
 
     try:
         params, trace = train(train_cfg, train_log, validation_log, truth=truth)
@@ -129,18 +129,18 @@ def _evaluate_row(
     params: PolicyParams,
     log: Log,
     model: RewardModel | None,
-    rewards,
+    truth: GroundTruth | None,
     logger: LoggingPolicy | None,
 ) -> ReportRow:
-    """The report row of the log read from ``path``, given the log's true
-    ``rewards`` or None; the policy's true reward comes from the estimate's
-    own pass.  An error names the file."""
+    """The report row of the log read from ``path``, with true rewards when
+    a ``truth`` is given; the policy's comes from the estimate's own pass.
+    An error names the file."""
     with _naming(path):
         result = evaluate_policy(kind, params, log, model)
         true_reward = logger_reward = improvement = None
-        if rewards is not None:
-            true_reward = _expected_reward(result.probs, rewards)
-            logger_reward = _expected_reward(log._tensor_pass().probs(logger.params, logging=True), rewards)
+        if truth is not None:
+            true_reward = evaluate_truth(params, log, truth)
+            logger_reward = evaluate_truth(logger.params, log, truth)
             improvement = true_reward - logger_reward
         return ReportRow(Path(path).stem, kind.value, result.value, result.effective_sample_size,
                          result.mass_on_dmax, true_reward, logger_reward, improvement)
@@ -168,14 +168,10 @@ def cmd_evaluate(args) -> int:
                     f"{path}: weight dimension {source.dim} does not match the feature "
                     f"dimension {log.dim} of {log_path}"
                 )
-    rewards = [
-        None if truth is None else _truth_rewards(truth, args.truth, log, path)
-        for path, log in zip(args.log, logs)
-    ]
-    rows = [
-        _evaluate_row(path, kind, params, log, model, log_rewards, logger)
-        for path, log, log_rewards in zip(args.log, logs, rewards)
-    ]
+    if truth is not None:
+        for path, log in zip(args.log, logs):
+            _check_coverage(truth, args.truth, log, path)
+    rows = [_evaluate_row(path, kind, params, log, model, truth, logger) for path, log in zip(args.log, logs)]
     out = _out_dir(args.out, Path(args.params).parent)
     serialize.write_csv(out / "report.csv", ReportRow, rows)
     for row in rows:

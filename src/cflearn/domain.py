@@ -290,8 +290,9 @@ class Log:
 
     def probs(self, params: "PolicyParams") -> np.ndarray:
         """Softmax probabilities of shape (n, k_max), candidate-major; 0 at
-        padded candidates."""
-        return _probs(params, self.features, self.k)
+        padded candidates.  The read-only array the log's pass state keeps
+        as its latest target policy's."""
+        return self._tensor_pass().probs(params)
 
     def at_chosen(self, values: np.ndarray) -> np.ndarray:
         """Per-candidate (n, k_max) values taken at each tuple's logged choice."""
@@ -322,9 +323,10 @@ class _TensorPass:
     layout: the softmax and the predictions are candidate-major.
 
     A generated task holds one, which every log rolled from it shares; any
-    other log makes its own on first use.  The latest logging and target
-    softmaxes are kept apart, so rolling a log and evaluating one do not
-    undo each other.  Each part is matched by identity to the immutable
+    other log makes its own on first use.  The latest logging softmax,
+    which only ``roll_log`` asks for, is kept apart from the latest target
+    softmax, so rolling logs from a task and scoring them do not undo each
+    other.  Each part is matched by identity to the immutable
     objects it was made from, and kept only once made, so an error keeps
     nothing.  Its arrays are read-only.
     """
@@ -399,11 +401,6 @@ def policy_probs(params: PolicyParams, instance: Instance) -> np.ndarray:
     range raise :class:`ScoreOverflowError`, and the exponentials are taken
     after subtracting the maximum score so large scores cannot overflow.
     """
-    if params.dim != instance.dim:
-        raise ConfigurationError(
-            f"weight dimension {params.dim} does not match feature dimension "
-            f"{instance.dim} of instance {instance.id!r}"
-        )
     return _probs(params, instance.candidates[None], np.array([instance.k]))[0]
 
 

@@ -1,7 +1,12 @@
 """Finite-difference check of the objectives' exact gradients.
 
-Each family's analytic gradient from :mod:`cflearn.estimators` is compared
-with central differences of its value on seeded random problems.
+Each family's analytic gradient is compared with central differences of its
+value on seeded random problems.  The plain (DPM), self-normalized (DPM-R)
+and controlled (DC) families cover the eight kinds, each of which is its
+family at its control c.  A family reads its value and gradient from
+:func:`cflearn.estimators.value_and_grad`, at c = c_hat for the controlled
+family and 0 otherwise; only the self-normalized value comes from
+:func:`cflearn.estimators.value_reweighted`, which computes it directly.
 """
 
 from __future__ import annotations
@@ -13,14 +18,7 @@ import numpy as np
 
 from .domain import Log, Mode, PolicyParams
 from .errors import DegenerateSupportError
-from .estimators import (
-    grad_doubly_controlled,
-    grad_ips_dpm,
-    grad_reweighted,
-    value_doubly_controlled,
-    value_ips_dpm,
-    value_reweighted,
-)
+from .estimators import EstimatorKind, value_and_grad, value_reweighted
 from .reward import RewardModel
 
 FD_STEP = 1e-5
@@ -92,25 +90,24 @@ def random_problem(rng: np.random.Generator, n_max: int = 10, k_max: int = 5, d_
 def default_families() -> dict:
     """family name -> builder(problem) -> (value_fn, grad_fn)."""
 
-    def ips_dpm(problem):
-        _, log, _, _ = problem
-        return (lambda p: value_ips_dpm(p, log)), (lambda p: grad_ips_dpm(p, log))
+    def family(kind: EstimatorKind):
+        def build(problem):
+            _, log, model, c_hat = problem
+            c = c_hat if kind.uses_reward_model else 0.0
 
-    def reweighted(problem):
-        _, log, _, _ = problem
-        return (lambda p: value_reweighted(p, log)), (lambda p: grad_reweighted(p, log))
+            def value_fn(p):
+                if kind is EstimatorKind.DPM_R:  # computed directly, so it checks the pass's c = 0 reduction
+                    return value_reweighted(p, log)
+                return value_and_grad(kind, p, log, model, grad=False).value_at(c)
 
-    def doubly_controlled(problem):
-        _, log, model, c_hat = problem
-        return (
-            lambda p: value_doubly_controlled(p, log, model, c_hat),
-            lambda p: grad_doubly_controlled(p, log, model, c_hat),
-        )
+            return value_fn, lambda p: value_and_grad(kind, p, log, model).grad(c)
+
+        return build
 
     return {
-        "ips-dpm": ips_dpm,
-        "reweighted": reweighted,
-        "doubly-controlled": doubly_controlled,
+        "ips-dpm": family(EstimatorKind.DPM),
+        "reweighted": family(EstimatorKind.DPM_R),
+        "doubly-controlled": family(EstimatorKind.DC),
     }
 
 

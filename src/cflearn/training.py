@@ -142,7 +142,7 @@ def train(
     of a step included, is recorded on the trace and training halts with
     the best parameters seen so far; ``halted`` names the epoch and the
     cause.  A ``truth`` adds each epoch's exact true reward on the train log
-    to the trace, from the probabilities of that epoch's train-log pass.
+    to the trace, by :func:`evaluate_truth` on that epoch's train-log pass.
     Every error raised before epoch 1 carries the log it concerns as its
     ``log``; c_hat is estimated on the train log alone, so the validation
     log of cDC/cDR may hold one tuple.
@@ -167,7 +167,8 @@ def train(
             raise ConfigurationError(
                 f"initial weight dimension {params.dim} does not match features ({train_log.dim})"
             )
-        truth_rewards = None if truth is None else train_log._tensor_pass().true_rewards(truth)
+        if truth is not None:  # a truth that lacks an instance fails here, not in an epoch
+            train_log._tensor_pass().true_rewards(truth)
         model = None
         if kind.uses_reward_model:
             model = fit_reward_model(train_log, config.ridge_lambda)
@@ -213,7 +214,7 @@ def train(
         validation_value = validation.value_at(c_hat)
         grad_norm = float(np.linalg.norm(current.grad(c_hat)))
 
-        true_reward = None if truth is None else _expected_reward(current.probs, truth_rewards)
+        true_reward = None if truth is None else evaluate_truth(params, train_log, truth)
         trace.records.append(
             EpochRecord(
                 epoch=epoch,
@@ -243,21 +244,18 @@ def train(
     return params, trace
 
 
-def _expected_reward(probs: np.ndarray, rewards: np.ndarray) -> float:
-    """Mean over instances of sum_y pi(y | x) r(x, y) from padded (n, k_max)
-    matrices; padded candidates have probability 0 and reward 0."""
-    return float(np.einsum("ij,ij->i", probs, rewards).mean())
+def evaluate_truth(params: PolicyParams, instances: Log | list[Instance], truth: GroundTruth) -> float:
+    """Exact expected true reward of the policy by full enumeration: the mean
+    over instances of sum_y pi(y | x) r(x, y).
 
-
-def evaluate_truth(params: PolicyParams, instances: list[Instance], truth: GroundTruth) -> float:
-    """Exact expected true reward of the policy by full enumeration.
-
-    The instances go through one softmax pass, zero-padded to the largest k,
-    against the truth's rewards for them.  A generated task's instances
-    read both from the task's pass state, which keeps them.
+    The instances go through one softmax pass, zero-padded to the largest k
+    (padded candidates have probability 0 and reward 0), against the truth's
+    rewards for them.  A log, or a generated task's instances, reads both from
+    its pass state, which keeps them, so after a pass over a log at the same
+    ``params`` object this runs no softmax.
     """
     if len(instances) == 0:
         raise ValueError("evaluate_truth needs at least one instance")
-    tensor = _instances_pass(instances)
+    tensor = instances._tensor_pass() if isinstance(instances, Log) else _instances_pass(instances)
     rewards = tensor.true_rewards(truth)
-    return _expected_reward(tensor.probs(params), rewards)
+    return float(np.einsum("ij,ij->i", tensor.probs(params), rewards).mean())

@@ -112,8 +112,7 @@ def protocol_median_improvements(tasks: int = 10) -> dict[str, float]:
             instances, truth, logger = cf.generate_task(spec)
             log = cf.roll_log(instances, truth, logger, rng=task_seed + 10_000)
             train_log, val_log, test_log = cf.split(log, (0.5, 0.25, 0.25), seed=task_seed)
-            test_instances = [t.instance for t in test_log.tuples]
-            baseline = cf.evaluate_truth(logger.params, test_instances, truth)
+            baseline = cf.evaluate_truth(logger.params, test_log, truth)
             for kind in kinds:
                 config = cf.TrainConfig(
                     kind=kind,
@@ -126,7 +125,7 @@ def protocol_median_improvements(tasks: int = 10) -> dict[str, float]:
                     alpha=PROTOCOL["alpha"],
                 )
                 params, _ = cf.train(config, train_log, val_log)
-                learned = cf.evaluate_truth(params, test_instances, truth)
+                learned = cf.evaluate_truth(params, test_log, truth)
                 improvements[kind].append(learned - baseline)
     return {kind.value: float(np.median(vals)) for kind, vals in improvements.items()}
 

@@ -26,6 +26,8 @@ from cflearn.cli import main
 from cflearn.serialize import read_config, read_log, read_params, read_truth, write_reward_model
 from cflearn.simulator import GroundTruth, generate_task, roll_log, split
 
+from conftest import random_log
+
 
 def write_config(path: Path, **overrides) -> Path:
     config = {
@@ -886,6 +888,17 @@ class TestBadPayloads:
         assert err.startswith(f"cflearn: error: {bad}: weight dimension 2 ")
         assert str(out / "test.jsonl") in err
         assert not (tmp_path / "report" / "report.csv").exists()
+
+    def test_a_later_log_of_another_dimension_is_named(self, trained, tmp_path, capsys):
+        out, run = trained
+        other = tmp_path / "other.jsonl"
+        serialize.write_log(other, random_log(np.random.default_rng(0), 3, 3, 2, Mode.DETERMINISTIC))
+        capsys.readouterr()
+        code = main(["evaluate", "--params", str(run / "params.json"), "--model", str(run / "reward_model.json"),
+                     "--log", str(out / "test.jsonl"), "--log", str(other), "--out", str(tmp_path / "report")])
+        assert code == 1
+        assert capsys.readouterr().err == (f"cflearn: error: {run / 'params.json'}: weight dimension 5 does not "
+                                           f"match the feature dimension 2 of {other}\n")
 
 
 class TestTruthCoverage:

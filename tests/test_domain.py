@@ -56,6 +56,20 @@ class TestPolicyProbs:
         shifted = np.exp(scores - scores.max(axis=0))
         assert np.array_equal(log.probs(params), (shifted / shifted.sum(axis=0)).T)
 
+    def test_a_log_softmax_is_the_read_only_array_its_pass_state_keeps(self, rng):
+        log = random_log(rng, 6, 4, 3, Mode.STOCHASTIC)
+        params = PolicyParams(rng.standard_normal(3))
+        probs = log.probs(params)
+        assert probs is log._tensor_pass().probs(params) and probs is log.probs(params)
+        assert not probs.flags.writeable
+
+    def test_one_instance_and_a_log_state_the_same_dimension_rule(self, rng):
+        inst = Instance("x", rng.standard_normal((3, 4)))
+        log = Log((LoggedTuple(inst, 0, 0.5),), Mode.DETERMINISTIC)
+        for run in (lambda p: policy_probs(p, inst), log.probs):
+            with pytest.raises(ConfigurationError, match=r"^weight dimension 3 does not match log feature dimension 4$"):
+                run(PolicyParams(np.zeros(3)))
+
     def test_shift_invariance(self, rng):
         # adding the same vector to every candidate shifts all scores equally
         inst = Instance("x", rng.standard_normal((4, 3)))

@@ -3,6 +3,7 @@
 import numpy as np
 
 from cflearn import (
+    EstimatorKind,
     Instance,
     Log,
     LoggedTuple,
@@ -22,6 +23,7 @@ from cflearn import (
 from cflearn.estimators import normalized_weights
 from cflearn.gradients import FD_TOLERANCE, default_families, random_problem
 
+import oracles
 from conftest import random_log
 
 
@@ -127,6 +129,27 @@ class TestFdCheck:
         for name in ("ips-dpm", "doubly-controlled"):
             value_fn, grad_fn = families[name](problem)
             assert fd_check(value_fn, grad_fn, problem[0]) < 1e-5
+
+    def test_each_family_checks_its_own_objective_at_its_control(self):
+        """Each default family's value and gradient are its objective's, the
+        controlled one's at the problem's c_hat, against the per-tuple oracle."""
+        rng = np.random.default_rng(8)
+        kinds = {"ips-dpm": EstimatorKind.DPM, "reweighted": EstimatorKind.DPM_R, "doubly-controlled": EstimatorKind.DC}
+        checked = 0
+        for _ in range(6):
+            problem = random_problem(rng, n_max=6)
+            params, log, model, c_hat = problem
+            if len(log) < 2:  # a one-tuple self-normalized value is constant, whatever the family
+                continue
+            checked += 1
+            for name, build in default_families().items():
+                value_fn, grad_fn = build(problem)
+                kind = kinds[name]
+                np.testing.assert_allclose(value_fn(params), oracles.value(kind, params, log, model, c_hat),
+                                           rtol=1e-10, atol=1e-12)
+                np.testing.assert_allclose(grad_fn(params), oracles.gradient(kind, params, log, model, c_hat),
+                                           rtol=1e-10, atol=1e-12)
+        assert checked >= 3
 
     def test_detects_wrong_sign_gradient(self, rng):
         log = random_log(rng, 4, 3, 3, Mode.DETERMINISTIC)

@@ -73,12 +73,16 @@ def attributes(path: Path) -> set[str]:
     return {node.attr for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Attribute)}
 
 
-def names(path: Path) -> set[str]:
-    """Every name a module imports, reads or writes, attributes included."""
+def bare_names(path: Path) -> set[str]:
+    """Every name a module imports, reads or writes, attributes excluded."""
     tree = ast.parse(path.read_text())
     found = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
-    found |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return found | attributes(path)
+    return found | {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def names(path: Path) -> set[str]:
+    """Every name a module imports, reads or writes, attributes included."""
+    return bare_names(path) | attributes(path)
 
 
 def test_serialize_builds_no_row_objects():
@@ -174,3 +178,44 @@ def test_the_cli_keeps_no_copy_of_the_log_rules():
 def test_grad_check_problems_run_no_row_checker():
     """``gradients.random_problem`` draws its columns in range, so it checks no input."""
     assert "_check" not in attributes(PACKAGE / "gradients.py")
+
+
+def test_the_cli_reads_true_rewards_through_evaluate_truth():
+    """``training.evaluate_truth`` is the one route to a policy's true reward,
+    so the CLI imports no private name from ``training``."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    from_training = {alias.name for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) and node.module == "training" for alias in node.names}
+    assert "evaluate_truth" in from_training
+    assert not {name for name in from_training if name.startswith("_")}
+
+
+def keywords(path: Path) -> set[str]:
+    """The keyword argument names a module passes in its calls."""
+    return {kw.arg for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Call)
+            for kw in node.keywords}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_the_logging_softmax_slot_serves_roll_log_alone(path):
+    """Only ``simulator.roll_log`` draws with the logger's softmax; every other
+    softmax, the logger's true reward in ``evaluate`` included, is a target's."""
+    assert path.stem == "simulator" or "logging" not in keywords(path)
+
+
+ONE_FAMILY_WRAPPERS = {"value_ips_dpm", "value_doubly_controlled", "grad_ips_dpm", "grad_reweighted",
+                       "grad_doubly_controlled"}
+
+
+def test_the_gradient_check_reads_the_pass_directly():
+    assert not bare_names(PACKAGE / "gradients.py") & ONE_FAMILY_WRAPPERS
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_the_one_family_wrappers_are_named_in_estimators_alone(path):
+    """The package reads every value through ``value_and_grad``, so removing
+    the wrappers over it would touch no other module than ``estimators`` and
+    ``__init__``.  ``estimate_c_hat`` read as a method is an attribute, not a name."""
+    wrappers = ONE_FAMILY_WRAPPERS | {"rho_weights", "normalized_weights", "diagnostics", "estimate_c_hat",
+                                      "objective_value"}
+    assert path.stem in ("estimators", "__init__") or not bare_names(path) & wrappers

@@ -12,6 +12,7 @@ from cflearn import (
     ConfigurationError,
     EstimatorKind,
     FittingError,
+    GroundTruth,
     Instance,
     Log,
     LoggedTuple,
@@ -146,6 +147,13 @@ class TestTrainNamesTheLog:
             assert caught.value.log is bad
         with pytest.raises(ConfigurationError, match="batch_size 9 exceeds") as caught:
             train(TrainConfig(kind=EstimatorKind.IPS, batch_size=9), good, good_log(Mode.STOCHASTIC))
+        assert caught.value.log is good
+
+    def test_a_truth_that_does_not_cover_the_train_log(self):
+        good = good_log(Mode.STOCHASTIC)
+        truth = GroundTruth(np.zeros(D), {ident: np.full(3, 0.5) for ident in good.ids[:-1]})
+        with pytest.raises(ConfigurationError, match=f"instance '{good.ids[-1]}' has no true rewards") as caught:
+            train(TrainConfig(kind=EstimatorKind.IPS), good, good_log(Mode.STOCHASTIC), truth=truth)
         assert caught.value.log is good
 
     def test_a_train_log_whose_reward_fit_fails(self):

@@ -186,6 +186,37 @@ class TestMalformedLog:
         log = read_log(path)
         assert log.features[0, :2].tolist() == [[1e-05, 2500.0], [-0.0, 3.0]]
 
+    @pytest.mark.parametrize("line, name", [("[1, 2]", "list"), ('"id features chosen reward"', "str"),
+                                            ("7", "int"), ("null", "NoneType")])
+    def test_a_record_that_is_no_object_is_named_so(self, tmp_path, rng, line, name):
+        path, lines = self.written(tmp_path, rng)
+        self.rewrite(path, lines, 2, line)
+        with pytest.raises(LogConsistencyError, match=rf":2: bad log record: expected a JSON object, got {name}$"):
+            read_log(path)
+
+    @pytest.mark.parametrize("features, chosen, message", [
+        ("[[1.0], [2.0]]", "true", "chosen must be an integer, got True"),
+        ("[[true], [false]]", "0", "features must be numbers, got an array of bool"),
+        ("[[0.5, true], [1.0, 2.0]]", "0", "features must be numbers, got a bool among them"),
+        ("[1.0, 2.0]", "0", r"instance 'x': candidates must be a \(k, d\) matrix, got shape \(2,\)"),
+    ])
+    def test_a_bad_value_is_named_so(self, tmp_path, rng, features, chosen, message):
+        path, lines = self.written(tmp_path, rng)
+        line = f'{{"id": "x", "features": {features}, "chosen": {chosen}, "reward": 0.5, "propensity": 0.5}}'
+        self.rewrite(path, lines, 2, line)
+        with pytest.raises(LogConsistencyError, match=rf":2: bad log record: {message}$"):
+            read_log(path)
+
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    def test_written_records_are_scanned_not_walked(self, tmp_path, rng, mode):
+        """``_has_bool`` decides every record ``write_log`` writes from its
+        bytes alone, without walking the parsed feature values."""
+        path, lines = self.written(tmp_path, rng, mode)
+        for line in lines[1:]:
+            record = json.loads(line)
+            record["features"] = None  # walking it would raise TypeError
+            assert serialize._has_bool(line.encode(), record) is False
+
     def test_first_of_two_bad_values_is_named(self, tmp_path, rng):
         """A reward out of range on line 3 is named before a chosen index out
         of range on line 4, although the chosen-index rule is told first."""

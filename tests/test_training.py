@@ -19,6 +19,7 @@ from cflearn import (
     initial_params,
     policy_probs,
     train,
+    value_and_grad,
     TaskSpec,
     TrainConfig,
     generate_task,
@@ -385,6 +386,37 @@ class TestEvaluateTruth:
         assert len(softmaxes) == 1
         want = evaluate_truth(params, list(instances), truth)
         assert len(gathers) == 1 and got.hex() == want.hex()
+
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("ragged", [False, True], ids=["uniform", "ragged"])
+    def test_a_log_equals_its_instance_list_bit_for_bit(self, rng, mode, ragged):
+        sizes = (2, 3, 5) if ragged else (4,)
+        tuples = [
+            LoggedTuple(Instance(f"g{t}", rng.standard_normal((sizes[t % len(sizes)], 3))), 1, 0.5,
+                        0.5 if mode is Mode.STOCHASTIC else None)
+            for t in range(13)
+        ]
+        log = Log(tuples, mode)
+        truth = GroundTruth(np.zeros(3), {t.instance.id: rng.uniform(0, 1, t.instance.k) for t in tuples})
+        for _ in range(3):
+            params = PolicyParams(rng.standard_normal(3), alpha=float(rng.uniform(0.5, 2.0)))
+            want = evaluate_truth(params, [t.instance for t in tuples], truth)
+            assert evaluate_truth(params, log, truth).hex() == want.hex()
+
+    def test_a_log_after_a_pass_at_the_same_params_runs_no_softmax(self, rng, monkeypatch):
+        from cflearn import domain
+
+        log = random_log(rng, 9, 4, 3, Mode.DETERMINISTIC)
+        truth = GroundTruth(np.zeros(3), {ident: rng.uniform(0, 1, 4) for ident in log.ids})
+        params = PolicyParams(rng.standard_normal(3))
+        value_and_grad(EstimatorKind.DPM_R, params, log)
+        calls = []
+        softmax = domain._softmax
+        monkeypatch.setattr(domain, "_softmax", lambda scores: calls.append(1) or softmax(scores))
+        got = evaluate_truth(params, log, truth)
+        assert calls == []
+        assert got == pytest.approx(oracles.evaluate_truth(params, [t.instance for t in log.tuples], truth),
+                                    rel=1e-12, abs=0.0)
 
     def test_train_trace_matches_oracle_on_the_train_log(self):
         spec = TaskSpec(num_instances=30, k=4, d=5, seed=3, logging_mode=Mode.STOCHASTIC)
