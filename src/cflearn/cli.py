@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import serialize
 from .degeneracy import ProbeResult, probe_theorem1, probe_theorem2
-from .domain import Log, Mode, PolicyParams
+from .domain import Log, Mode, PolicyParams, _fits, _integer
 from .errors import CflearnError, ConfigurationError
 from .estimators import EstimatorKind, evaluate_policy
 from .gradients import FD_TOLERANCE, GradCheckResult, run_grad_check
@@ -31,11 +31,14 @@ CHECK_FAILURE = 2
 
 @contextmanager
 def _naming(prefix):
-    """Prefix a package error or a ValueError raised inside with the file(s) it concerns."""
+    """Prefix a package error or a ValueError raised inside with the file(s) it
+    concerns; an allocation failure becomes a ConfigurationError."""
     try:
         yield
     except (CflearnError, ValueError) as err:
         raise type(err)(f"{prefix}: {err}") from err
+    except MemoryError as err:  # numpy's own cannot be rebuilt from a message
+        raise ConfigurationError(f"{prefix}: {err}") from err
 
 
 def _out_dir(out, default=None) -> Path:
@@ -163,11 +166,9 @@ def cmd_evaluate(args) -> int:
     logger_params = None if logger is None else logger.params
     for path, source in ((args.params, params), (args.model, model), (args.truth, logger_params)):
         for log_path, log in zip(args.log, logs):
-            if source is not None and len(log) and source.dim != log.dim:
-                raise ConfigurationError(
-                    f"{path}: weight dimension {source.dim} does not match the feature "
-                    f"dimension {log.dim} of {log_path}"
-                )
+            if source is not None and len(log):
+                with _naming(f"{path} does not fit {log_path}"):
+                    _fits("weight", source.dim, log.dim)
     if truth is not None:
         for path, log in zip(args.log, logs):
             _check_coverage(truth, args.truth, log, path)
@@ -180,7 +181,14 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+def _options(args, **minimums) -> None:
+    """Raises ValueError naming the first option of ``args`` below its minimum, by ``domain._integer``'s rule."""
+    for name, minimum in minimums.items():
+        _integer(f"--{name.replace('_', '-')}", getattr(args, name), minimum)
+
+
 def cmd_grad_check(args) -> int:
+    _options(args, seed=0, count=1, max_n=1, max_k=2, max_d=1)
     results = run_grad_check(
         seed=args.seed, count=args.count, n_max=args.max_n, k_max=args.max_k, d_max=args.max_d
     )
@@ -232,6 +240,7 @@ class ProbeRow:
 
 
 def cmd_degeneracy_probe(args) -> int:
+    _options(args, seed=0, count=1)
     rows = [
         ProbeRow(label, res.theorem, "skipped" if res.skipped else ("passed" if res.holds else "violated"),
                  res.reference_value, res.worst_challenger, res.reason or res.witness)

@@ -47,6 +47,23 @@ def _integer(key: str, value, minimum: int | None = None) -> int:
     return value
 
 
+def _weights(key: str, values) -> np.ndarray:
+    """A read-only float copy of ``values`` if it is a finite vector; raises ConfigurationError naming the key."""
+    weights = np.array(values, dtype=float)
+    if weights.ndim != 1:
+        raise ConfigurationError(f"{key} must be a vector, got shape {weights.shape}")
+    if not np.isfinite(weights).all():
+        raise ConfigurationError(f"{key} contain non-finite values")
+    weights.flags.writeable = False
+    return weights
+
+
+def _fits(what: str, dim: int, feature_dim: int) -> None:
+    """Raises ConfigurationError unless weights of ``dim`` fit features of ``feature_dim``."""
+    if dim != feature_dim:
+        raise ConfigurationError(f"{what} dimension {dim} does not match feature dimension {feature_dim}")
+
+
 def _member(key: str, enum: type[Enum], value) -> Enum:
     """``value`` as a member of ``enum``; raises ValueError naming the key."""
     try:
@@ -146,10 +163,7 @@ def _probs(params: "PolicyParams", features: np.ndarray, k: np.ndarray) -> np.nd
     each row's k.  The array is candidate-major: its memory is that of a
     C-contiguous (k_max, n) array."""
     n, k_max, d = features.shape
-    if params.dim != d:
-        raise ConfigurationError(
-            f"weight dimension {params.dim} does not match log feature dimension {d}"
-        )
+    _fits("weight", params.dim, d)
     # padded candidates score exactly 0, so checking every score checks the real ones
     with np.errstate(over="ignore", invalid="ignore"):
         raw = features.reshape(n * k_max, d) @ params.weights
@@ -378,15 +392,10 @@ class PolicyParams:
     alpha: float = 1.0
 
     def __post_init__(self) -> None:
-        w = np.array(self.weights, dtype=float)
-        if w.ndim != 1:
-            raise ConfigurationError(f"weights must be a vector, got shape {w.shape}")
-        if not np.all(np.isfinite(w)):
-            raise ConfigurationError("weights contain non-finite values")
+        weights = _weights("weights", self.weights)
         if not (math.isfinite(self.alpha) and self.alpha > 0.0):
             raise ConfigurationError(f"alpha must be a positive real, got {self.alpha}")
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "alpha", float(self.alpha))
 
     @property

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Log, _nonempty
+from .domain import Log, _fits, _nonempty, _real, _weights
 from .errors import ConfigurationError, FittingError, ScoreOverflowError
 
 
@@ -21,9 +21,9 @@ from .errors import ConfigurationError, FittingError, ScoreOverflowError
 class RewardModel:
     """Linear reward regressor; predictions are clipped to [0, 1] at use.
 
-    ``weights`` is a read-only copy of the array given and the scalars are
-    floats, so a model never changes once made, and its fields are its file
-    format.
+    ``weights`` is a read-only copy of the finite vector given and the
+    scalars are floats, the intercept a finite one, so a model never changes
+    once made, and its fields are its file format.
     """
 
     weights: np.ndarray
@@ -31,10 +31,11 @@ class RewardModel:
     ridge_lambda: float
 
     def __post_init__(self) -> None:
-        weights = np.array(self.weights, dtype=float)
-        weights.flags.writeable = False
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "intercept", float(self.intercept))
+        object.__setattr__(self, "weights", _weights("weights", self.weights))
+        try:
+            object.__setattr__(self, "intercept", float(_real("intercept", self.intercept)))
+        except ValueError as err:
+            raise ConfigurationError(str(err)) from None
         object.__setattr__(self, "ridge_lambda", float(self.ridge_lambda))
 
     @property
@@ -46,11 +47,7 @@ class RewardModel:
         arrays of shape (..., d); raises :class:`ScoreOverflowError` when one
         leaves the float range."""
         features = np.asarray(features, dtype=float)
-        if features.shape[-1] != self.dim:
-            raise ConfigurationError(
-                f"reward model dimension {self.dim} does not match features "
-                f"with last axis {features.shape[-1]}"
-            )
+        _fits("reward model", self.dim, features.shape[-1])
         with np.errstate(over="ignore", invalid="ignore"):  # checked just below
             predictions = features @ self.weights + self.intercept
         if not np.isfinite(predictions).all():

@@ -121,8 +121,6 @@ def _has_bool(line: bytes, record: dict) -> bool:
     start = key + len(b'"features":')
     if key >= 0 and len(record) == len(_RECORD_KEYS) + ("propensity" in record):
         end = line.find(b'"', start)
-        if end < 0:
-            end = len(line)
         if line.find(b'"features":', end) < 0 and line.find(b"\\", end) < 0:
             return line.find(b"t", start, end) >= 0 or line.find(b"f", start, end) >= 0
     return any(bool in map(type, row) for row in record["features"])
@@ -165,8 +163,9 @@ def read_log(path: str | Path) -> Log:
     columns; the feature tensor widens only when a record has more
     candidates than any before it, so reading holds it once.  The values of
     the rows parsed are tested by ``Log._check`` at the end or at a record
-    that fails to parse.  Malformed input raises :class:`LogConsistencyError`
-    naming the file and the first bad line.
+    that fails to parse.  Malformed input, or a record that sizes the tensor
+    beyond what can be allocated, raises :class:`LogConsistencyError` naming
+    the file and the first bad line.
     """
     with open(path, "rb", buffering=_BUFFER) as handle:
         header_line = handle.readline()
@@ -203,7 +202,7 @@ def read_log(path: str | Path) -> Log:
                     wider = np.zeros((n, count, dim))
                     wider[:row, : features.shape[1]] = features[:row]
                     features = wider
-            except (TypeError, ValueError, CflearnError) as err:
+            except (TypeError, ValueError, MemoryError, CflearnError) as err:
                 rows, fault = row, err
                 break
             features[row, :count] = candidates

@@ -19,7 +19,8 @@ from itertools import chain
 
 import numpy as np
 
-from .domain import Instance, Log, Mode, PolicyParams, _TensorPass, _integer, _member, _real, _stack_candidates
+from .domain import (Instance, Log, Mode, PolicyParams, _TensorPass, _integer, _member, _real,
+                     _stack_candidates, _weights)
 from .errors import ConfigurationError
 
 REWARD_QUANTUM = 1e-6
@@ -56,11 +57,12 @@ class TaskSpec:
 
 @dataclass(frozen=True, eq=False)
 class GroundTruth:
-    """Hidden reward weights and the true reward of every candidate, the
-    form its file is written from.  The rewards are the rows of one
-    read-only (n, k_max) matrix, zero past each row's k, and each value of
-    ``rewards`` is a view of its row.  A truth checks once, when made, that
-    its rewards lie in [0, 1], so the logs rolled from it need not."""
+    """Hidden reward weights, a read-only copy of a finite vector, and the
+    true reward of every candidate, the form its file is written from.  The
+    rewards are the rows of one read-only (n, k_max) matrix, zero past each
+    row's k, and each value of ``rewards`` is a view of its row.  A truth
+    checks once, when made, that its rewards lie in [0, 1], so the logs
+    rolled from it need not."""
 
     reward_weights: np.ndarray
     rewards: dict[str, np.ndarray]  # instance id -> (k,) true rewards
@@ -87,7 +89,7 @@ class GroundTruth:
             raise ConfigurationError(f"instance {keys[row]!r}: true reward {matrix[row, col]} outside [0, 1]")
         matrix.setflags(write=False)
         vars(self).update(
-            reward_weights=np.ascontiguousarray(reward_weights, dtype=float),
+            reward_weights=_weights("reward_weights", reward_weights),
             rewards={key: matrix[row, :count] for row, (key, count) in enumerate(zip(keys, counts.tolist()))},
             _matrix=matrix,
             _row=dict(zip(keys, range(len(keys)))),

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import Instance, Log, PolicyParams, _integer, _member, _real
+from .domain import Instance, Log, PolicyParams, _fits, _integer, _member, _real
 from .errors import CflearnError, ConfigurationError, DegenerateSupportError, ScoreOverflowError
 from .estimators import EstimatorKind, check_log, value_and_grad
 from .reward import RewardModel, fit_reward_model
@@ -150,23 +150,16 @@ def train(
     kind = config.kind
     with _concerning(train_log):
         check_log(kind, train_log)
+        params = initial if initial is not None else initial_params(config, train_log.dim)
+        _fits("initial weight", params.dim, train_log.dim)
     with _concerning(validation_log):
         check_log(kind, validation_log, estimates_c_hat=False)
-        if validation_log.dim != train_log.dim:
-            raise ConfigurationError(
-                f"validation log feature dimension {validation_log.dim} differs from "
-                f"the train log's {train_log.dim}"
-            )
+        _fits("initial weight", params.dim, validation_log.dim)
     n = len(train_log)
     with _concerning(train_log):
         batch_size = n if config.batch_size == "full" else int(config.batch_size)
         if batch_size > n:
             raise ConfigurationError(f"batch_size {batch_size} exceeds log size {n}")
-        params = initial if initial is not None else initial_params(config, train_log.dim)
-        if params.dim != train_log.dim:
-            raise ConfigurationError(
-                f"initial weight dimension {params.dim} does not match features ({train_log.dim})"
-            )
         if truth is not None:  # a truth that lacks an instance fails here, not in an epoch
             train_log._tensor_pass().true_rewards(truth)
         model = None

@@ -470,6 +470,80 @@ class TestChecks:
         assert main(["degeneracy-probe", "--count", "1"]) == 0  # a skipped probe is no violation
 
 
+class TestOptionBounds:
+    """The integer options of grad-check and degeneracy-probe are checked as they
+    enter, so a bound is never met with a vacuous pass or an error in numpy's words."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["grad-check", "--count", "-3"], "--count must be at least 1, got -3"),
+        (["grad-check", "--max-n", "0"], "--max-n must be at least 1, got 0"),
+        (["grad-check", "--max-k", "1"], "--max-k must be at least 2, got 1"),
+        (["grad-check", "--max-d", "0"], "--max-d must be at least 1, got 0"),
+        (["grad-check", "--seed", "-1"], "--seed must be at least 0, got -1"),
+        (["degeneracy-probe", "--count", "-1"], "--count must be at least 1, got -1"),
+        (["degeneracy-probe", "--seed", "-1"], "--seed must be at least 0, got -1"),
+    ], ids=["grad-count", "max-n", "max-k", "max-d", "grad-seed", "probe-count", "probe-seed"])
+    def test_an_option_below_its_bound_exits_one_naming_it(self, tmp_path, capsys, argv, message):
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+        assert tuple(capsys.readouterr()) == ("", f"cflearn: error: {message}\n")
+        assert not (tmp_path / "out").exists()
+
+
+def _unallocatable(limit: int):
+    """A stand-in for ``np.zeros`` that raises numpy's own MemoryError past ``limit`` values, as an
+    allocation of that size would, and allocates nothing large."""
+    zeros = np.zeros
+
+    def allocate(shape, *args, **kwargs):
+        if np.prod(shape) > limit:
+            raise np._core._exceptions._ArrayMemoryError(tuple(shape), np.dtype(float))
+        return zeros(shape, *args, **kwargs)
+    return allocate
+
+
+class TestAllocationFailures:
+    """An input that sizes an array numpy cannot allocate ends in an error naming
+    the file, exit 1, not a traceback."""
+
+    def test_generate_log_names_the_config(self, tmp_path, monkeypatch, capsys):
+        config = write_config(tmp_path / "config.yaml", **{"task.num_instances": 1048576, "task.k": 1024,
+                                                           "task.d": 1024})
+        default_rng = np.random.default_rng
+
+        class Generator:  # draws as numpy's does, with no room for more than a million values
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def standard_normal(self, size):
+                if np.prod(size) > 10**6:
+                    raise np._core._exceptions._ArrayMemoryError(tuple(size), np.dtype(float))
+                return self.rng.standard_normal(size)
+
+        monkeypatch.setattr(np.random, "default_rng", Generator)
+        assert main(["generate-log", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == (f"cflearn: error: {config}: Unable to allocate 8.00 TiB for an array "
+                                           "with shape (1048576, 1024, 1024) and data type float64\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("records, line, shape", [
+        ([(2, 1000)], 2, "15.3 MiB for an array with shape (1000, 2, 1000)"),
+        ([(2, 3), (3, 3)], 3, "70.3 KiB for an array with shape (1000, 3, 3)"),
+    ], ids=["first-record", "widening-record"])
+    def test_a_log_too_large_to_hold_is_named_at_its_line(self, tmp_path, monkeypatch, capsys, records, line, shape):
+        # the records' candidates size a (1000, k, d) tensor; the lines after them are never parsed
+        log = tmp_path / "test.jsonl"
+        rows = [json.dumps({"id": f"i{i}", "features": np.zeros((k, d)).tolist(), "chosen": 0, "reward": 0.5})
+                for i, (k, d) in enumerate(records)]
+        log.write_text("\n".join([json.dumps({"mode": "deterministic"}), *rows, *["{}"] * (1000 - len(rows))]) + "\n")
+        params = tmp_path / "params.json"
+        serialize.write_params(params, PolicyParams(np.zeros(3)), {"kind": "dpm"})
+        monkeypatch.setattr(np, "zeros", _unallocatable(8000))
+        assert main(["evaluate", "--params", str(params), "--log", str(log), "--out", str(tmp_path / "report")]) == 1
+        assert capsys.readouterr().err == (f"cflearn: error: {log}:{line}: bad log record: Unable to allocate {shape} "
+                                           "and data type float64\n")
+        assert not (tmp_path / "report").exists()
+
+
 def _edited_config(edit):
     """A bad input case: the tests' config with its bytes edited."""
     def build(tmp_path):
@@ -885,7 +959,7 @@ class TestBadPayloads:
         capsys.readouterr()
         assert self.evaluate(out, run, tmp_path, **{name: bad}) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"cflearn: error: {bad}: weight dimension 2 ")
+        assert err.startswith(f"cflearn: error: {bad} does not fit {out / 'test.jsonl'}: weight dimension 2 ")
         assert str(out / "test.jsonl") in err
         assert not (tmp_path / "report" / "report.csv").exists()
 
@@ -897,8 +971,8 @@ class TestBadPayloads:
         code = main(["evaluate", "--params", str(run / "params.json"), "--model", str(run / "reward_model.json"),
                      "--log", str(out / "test.jsonl"), "--log", str(other), "--out", str(tmp_path / "report")])
         assert code == 1
-        assert capsys.readouterr().err == (f"cflearn: error: {run / 'params.json'}: weight dimension 5 does not "
-                                           f"match the feature dimension 2 of {other}\n")
+        assert capsys.readouterr().err == (f"cflearn: error: {run / 'params.json'} does not fit {other}: "
+                                           f"weight dimension 5 does not match feature dimension 2\n")
 
 
 class TestTruthCoverage:

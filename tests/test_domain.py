@@ -67,7 +67,7 @@ class TestPolicyProbs:
         inst = Instance("x", rng.standard_normal((3, 4)))
         log = Log((LoggedTuple(inst, 0, 0.5),), Mode.DETERMINISTIC)
         for run in (lambda p: policy_probs(p, inst), log.probs):
-            with pytest.raises(ConfigurationError, match=r"^weight dimension 3 does not match log feature dimension 4$"):
+            with pytest.raises(ConfigurationError, match=r"^weight dimension 3 does not match feature dimension 4$"):
                 run(PolicyParams(np.zeros(3)))
 
     def test_shift_invariance(self, rng):

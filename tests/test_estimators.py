@@ -292,7 +292,7 @@ class TestKindDispatch:
 
     def test_params_of_another_dimension_rejected(self, rng):
         log = random_log(rng, 5, 3, 2, Mode.DETERMINISTIC)
-        with pytest.raises(ConfigurationError, match="weight dimension 3 does not match log feature dimension 2"):
+        with pytest.raises(ConfigurationError, match="weight dimension 3 does not match feature dimension 2"):
             value_and_grad(EstimatorKind.DPM, PolicyParams(np.zeros(3)), log)
 
     @pytest.mark.parametrize("kind", list(EstimatorKind), ids=lambda k: k.value)

@@ -219,3 +219,23 @@ def test_the_one_family_wrappers_are_named_in_estimators_alone(path):
     wrappers = ONE_FAMILY_WRAPPERS | {"rho_weights", "normalized_weights", "diagnostics", "estimate_c_hat",
                                       "objective_value"}
     assert path.stem in ("estimators", "__init__") or not bare_names(path) & wrappers
+
+
+def test_the_weight_vector_rules_are_stated_in_domain_alone():
+    """``domain._weights`` states what a weight vector is, and ``domain._fits``
+    which features it fits, for the policy, the reward model and the truth."""
+    for text in ("does not match feature dimension", "must be a vector", "contain non-finite values"):
+        assert [path.stem for path in MODULES if text in path.read_text()] == ["domain"]
+
+
+def dimension_inequalities(path: Path) -> list[int]:
+    """The lines on which a module compares a ``.dim`` attribute with ``!=``."""
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Compare)
+            and any(isinstance(op, ast.NotEq) for op in node.ops)
+            and any(isinstance(side, ast.Attribute) and side.attr == "dim"
+                    for side in (node.left, *node.comparators))]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_dimensions_are_compared_in_domain_alone(path):
+    assert path.stem == "domain" or dimension_inequalities(path) == []

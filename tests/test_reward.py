@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cflearn import (
+    ConfigurationError,
     FittingError,
     Instance,
     Log,
@@ -113,6 +114,25 @@ class TestFit:
             raw = feats @ model.weights + model.intercept  # unclipped training loss
             losses.append(float(((raw - targets) ** 2).mean()))
         assert all(a >= b - 1e-12 for a, b in zip(losses, losses[1:]))
+
+
+class TestModelFields:
+    """A model states the weight-vector rule of ``PolicyParams`` when it is made,
+    so a model that could only fail at its first prediction is never made."""
+
+    @pytest.mark.parametrize("weights, message", [
+        ([np.nan, 1.0], "^weights contain non-finite values$"),
+        ([np.inf, 1.0], "^weights contain non-finite values$"),
+        ([[0.5, 1.0]], r"^weights must be a vector, got shape \(1, 2\)$"),
+    ], ids=["nan", "inf", "2-d"])
+    def test_weights_that_are_no_finite_vector_rejected(self, weights, message):
+        with pytest.raises(ConfigurationError, match=message):
+            RewardModel(np.array(weights), intercept=0.0, ridge_lambda=0.0)
+
+    @pytest.mark.parametrize("intercept", [np.nan, np.inf, -np.inf, 10**400], ids=["nan", "inf", "-inf", "huge-int"])
+    def test_an_intercept_that_is_not_finite_rejected(self, intercept):
+        with pytest.raises(ConfigurationError, match="^intercept must be a finite number, got "):
+            RewardModel(np.zeros(2), intercept=intercept, ridge_lambda=0.0)
 
 
 class TestPredict:

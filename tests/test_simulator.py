@@ -69,6 +69,25 @@ class TestGenerateTask:
         matrix = truth.reward_matrix(["a", "b"], np.array([2, 3]), 4)
         assert matrix.tolist() == [[0.5, 1.0, 0.0, 0.0], [0.0, 0.25, 0.75, 0.0]]
 
+    def test_reward_weights_are_a_read_only_copy(self):
+        from cflearn import GroundTruth
+
+        given = np.array([1.0, -2.0])
+        truths = [GroundTruth(given, {"a": [0.5, 1.0]}), generate_task(spec())[1]]
+        for truth in truths:
+            assert truth.reward_weights.dtype == float and not truth.reward_weights.flags.writeable
+        assert not np.shares_memory(truths[0].reward_weights, given)
+
+    @pytest.mark.parametrize("weights, message", [
+        ([np.nan], "^reward_weights contain non-finite values$"),
+        ([[1.0]], r"^reward_weights must be a vector, got shape \(1, 1\)$"),
+    ], ids=["nan", "2-d"])
+    def test_reward_weights_that_are_no_finite_vector_rejected(self, weights, message):
+        from cflearn import GroundTruth
+
+        with pytest.raises(ConfigurationError, match=message):
+            GroundTruth(weights, {"a": [0.5, 1.0]})
+
     @pytest.mark.parametrize("bad", [-0.5, 1.0 + REWARD_QUANTUM, np.nan])
     def test_a_truth_is_range_checked_when_made(self, bad):
         # the first bad cell, row by row, is named: 'b' holds it at column 2 of a ragged matrix

@@ -183,13 +183,19 @@ class TestGuards:
         with pytest.raises(LogConsistencyError, match="log is empty"):
             train(TrainConfig(kind=EstimatorKind.DPM), log, Log((), Mode.DETERMINISTIC))
         narrow = random_log(rng, 4, 3, 1, Mode.DETERMINISTIC)
-        with pytest.raises(ConfigurationError, match="dimension 1 differs"):
+        with pytest.raises(ConfigurationError, match="initial weight dimension 2 does not match feature dimension 1"):
             train(TrainConfig(kind=EstimatorKind.DPM), log, narrow)
 
     def test_initial_params_of_another_dimension_rejected(self, rng):
         log = random_log(rng, 4, 3, 2, Mode.DETERMINISTIC)
-        with pytest.raises(ConfigurationError, match="initial weight dimension 3 does not match features"):
+        with pytest.raises(ConfigurationError, match="initial weight dimension 3 does not match feature dimension 2"):
             train(TrainConfig(kind=EstimatorKind.DPM), log, log, initial=PolicyParams(np.zeros(3)))
+
+    def test_initial_params_of_another_dimension_name_the_train_log(self, rng):
+        train_log, validation_log = (random_log(rng, 4, 3, 2, Mode.DETERMINISTIC) for _ in range(2))
+        with pytest.raises(ConfigurationError) as caught:
+            train(TrainConfig(kind=EstimatorKind.DPM), train_log, validation_log, initial=PolicyParams(np.zeros(3)))
+        assert caught.value.log is train_log
 
     def test_estimated_control_needs_two_train_tuples(self, rng):
         log = random_log(rng, 1, 3, 2, Mode.DETERMINISTIC)
