@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import serialize
 from .degeneracy import ProbeResult, probe_theorem1, probe_theorem2
-from .domain import Log, Mode, PolicyParams, _fits, _integer
+from .domain import Log, Mode, PolicyParams, _fits, _integer, _member
 from .errors import CflearnError, ConfigurationError
 from .estimators import EstimatorKind, evaluate_policy
 from .gradients import FD_TOLERANCE, GradCheckResult, run_grad_check
@@ -49,6 +49,7 @@ def _out_dir(out, default=None) -> Path:
 
 
 def cmd_generate_log(args) -> int:
+    _options(args, seed=0)
     config = serialize.read_config(args.config)
     task = config.task
     if args.seed is not None:
@@ -77,6 +78,7 @@ def _check_coverage(truth: GroundTruth, truth_path, log: Log, log_path) -> None:
 
 
 def cmd_train(args) -> int:
+    _options(args, seed=0)
     config = serialize.read_config(args.config)
     train_cfg = config.train
     if args.estimator is not None:
@@ -153,7 +155,7 @@ def cmd_evaluate(args) -> int:
     params, meta = serialize.read_params(args.params)
     if args.estimator is not None:
         meta["kind"] = args.estimator
-    kind = serialize._get(meta, "kind", EstimatorKind, args.params)
+    kind = serialize._get(meta, "kind", lambda value: _member("kind", EstimatorKind, value), args.params)
     model = serialize.read_reward_model(args.model) if args.model else None
     if kind.uses_reward_model and model is None:
         raise ValueError(f"estimator {kind.value} needs --model reward_model.json")
@@ -182,9 +184,11 @@ def cmd_evaluate(args) -> int:
 
 
 def _options(args, **minimums) -> None:
-    """Raises ValueError naming the first option of ``args`` below its minimum, by ``domain._integer``'s rule."""
+    """Raises ConfigurationError naming the first option of ``args`` given
+    below its minimum, by ``domain._integer``'s rule; an option not given is None."""
     for name, minimum in minimums.items():
-        _integer(f"--{name.replace('_', '-')}", getattr(args, name), minimum)
+        if getattr(args, name) is not None:
+            _integer(f"--{name.replace('_', '-')}", getattr(args, name), minimum)
 
 
 def cmd_grad_check(args) -> int:

@@ -29,21 +29,30 @@ class Mode(Enum):
     STOCHASTIC = "stochastic"
 
 
-def _real(key: str, value):
-    """``value`` if it is a real number with a finite float value; raises ValueError naming the key."""
+# The range rules of _real: the words that state a rule, and the test a value keeps.
+_NON_NEGATIVE = ("must be non-negative", lambda value: value >= 0.0)
+_POSITIVE = ("must be positive", lambda value: value > 0.0)
+_UNIT = ("must be in [0, 1]", lambda value: 0.0 <= value <= 1.0)
+
+
+def _real(key: str, value, rule: tuple | None = None) -> float:
+    """``value`` as a float if it is a real number with a finite float value
+    that keeps ``rule``, one of the range rules above; raises ConfigurationError naming the key."""
     if not isinstance(value, bool) and isinstance(value, numbers.Real):
         with suppress(OverflowError):  # an integer beyond the float range
             if math.isfinite(value):
-                return value
-    raise ValueError(f"{key} must be a finite number, got {value!r}")
+                if rule is None or rule[1](value):
+                    return float(value)
+                raise ConfigurationError(f"{key} {rule[0]}, got {value}")
+    raise ConfigurationError(f"{key} must be a finite number, got {value!r}")
 
 
-def _integer(key: str, value, minimum: int | None = None) -> int:
-    """``value`` if it is an integer of at least ``minimum``; raises ValueError naming the key."""
+def _integer(key: str, value, minimum: int) -> int:
+    """``value`` if it is an integer of at least ``minimum``; raises ConfigurationError naming the key."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ValueError(f"{key} must be at least {minimum}, got {value}")
+        raise ConfigurationError(f"{key} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigurationError(f"{key} must be at least {minimum}, got {value}")
     return value
 
 
@@ -64,13 +73,13 @@ def _fits(what: str, dim: int, feature_dim: int) -> None:
         raise ConfigurationError(f"{what} dimension {dim} does not match feature dimension {feature_dim}")
 
 
-def _member(key: str, enum: type[Enum], value) -> Enum:
-    """``value`` as a member of ``enum``; raises ValueError naming the key."""
-    try:
-        return enum(value)
-    except ValueError:
-        choices = ", ".join(member.value for member in enum)
-        raise ValueError(f"{key} must be one of {choices}; got {value!r}") from None
+def _member(key: str, choices, value):
+    """``value`` if it is one of the tuple ``choices``, or as a member of
+    the Enum ``choices``; raises ConfigurationError naming the key."""
+    with suppress(ValueError):
+        return choices[choices.index(value)] if isinstance(choices, tuple) else choices(value)
+    names = ", ".join(getattr(choice, "value", choice) for choice in choices)
+    raise ConfigurationError(f"{key} must be one of {names}; got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -392,11 +401,8 @@ class PolicyParams:
     alpha: float = 1.0
 
     def __post_init__(self) -> None:
-        weights = _weights("weights", self.weights)
-        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
-            raise ConfigurationError(f"alpha must be a positive real, got {self.alpha}")
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "weights", _weights("weights", self.weights))
+        object.__setattr__(self, "alpha", _real("alpha", self.alpha, _POSITIVE))
 
     @property
     def dim(self) -> int:

@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
-A :class:`LogConsistencyError` is also a ``ValueError``: a log that is
-empty or breaks its mode's rules is a bad value, so code that catches
-``ValueError`` catches it too.
+A :class:`ConfigurationError` and a :class:`LogConsistencyError` are each
+also a ``ValueError``: a setting out of its range or choices, inputs that do
+not fit each other, and a log that is empty or breaks its mode's rules are
+bad values, so code that catches ``ValueError`` catches them too.
 """
 
 
@@ -10,8 +11,9 @@ class CflearnError(Exception):
     """Base class for package-specific errors."""
 
 
-class ConfigurationError(CflearnError):
-    """Dimensions or settings are inconsistent with each other."""
+class ConfigurationError(CflearnError, ValueError):
+    """A setting breaks its rule, or dimensions or settings are inconsistent
+    with each other."""
 
 
 class LogConsistencyError(CflearnError, ValueError):
@@ -25,8 +27,9 @@ class DegenerateSupportError(CflearnError):
 
 
 class ScoreOverflowError(DegenerateSupportError):
-    """Policy scores or weights left the float range, so the softmax
-    probabilities are undefined; training halts as on degenerate support."""
+    """Policy scores, weights or importance weights left the float range, so
+    the softmax probabilities or the estimates are undefined; training halts
+    as on degenerate support."""
 
 
 class FittingError(CflearnError):

@@ -44,13 +44,14 @@ task share.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .domain import Log, Mode, PolicyParams, _nonempty
-from .errors import ConfigurationError, DegenerateSupportError, LogConsistencyError
+from .errors import ConfigurationError, DegenerateSupportError, LogConsistencyError, ScoreOverflowError
 from .reward import ControlScalar, RewardModel, control_scalar
 
 
@@ -117,20 +118,32 @@ def check_log(kind: EstimatorKind, log: Log, estimates_c_hat: bool = True) -> No
 
 def _rho(log: Log, pi_chosen: np.ndarray) -> np.ndarray:
     """Per-tuple importance weights from the policy probabilities of the
-    logged choices: pi/mu on stochastic logs, pi otherwise."""
+    logged choices: pi/mu on stochastic logs, pi otherwise.  A propensity
+    small enough that pi/mu leaves the float range raises ScoreOverflowError."""
     if log.mode is Mode.STOCHASTIC:
-        return pi_chosen / log.propensities
+        with np.errstate(over="ignore"):  # checked just below
+            rho = pi_chosen / log.propensities
+        if not np.isfinite(rho).all():
+            raise ScoreOverflowError(WEIGHTS_OVERFLOWED)
+        return rho
     return pi_chosen
 
 
 ZERO_WEIGHTS = "all importance weights are zero; the self-normalized value is undefined"
+WEIGHTS_OVERFLOWED = "importance weights overflowed: pi/mu, their sum or n * rho / sum(rho) is not finite"
 
 
 def _normalize(rho_values: np.ndarray) -> np.ndarray:
-    total = rho_values.sum()
-    if total <= 0.0:
-        raise DegenerateSupportError(ZERO_WEIGHTS)
-    return rho_values.size * rho_values / total
+    """``n rho / sum(rho)``; raises DegenerateSupportError when every weight
+    is zero, and ScoreOverflowError when the sum or a weight leaves the float range."""
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        total = rho_values.sum()
+        if total <= 0.0:
+            raise DegenerateSupportError(ZERO_WEIGHTS)
+        rho_bar = rho_values.size * rho_values / total
+    if not (math.isfinite(total) and math.isfinite(rho_bar.max())):  # the max of an array with a NaN is NaN
+        raise ScoreOverflowError(WEIGHTS_OVERFLOWED)
+    return rho_bar
 
 
 def dmax_mask(rewards: np.ndarray) -> np.ndarray:
@@ -236,7 +249,7 @@ class _LogPass:
             probs = self.tensor.probs(params)
             rho = _rho(log, np.take(probs.T, self.picks))
             rho_bar = x = a = mass = ess = None
-            if rho.sum() > 0.0:
+            if rho.any():  # no weight is negative: their sum is positive when any weight is
                 n = rho.size
                 rho_bar = _normalize(rho)
                 x = log.rewards * rho_bar

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Log, _fits, _nonempty, _real, _weights
-from .errors import ConfigurationError, FittingError, ScoreOverflowError
+from .domain import _NON_NEGATIVE, Log, _fits, _nonempty, _real, _weights
+from .errors import FittingError, ScoreOverflowError
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,10 +32,7 @@ class RewardModel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "weights", _weights("weights", self.weights))
-        try:
-            object.__setattr__(self, "intercept", float(_real("intercept", self.intercept)))
-        except ValueError as err:
-            raise ConfigurationError(str(err)) from None
+        object.__setattr__(self, "intercept", _real("intercept", self.intercept))
         object.__setattr__(self, "ridge_lambda", float(self.ridge_lambda))
 
     @property
@@ -79,8 +76,7 @@ def fit_reward_model(log: Log, ridge_lambda: float = 1e-3) -> RewardModel:
     Gram matrix or solution leaves the float range, raises :class:`FittingError`.
     """
     _nonempty(log)
-    if ridge_lambda < 0:
-        raise ValueError(f"ridge_lambda must be non-negative, got {ridge_lambda}")
+    ridge_lambda = _real("ridge_lambda", ridge_lambda, _NON_NEGATIVE)
     features = log.at_chosen(log.features)  # phi(x_t, y_t), shape (n, d)
     design = np.hstack([np.ones((len(log), 1)), features])
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
@@ -100,7 +96,7 @@ def fit_reward_model(log: Log, ridge_lambda: float = 1e-3) -> RewardModel:
         raise FittingError(f"normal equations could not be solved: {err}") from err
     if not np.isfinite(beta).all():
         raise FittingError("the solution of the normal equations is not finite")
-    return RewardModel(weights=beta[1:], intercept=float(beta[0]), ridge_lambda=float(ridge_lambda))
+    return RewardModel(weights=beta[1:], intercept=float(beta[0]), ridge_lambda=ridge_lambda)
 
 
 def control_scalar(x: np.ndarray, y: np.ndarray) -> ControlScalar:

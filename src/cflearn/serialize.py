@@ -21,6 +21,7 @@ key or a bad value fails naming the file and the key.
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass, fields, is_dataclass
 from functools import partial
 from itertools import chain
@@ -32,16 +33,10 @@ import orjson
 import yaml
 
 from .domain import Log, Mode, PolicyParams, _integer, _matrix, _member, _real
-from .errors import CflearnError, ConfigurationError, LogConsistencyError
+from .errors import ConfigurationError, LogConsistencyError
 from .reward import RewardModel
 from .simulator import GroundTruth, LoggingPolicy, TaskSpec, _fractions
 from .training import EpochRecord, TrainConfig, TrainTrace
-
-
-def _number(key: str, value) -> float:
-    """``value`` as a float if it is a finite real number, not a bool or a
-    string; raises ValueError naming ``key``."""
-    return float(_real(key, value))
 
 
 def _vector(key: str, values) -> np.ndarray:
@@ -55,7 +50,7 @@ def _vector(key: str, values) -> np.ndarray:
 
 _CONVERTERS = {  # (key, JSON value) -> the value as a field of the declared type
     np.ndarray: _vector,
-    float: _number,
+    float: _real,
     Mode: lambda key, value: _member(key, Mode, value),
     dict[str, np.ndarray]: lambda key, values: _rows(key, dict(values)),
 }
@@ -129,7 +124,7 @@ def _has_bool(line: bytes, record: dict) -> bool:
 def _log_row(line: bytes, mode: Mode) -> tuple:
     """The id, candidate matrix, chosen index, reward and propensity of a
     record line, each of its type; ``Log._check`` tests their values.
-    Raises TypeError, ValueError or a CflearnError."""
+    Raises TypeError or ValueError."""
     record = orjson.loads(line)
     if type(record) is not dict:
         raise TypeError(f"expected a JSON object, got {type(record).__name__}")
@@ -144,8 +139,8 @@ def _log_row(line: bytes, mode: Mode) -> tuple:
         raise TypeError(f"id must be a string, got {ident!r}")
     if type(chosen) is not int:
         raise TypeError(f"chosen must be an integer, got {chosen!r}")
-    reward = _number("reward", record["reward"])
-    propensity = None if propensity is None else _number("propensity", propensity)
+    reward = _real("reward", record["reward"])
+    propensity = None if propensity is None else _real("propensity", propensity)
     candidates = np.array(record["features"])
     if candidates.dtype.kind not in "iuf":
         raise TypeError(f"features must be numbers, got an array of {candidates.dtype}")
@@ -202,7 +197,7 @@ def read_log(path: str | Path) -> Log:
                     wider = np.zeros((n, count, dim))
                     wider[:row, : features.shape[1]] = features[:row]
                     features = wider
-            except (TypeError, ValueError, MemoryError, CflearnError) as err:
+            except (TypeError, ValueError, MemoryError) as err:
                 rows, fault = row, err
                 break
             features[row, :count] = candidates
@@ -237,10 +232,20 @@ def _load_json(path: str | Path):
         raise ConfigurationError(f"{path}:{err.lineno}: not valid JSON: {err.msg}") from err
 
 
+class _YamlLoader(yaml.SafeLoader):
+    """PyYAML's safe loader, which follows YAML 1.1, reading as floats too the
+    YAML 1.2 exponent numbers that YAML 1.1 reads as strings, such as ``1e-3`` and ``1.5e3``."""
+
+
+_YamlLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float", re.compile(r"^[-+]?[0-9]+(\.[0-9]*)?[eE][-+]?[0-9]+$"), list("-+0123456789")
+)
+
+
 def _load_yaml(path: str | Path):
     text = _text(path, Path(path).read_bytes())
     try:
-        return yaml.safe_load(text)
+        return yaml.load(text, Loader=_YamlLoader)
     except yaml.MarkedYAMLError as err:
         mark = err.problem_mark or err.context_mark
         reason = err.problem or err.context
@@ -257,7 +262,7 @@ def _get(payload, key: str, convert, path: str | Path, where: str = ""):
         raise ConfigurationError(f"{path}: missing key {name}")
     try:
         return convert(payload[key])
-    except (TypeError, ValueError, CflearnError) as err:
+    except (TypeError, ValueError) as err:
         raise ConfigurationError(f"{path}: bad value for {name}: {err}") from err
 
 
@@ -316,6 +321,8 @@ def read_config(path: str | Path) -> ExperimentConfig:
     try:
         keys = _keys(ExperimentConfig, data)
         return ExperimentConfig(**{key: _get(data, key, _CONFIG_KEYS[key], path) for key in keys})
+    except ConfigurationError:  # a bad value, which _get names with the file
+        raise
     except (TypeError, ValueError) as err:  # not a mapping, an unknown or a missing key
         raise ConfigurationError(f"{path}: {err}") from err
 

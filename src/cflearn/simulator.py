@@ -19,8 +19,8 @@ from itertools import chain
 
 import numpy as np
 
-from .domain import (Instance, Log, Mode, PolicyParams, _TensorPass, _integer, _member, _real,
-                     _stack_candidates, _weights)
+from .domain import (_NON_NEGATIVE, _POSITIVE, _UNIT, Instance, Log, Mode, PolicyParams, _TensorPass, _integer,
+                     _member, _real, _stack_candidates, _weights)
 from .errors import ConfigurationError
 
 REWARD_QUANTUM = 1e-6
@@ -43,16 +43,10 @@ class TaskSpec:
         for key, minimum in (("num_instances", 1), ("k", 2), ("d", 1), ("seed", 0)):
             _integer(key, getattr(self, key), minimum)
         if self.num_instances * self.k * self.d > np.iinfo(np.intp).max:
-            raise ValueError("num_instances * k * d exceeds the largest array numpy can index")
-        for key in ("reward_noise", "logger_quality", "logger_alpha"):
-            _real(key, getattr(self, key))
+            raise ConfigurationError("num_instances * k * d exceeds the largest array numpy can index")
+        for key, rule in (("reward_noise", _NON_NEGATIVE), ("logger_quality", _UNIT), ("logger_alpha", _POSITIVE)):
+            _real(key, getattr(self, key), rule)
         object.__setattr__(self, "logging_mode", _member("logging_mode", Mode, self.logging_mode))
-        if self.reward_noise < 0:
-            raise ValueError(f"reward_noise must be non-negative, got {self.reward_noise}")
-        if not 0.0 <= self.logger_quality <= 1.0:
-            raise ValueError(f"logger_quality must lie in [0, 1], got {self.logger_quality}")
-        if self.logger_alpha <= 0:
-            raise ValueError(f"logger_alpha must be positive, got {self.logger_alpha}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,9 +239,9 @@ def roll_log(
 
 def _fractions(fractions) -> tuple[float, float, float]:
     """``fractions`` as a tuple, if it holds 3 finite non-negative values summing to 1."""
-    values = tuple(_real("fractions", value) for value in fractions)
-    if len(values) != 3 or min(values) < 0 or abs(sum(values) - 1.0) > 1e-9:
-        raise ValueError(f"fractions must be 3 non-negative values summing to 1, got {fractions}")
+    values = tuple(_real("fractions", value, _NON_NEGATIVE) for value in fractions)
+    if len(values) != 3 or abs(sum(values) - 1.0) > 1e-9:
+        raise ConfigurationError(f"fractions must be 3 values summing to 1, got {fractions}")
     return values
 
 

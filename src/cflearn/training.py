@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import Instance, Log, PolicyParams, _fits, _integer, _member, _real
+from .domain import _NON_NEGATIVE, _POSITIVE, Instance, Log, PolicyParams, _fits, _integer, _member, _real
 from .errors import CflearnError, ConfigurationError, DegenerateSupportError, ScoreOverflowError
 from .estimators import EstimatorKind, check_log, value_and_grad
 from .reward import RewardModel, fit_reward_model
@@ -48,28 +48,16 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         self.kind = _member("kind", EstimatorKind, self.kind)
-        for key in ("learning_rate", "ridge_lambda", "init_sigma", "alpha"):
-            _real(key, getattr(self, key))
+        for key, rule in (("learning_rate", _NON_NEGATIVE), ("ridge_lambda", _NON_NEGATIVE), ("init_sigma", None),
+                          ("alpha", _POSITIVE)):
+            _real(key, getattr(self, key), rule)
         for key in ("epochs", "seed", "early_stop_patience"):
             _integer(key, getattr(self, key), 0)
-        if self.learning_rate < 0:
-            raise ValueError(f"learning_rate must be non-negative, got {self.learning_rate}")
-        if self.batch_size != "full" and (
-            isinstance(self.batch_size, bool)
-            or not isinstance(self.batch_size, int)
-            or self.batch_size < 1
-        ):
-            raise ValueError(f'batch_size must be a positive integer or "full", got {self.batch_size!r}')
-        if self.c_refresh not in ("epoch", "once"):
-            raise ValueError(f'c_refresh must be "epoch" or "once", got {self.c_refresh}')
-        if self.normalize not in ("batch", "full"):
-            raise ValueError(f'normalize must be "batch" or "full", got {self.normalize}')
-        if self.init not in ("zeros", "gaussian"):
-            raise ValueError(f'init must be "zeros" or "gaussian", got {self.init}')
-        if self.ridge_lambda < 0:
-            raise ValueError(f"ridge_lambda must be non-negative, got {self.ridge_lambda}")
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if self.batch_size != "full":
+            _integer('batch_size, unless "full",', self.batch_size, 1)
+        for key, choices in (("c_refresh", ("epoch", "once")), ("normalize", ("batch", "full")),
+                             ("init", ("zeros", "gaussian"))):
+            _member(key, choices, getattr(self, key))
 
 
 @dataclass(frozen=True)

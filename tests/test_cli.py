@@ -410,6 +410,27 @@ class TestOverflow:
         assert f"{log}: " in err and "scores overflowed" in err
 
 
+    def test_a_propensity_too_small_for_its_weight_ends_in_a_named_error(self, tmp_path, capsys):
+        """pi/mu at a propensity of 1e-310 leaves the float range: evaluate read
+        the value inf and train halted for a step that was not finite."""
+        config = write_config(tmp_path / "config.yaml", **{"task.logging_mode": "stochastic", "train.kind": "ips-r"})
+        assert main(["generate-log", "--config", str(config)]) == 0
+        log = tmp_path / "out" / "train.jsonl"
+        lines = log.read_text().splitlines()
+        record = json.loads(lines[1])
+        record["propensity"] = 1e-310
+        lines[1] = json.dumps(record)
+        log.write_text("\n".join(lines) + "\n")
+        assert main(["train", "--config", str(config), "--log", str(log), "--out", str(tmp_path / "run")]) == 0
+        halted = read_params(tmp_path / "run" / "params.json")[1]["halted"]
+        assert halted.startswith("epoch 1: importance weights overflowed")
+        capsys.readouterr()
+        code = main(["evaluate", "--params", str(tmp_path / "run" / "params.json"), "--estimator", "ips",
+                     "--log", str(log), "--out", str(tmp_path / "report")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"cflearn: error: {log}: importance weights overflowed")
+        assert not (tmp_path / "report").exists()
+
     def test_evaluate_plain_kind_on_zero_weights_exits_one(self, tmp_path, capsys):
         feats = np.array([[800.0], [0.0]])
         log = tmp_path / "test.jsonl"
@@ -471,8 +492,9 @@ class TestChecks:
 
 
 class TestOptionBounds:
-    """The integer options of grad-check and degeneracy-probe are checked as they
-    enter, so a bound is never met with a vacuous pass or an error in numpy's words."""
+    """The integer options of every command are checked as they enter, so a
+    bound is never met with a vacuous pass, an error in numpy's words or an
+    error that does not name the option."""
 
     @pytest.mark.parametrize("argv, message", [
         (["grad-check", "--count", "-3"], "--count must be at least 1, got -3"),
@@ -482,7 +504,11 @@ class TestOptionBounds:
         (["grad-check", "--seed", "-1"], "--seed must be at least 0, got -1"),
         (["degeneracy-probe", "--count", "-1"], "--count must be at least 1, got -1"),
         (["degeneracy-probe", "--seed", "-1"], "--seed must be at least 0, got -1"),
-    ], ids=["grad-count", "max-n", "max-k", "max-d", "grad-seed", "probe-count", "probe-seed"])
+        (["generate-log", "--config", "config.yaml", "--seed", "-1"], "--seed must be at least 0, got -1"),
+        (["train", "--config", "config.yaml", "--log", "train.jsonl", "--seed", "-1"],
+         "--seed must be at least 0, got -1"),
+    ], ids=["grad-count", "max-n", "max-k", "max-d", "grad-seed", "probe-count", "probe-seed", "generate-seed",
+            "train-seed"])
     def test_an_option_below_its_bound_exits_one_naming_it(self, tmp_path, capsys, argv, message):
         assert main([*argv, "--out", str(tmp_path / "out")]) == 1
         assert tuple(capsys.readouterr()) == ("", f"cflearn: error: {message}\n")
@@ -575,37 +601,74 @@ class TestUsageErrors:
         assert "typo_key" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "override, key",
-        [({"train.learning_rate": "fast"}, "learning_rate"), ({"splits": 5}, "splits"),
-         ({"task.k": "4"}, "k"), ({"split_seed": [1]}, "split_seed"), ({"task": {"k": 4}}, "num_instances"),
+        "override, key, line",
+        # line: the whole message after the file's name, for a setting that breaks its rule
+        [pytest.param({"train.learning_rate": "fast"}, "learning_rate",
+                      "bad value for train: learning_rate must be a finite number, got 'fast'",
+                      id="override0-learning_rate"),
+         pytest.param({"splits": 5}, "splits", None, id="override1-splits"),
+         pytest.param({"task.k": "4"}, "k", "bad value for task: k must be an integer, got '4'", id="override2-k"),
+         pytest.param({"split_seed": [1]}, "split_seed",
+                      "bad value for split_seed: split_seed must be an integer, got [1]", id="override3-split_seed"),
+         pytest.param({"task": {"k": 4}}, "num_instances", None, id="override4-num_instances"),
          # the config's lines: 1 output_dir, 2 split_seed, 11 task.logging_mode, 19 train.kind
          pytest.param(_edited_config(lambda b: b.replace(b"dpm-r", b"dpm-\xff")), "config.yaml:19: not valid UTF-8",
-                      id="invalid-utf8"),
+                      None, id="invalid-utf8"),
          pytest.param(_edited_config(lambda b: b.replace(b"split_seed: 2", b"split_seed: 2: 3")),
-                      "config.yaml:2: not valid YAML", id="yaml-syntax"),
-         pytest.param({"train.kind": "nope"}, "kind", id="kind"),
-         pytest.param({"task.logging_mode": "nope"}, "logging_mode", id="logging_mode"),
-         pytest.param({"splits": [0.5, 0.5, 0.5]}, "splits", id="splits-sum"),
-         pytest.param({"train.learning_rate": -1}, "learning_rate", id="negative-learning_rate"),
-         pytest.param({"task.num_instances": 0}, "num_instances", id="zero-num_instances"),
-         pytest.param({"split_seed": 1.5}, "split_seed", id="fractional-split_seed"),
-         pytest.param({"train": {"kind": "dpm", "bogus": 1}}, "bogus", id="unknown-train-key"),
-         pytest.param({"task.seed": -1}, "seed", id="negative-seed"),
-         pytest.param({"task.num_instances": 2**64}, "num_instances", id="huge-num_instances"),
+                      "config.yaml:2: not valid YAML", None, id="yaml-syntax"),
+         pytest.param({"train.kind": "nope"}, "kind",
+                      "bad value for train: kind must be one of ips, dpm, ips-r, dpm-r, dr, dc, cdr, cdc; got 'nope'",
+                      id="kind"),
+         pytest.param({"task.logging_mode": "nope"}, "logging_mode",
+                      "bad value for task: logging_mode must be one of deterministic, stochastic; got 'nope'",
+                      id="logging_mode"),
+         pytest.param({"splits": [0.5, 0.5, 0.5]}, "splits",
+                      "bad value for splits: fractions must be 3 values summing to 1, got [0.5, 0.5, 0.5]",
+                      id="splits-sum"),
+         pytest.param({"splits": [1.5, -0.5, 0.0]}, "splits",
+                      "bad value for splits: fractions must be non-negative, got -0.5", id="negative-split"),
+         pytest.param({"train.learning_rate": -1}, "learning_rate",
+                      "bad value for train: learning_rate must be non-negative, got -1", id="negative-learning_rate"),
+         pytest.param({"task.num_instances": 0}, "num_instances",
+                      "bad value for task: num_instances must be at least 1, got 0", id="zero-num_instances"),
+         pytest.param({"split_seed": 1.5}, "split_seed",
+                      "bad value for split_seed: split_seed must be an integer, got 1.5", id="fractional-split_seed"),
+         pytest.param({"train": {"kind": "dpm", "bogus": 1}}, "bogus", None, id="unknown-train-key"),
+         pytest.param({"task.seed": -1}, "seed", "bad value for task: seed must be at least 0, got -1",
+                      id="negative-seed"),
+         pytest.param({"task.num_instances": 2**64}, "num_instances",
+                      "bad value for task: num_instances * k * d exceeds the largest array numpy can index",
+                      id="huge-num_instances"),
          # indexable, but 8 bytes a value overflow numpy's array size: only the file can be named
-         pytest.param({"task.num_instances": 2**58}, "", id="unallocatable-num_instances"),
-         pytest.param({"output_dir": [1]}, "output_dir", id="list-output_dir"),
-         pytest.param({"task": [4]}, "expected a mapping", id="list-task"),
+         pytest.param({"task.num_instances": 2**58}, "", None, id="unallocatable-num_instances"),
+         pytest.param({"output_dir": [1]}, "output_dir", None, id="list-output_dir"),
+         pytest.param({"task": [4]}, "expected a mapping", None, id="list-task"),
          pytest.param(_edited_config(lambda b: b.replace(b"split_seed: 2", b"split_seed: \x07")),
-                      "config.yaml:2: not valid YAML", id="yaml-control-character"),
-         pytest.param({"task.logger_alpha": 0}, "logger_alpha", id="zero-logger_alpha"),
-         pytest.param({"train.c_refresh": "never"}, "c_refresh", id="c_refresh"),
-         pytest.param({"train.init": "ones"}, "init", id="init"),
-         pytest.param({"train.ridge_lambda": -1}, "ridge_lambda", id="negative-ridge_lambda"),
-         pytest.param({"train.alpha": 0}, "alpha must be positive", id="zero-alpha"),
-         pytest.param(_params_kind, "kind", id="params-kind")],
+                      "config.yaml:2: not valid YAML", None, id="yaml-control-character"),
+         pytest.param({"task.logger_alpha": 0}, "logger_alpha",
+                      "bad value for task: logger_alpha must be positive, got 0", id="zero-logger_alpha"),
+         pytest.param({"task.logger_quality": 1.5}, "logger_quality",
+                      "bad value for task: logger_quality must be in [0, 1], got 1.5", id="logger_quality"),
+         pytest.param({"task.reward_noise": -0.1}, "reward_noise",
+                      "bad value for task: reward_noise must be non-negative, got -0.1", id="negative-reward_noise"),
+         pytest.param({"train.c_refresh": "never"}, "c_refresh",
+                      "bad value for train: c_refresh must be one of epoch, once; got 'never'", id="c_refresh"),
+         pytest.param({"train.normalize": "none"}, "normalize",
+                      "bad value for train: normalize must be one of batch, full; got 'none'", id="normalize"),
+         pytest.param({"train.init": "ones"}, "init",
+                      "bad value for train: init must be one of zeros, gaussian; got 'ones'", id="init"),
+         pytest.param({"train.batch_size": 0}, "batch_size",
+                      'bad value for train: batch_size, unless "full", must be at least 1, got 0',
+                      id="zero-batch_size"),
+         pytest.param({"train.ridge_lambda": -1}, "ridge_lambda",
+                      "bad value for train: ridge_lambda must be non-negative, got -1", id="negative-ridge_lambda"),
+         pytest.param({"train.alpha": 0}, "alpha must be positive",
+                      "bad value for train: alpha must be positive, got 0", id="zero-alpha"),
+         pytest.param(_params_kind, "kind",
+                      "bad value for kind: kind must be one of ips, dpm, ips-r, dpm-r, dr, dc, cdr, cdc; got 'nope'",
+                      id="params-kind")],
     )
-    def test_bad_config_value_exits_one_naming_the_key(self, tmp_path, monkeypatch, capsys, override, key):
+    def test_bad_config_value_exits_one_naming_the_key(self, tmp_path, monkeypatch, capsys, override, key, line):
         monkeypatch.chdir(tmp_path)  # a relative output_dir lands here
         if callable(override):
             path, argv = override(tmp_path)
@@ -616,6 +679,8 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"cflearn: error: {path}:")
         assert key in err and err.count("\n") == 1 and "Traceback" not in err
+        if line is not None:  # the file is named once
+            assert err == f"cflearn: error: {path}: {line}\n"
         assert not (tmp_path / "out").exists()  # the config's output_dir is made only on success
 
     @pytest.mark.parametrize("argv, message", [

@@ -11,6 +11,7 @@ from cflearn import (
     LoggedTuple,
     Mode,
     ProbeResult,
+    ScoreOverflowError,
     TaskSpec,
     TrainConfig,
     assignment_value,
@@ -60,6 +61,12 @@ class TestAssignmentValues:
         log = plain_log([0.3, 0.6], propensities=[0.5, 0.5])
         assert assignment_value([1.0, 1.0], log) == pytest.approx(0.9, rel=1e-12)
         assert assignment_value([1.0, 0.5], log) == pytest.approx(0.6, rel=1e-12)
+
+    def test_a_weight_beyond_the_float_range_raises_a_named_error(self):
+        """pi/mu at a propensity of 1e-310 is not finite: the value was inf."""
+        log = plain_log([0.3, 0.6], propensities=[0.5, 1e-310])
+        with pytest.raises(ScoreOverflowError, match="^importance weights overflowed"):
+            assignment_value([1.0, 1.0], log)
 
     def test_plain_value_deterministic(self):
         log = plain_log([0.3, 0.6])

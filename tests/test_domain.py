@@ -166,6 +166,16 @@ class TestTypeInvariants:
         with pytest.raises(ConfigurationError):
             PolicyParams(np.zeros(2), alpha=0.0)
 
+    @pytest.mark.parametrize("alpha, message", [
+        (True, "alpha must be a finite number, got True"),  # a bool was read as 1.0
+        (None, "alpha must be a finite number, got None"),  # was a bare TypeError
+        (float("inf"), "alpha must be a finite number, got inf"),
+        (-1, "alpha must be positive, got -1"),
+    ], ids=["bool", "none", "inf", "negative"])
+    def test_params_refuse_an_alpha_that_is_no_positive_real(self, alpha, message):
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            PolicyParams(np.zeros(2), alpha=alpha)
+
     @pytest.mark.parametrize("weights, message", [(np.zeros((2, 2)), "must be a vector"),
                                                   ([0.0, np.nan], "non-finite"), ([np.inf], "non-finite")],
                              ids=["matrix", "nan", "inf"])

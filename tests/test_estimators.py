@@ -109,6 +109,29 @@ class TestValueIpsDpm:
             RewardModel(weights=params.weights, intercept=0.0, ridge_lambda=0.0).predict_features(feats)
 
 
+class TestWeightOverflow:
+    """A propensity in (0, 1] small enough that pi/mu, the sum of the weights
+    or n times one leaves the float range ends in a named error: each value
+    was inf or NaN, with only warnings."""
+
+    @pytest.mark.parametrize("propensities", [
+        [0.5, 1e-310, 0.5],  # pi/mu = 0.5 / 1e-310
+        [1e-306] * 2000,  # each weight 5e305, their sum 1e309
+        [5e-307] + [0.5] * 399,  # one weight 1e306, their sum finite, 400 times it not
+        [3.0594765554474024e-308] * 11,  # the sum of 11 weights rounds past the float range, 11 times one does not
+    ], ids=["rho", "sum", "n-rho", "sum-alone"])
+    @pytest.mark.parametrize("kind", [EstimatorKind.IPS, EstimatorKind.IPS_R], ids=lambda kind: kind.value)
+    def test_overflowing_weights_raise_a_named_error(self, kind, propensities):
+        feats = np.array([[1.0], [0.0]])
+        log = Log(tuple(LoggedTuple(Instance(f"w{t}", feats), 0, 0.5, mu) for t, mu in enumerate(propensities)),
+                  Mode.STOCHASTIC)
+        params = PolicyParams(np.zeros(1))  # pi = 0.5 on every logged choice
+        with pytest.raises(ScoreOverflowError, match="^importance weights overflowed"):
+            evaluate_policy(kind, params, log)
+        with pytest.raises(ScoreOverflowError, match="^importance weights overflowed"):
+            value_reweighted(params, log)
+
+
 class TestValueReweighted:
     def test_constant_rewards(self, rng):
         log = random_log(rng, 8, 3, 2, Mode.DETERMINISTIC)
@@ -146,6 +169,15 @@ class TestValueReweighted:
         )
         with pytest.raises(DegenerateSupportError):
             value_reweighted(unit_params(), log)
+
+    def test_zero_support_is_named_as_zero_weights_not_as_an_overflow(self):
+        log = Log(
+            (saturated_tuple("a", 0.5, on=False), saturated_tuple("b", 0.9, on=False)),
+            Mode.DETERMINISTIC,
+        )
+        with pytest.raises(DegenerateSupportError, match="^all importance weights are zero") as raised:
+            value_reweighted(unit_params(), log)
+        assert not isinstance(raised.value, ScoreOverflowError)
 
     def test_bounded_by_support_rewards(self, rng):
         for _ in range(30):

@@ -239,3 +239,11 @@ def dimension_inequalities(path: Path) -> list[int]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_dimensions_are_compared_in_domain_alone(path):
     assert path.stem == "domain" or dimension_inequalities(path) == []
+
+
+def test_the_setting_rules_are_stated_in_domain_alone():
+    """``domain._real`` states each range rule of a setting and ``domain._member``
+    the choice rule, so every setting that breaks one raises the same error in
+    the same words."""
+    for text in ("must be non-negative", "must be positive", "must be one of"):
+        assert [path.stem for path in MODULES if text in path.read_text()] == ["domain"]

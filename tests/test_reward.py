@@ -71,6 +71,14 @@ class TestFit:
             fit_reward_model(log, ridge_lambda=0.0)
         fit_reward_model(log, ridge_lambda=1e-3)  # penalty restores uniqueness
 
+    def test_a_system_one_rank_short_is_called_singular(self):
+        # two equal feature columns leave the Gram matrix one rank short of full
+        tuples = [LoggedTuple(Instance(f"s{t}", np.array([[v, v], [0.0, 0.0]])), 0, 0.1 * v)
+                  for t, v in enumerate([1.0, 2.0, 3.0, 4.0])]
+        message = "^normal equations are singular; use ridge_lambda > 0 for a unique fit$"
+        with pytest.raises(FittingError, match=message):
+            fit_reward_model(Log(tuples, Mode.DETERMINISTIC), ridge_lambda=0.0)
+
     def test_overflowing_gram_matrix_raises(self, rng):
         # squares of 1e200 overflow: the fit was NaN weights with only a warning
         tuples = tuple(
@@ -103,6 +111,11 @@ class TestFit:
     def test_bad_inputs_rejected(self, rng, tuples, ridge_lambda, message):
         with pytest.raises(ValueError, match=message):
             fit_reward_model(log_with_rewards(rng, [0.5] * tuples), ridge_lambda)
+
+    def test_a_ridge_lambda_that_is_not_finite_is_refused_on_entry(self, rng):
+        # it was a FittingError after the solve
+        with pytest.raises(ConfigurationError, match="^ridge_lambda must be a finite number, got nan$"):
+            fit_reward_model(log_with_rewards(rng, [0.5] * 3), float("nan"))
 
     def test_training_loss_monotone_in_ridge(self, rng):
         log = linear_log(rng, 30, 3, rng.uniform(-0.3, 0.3, size=3), intercept=0.4)

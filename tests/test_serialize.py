@@ -6,8 +6,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import yaml
 
 from cflearn import (
+    ConfigurationError,
     Instance,
     Log,
     LogConsistencyError,
@@ -281,6 +283,29 @@ class TestParamsAndModel:
         np.testing.assert_array_equal(model.weights, loaded.weights)
         assert loaded.intercept == model.intercept
         assert loaded.ridge_lambda == model.ridge_lambda
+
+
+class TestConfig:
+    """PyYAML follows YAML 1.1, which reads ``1e-3`` and ``1.5e3`` as strings;
+    the config reader reads them as numbers, as YAML 1.2 does."""
+
+    CONFIG = "task: {num_instances: 4, k: 2, d: 1, seed: 0}\ntrain: {kind: dc, %s}\n"
+
+    def test_exponent_numbers_are_read_as_floats(self, tmp_path):
+        path = tmp_path / "config.yaml"
+        path.write_text(self.CONFIG % "ridge_lambda: 1e-3, learning_rate: 1e+1, init_sigma: 1.5e3, alpha: 2E0")
+        train = serialize.read_config(path).train
+        assert (train.ridge_lambda, train.learning_rate, train.init_sigma, train.alpha) == (1e-3, 10.0, 1500.0, 2.0)
+        assert yaml.safe_load("x: 1e-3") == {"x": "1e-3"}  # the global loader reads as it did
+
+    @pytest.mark.parametrize("value, message", [("1e", "ridge_lambda must be a finite number, got '1e'"),
+                                                ("1e400", "ridge_lambda must be a finite number, got inf")],
+                             ids=["no-exponent-digits", "beyond-the-float-range"])
+    def test_a_bad_exponent_number_is_refused(self, tmp_path, value, message):
+        path = tmp_path / "config.yaml"
+        path.write_text(self.CONFIG % f"ridge_lambda: {value}")
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(f'{path}: bad value for train: {message}')}$"):
+            serialize.read_config(path)
 
 
 class TestTruth:

@@ -158,6 +158,23 @@ class TestTaskSpecTypes:
         with pytest.raises(ValueError, match=key):
             spec(**{key: value})
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("reward_noise", -0.1, "reward_noise must be non-negative, got -0.1"),
+        ("logger_quality", 1.5, r"logger_quality must be in \[0, 1\], got 1.5"),
+        ("logger_alpha", 0.0, "logger_alpha must be positive, got 0.0"),
+        # the smallest count whose tensor numpy cannot index
+        ("num_instances", 2**63 // 20 + 1, r"num_instances \* k \* d exceeds the largest array numpy can index"),
+    ], ids=["reward_noise", "logger_quality", "logger_alpha", "size"])
+    def test_a_bad_setting_is_a_configuration_error(self, key, value, message):
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            spec(**{key: value})
+
+    @pytest.mark.parametrize("key, value", [("reward_noise", 0.0), ("logger_quality", 0.0), ("logger_quality", 1),
+                                            ("logger_alpha", 1e-300)])
+    def test_a_setting_at_the_edge_of_its_range_is_accepted(self, key, value):
+        """A closed bound is in the range: 0 is an unrelated logger and 1 the oracle."""
+        assert getattr(spec(**{key: value}), key) == value
+
     def test_logging_mode_name_accepted(self):
         assert spec(logging_mode="stochastic").logging_mode is Mode.STOCHASTIC
 
@@ -291,6 +308,15 @@ class TestSplit:
         train_log, val_log, test_log = split(log, (1.0, 0.0, 0.0), seed=4)
         assert len(train_log) == len(log) and len(val_log) == 0 and len(test_log) == 0
         assert {t.instance.id for t in train_log.tuples} == {t.instance.id for t in log.tuples}
+
+    @pytest.mark.parametrize("fractions, message", [
+        ((1.5, -0.5, 0.0), "fractions must be non-negative, got -0.5"),
+        ((0.5, 0.5, 0.5), r"fractions must be 3 values summing to 1, got \(0.5, 0.5, 0.5\)"),
+        ((0.5, 0.5), r"fractions must be 3 values summing to 1, got \(0.5, 0.5\)"),
+    ], ids=["negative", "sum", "two"])
+    def test_bad_fractions_are_a_configuration_error(self, fractions, message):
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            split(self.make_log(10), fractions, seed=4)
 
     def test_exact_sizes(self):
         parts = split(self.make_log(100), (0.5, 0.25, 0.25), seed=4)

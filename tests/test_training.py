@@ -1,6 +1,7 @@
 """Gradient-ascent trainer: determinism, ascent, early stopping, truth evaluation."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -283,6 +284,29 @@ class TestGuards:
         fields = {"kind": EstimatorKind.DPM, key: value}
         with pytest.raises(ValueError, match=key):
             TrainConfig(**fields)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("learning_rate", -0.1, "learning_rate must be non-negative, got -0.1"),
+        ("ridge_lambda", -1, "ridge_lambda must be non-negative, got -1"),
+        ("alpha", 0, "alpha must be positive, got 0"),
+        ("epochs", -1, "epochs must be at least 0, got -1"),
+        ("batch_size", 0, 'batch_size, unless "full", must be at least 1, got 0'),
+        ("batch_size", "all", 'batch_size, unless "full", must be an integer, got \'all\''),
+        ("c_refresh", "never", "c_refresh must be one of epoch, once; got 'never'"),
+        ("normalize", "sometimes", "normalize must be one of batch, full; got 'sometimes'"),
+        ("init", "ones", "init must be one of zeros, gaussian; got 'ones'"),
+        ("kind", "nope", "kind must be one of ips, dpm, ips-r, dpm-r, dr, dc, cdr, cdc; got 'nope'"),
+    ], ids=["learning_rate", "ridge_lambda", "alpha", "epochs", "batch_size", "batch_size-text", "c_refresh",
+            "normalize", "init", "kind"])
+    def test_a_bad_setting_is_a_configuration_error(self, key, value, message):
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            TrainConfig(**{"kind": EstimatorKind.DPM, key: value})
+
+    @pytest.mark.parametrize("key, value", [("learning_rate", 0), ("ridge_lambda", 0.0), ("init_sigma", 0.0),
+                                            ("init_sigma", -0.5), ("alpha", 1e-300), ("batch_size", 1)])
+    def test_a_setting_at_the_edge_of_its_range_is_accepted(self, key, value):
+        """A closed bound is in the range, and ``init_sigma`` is any finite number."""
+        assert getattr(TrainConfig(**{"kind": EstimatorKind.DPM, key: value}), key) == value
 
     def test_trace_carries_the_fitted_reward_model(self, rng):
         log = random_log(rng, 6, 3, 2, Mode.DETERMINISTIC)
